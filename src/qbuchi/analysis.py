@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .automata import Mmqba
-from .numerics import DEFAULT_SV_TOL, SubspaceBasis, as_state, null_space
-from .semantics import StepRecord, Trace
+from .numerics import DEFAULT_SV_TOL, SubspaceBasis, null_space
+from .semantics import StepRecord, Trace, _Kernel, _norm_sq
 
 RESIDUAL_TOL = 1e-9
 RATIO_TOL = 1e-6
@@ -157,23 +157,16 @@ def _random_member(s: SubspaceBasis, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _evolve_increments(a: Mmqba, psi0: np.ndarray, word: Sequence[str]):
+def _evolve_increments(kernel: _Kernel, psi: np.ndarray, word: Sequence[str]):
     """Evolve an arbitrary start vector, returning per-step halting increments
     and the non-halting squared norm after each step."""
-    psi = as_state(psi0).copy()
-    halting = list(a.halting)
     increments = []
     norms_sq = []
     for sym in word:
-        psi = a.unitary_for(sym) @ psi
-        inc = 0.0
-        for i in halting:
-            z = psi[i]
-            inc += z.real * z.real + z.imag * z.imag
-            psi[i] = 0.0
-        increments.append(inc)
-        norms_sq.append(float(np.real(np.vdot(psi, psi))))
-    return psi, increments, norms_sq
+        psi, _, alpha, rho = kernel.apply(psi, sym)
+        increments.append(alpha + rho)
+        norms_sq.append(_norm_sq(psi))
+    return increments, norms_sq
 
 
 @dataclass(frozen=True)
@@ -205,6 +198,7 @@ def verify_decomposition(
     (seed, trial index), so trials are reproducible independently.
     """
     symbols = sorted(a.alphabet)
+    kernel = _Kernel(a)
     s1_halting = 0.0
     s1_residual = 0.0
     s1_trials = 0
@@ -216,22 +210,21 @@ def verify_decomposition(
         word = [symbols[i] for i in rng.integers(0, len(symbols), size=word_len)]
         if d.s1.dim:
             s1_trials += 1
-            v = _random_member(d.s1, rng)
-            psi = v.copy()
+            psi = _random_member(d.s1, rng)
             cumulative = 0.0
             for sym in word:
-                psi, inc, _ = _evolve_increments(a, psi, [sym])
-                cumulative += inc[0]
+                psi, _, alpha, rho = kernel.apply(psi, sym)
+                cumulative += alpha + rho
                 res = float(np.linalg.norm(psi - d.s1.project(psi)))
                 s1_residual = max(s1_residual, res)
             s1_halting = max(s1_halting, cumulative)
         if d.s2.dim:
             s2_trials += 1
             v2 = _random_member(d.s2, rng)
-            _, inc2, norms2 = _evolve_increments(a, v2, word)
+            inc2, norms2 = _evolve_increments(kernel, v2, word)
             trajectories.append(tuple(norms2))
             v1 = _random_member(d.s1, rng) if d.s1.dim else np.zeros(a.dim, dtype=np.complex128)
-            _, inc_mix, _ = _evolve_increments(a, v1 + v2, word)
+            inc_mix, _ = _evolve_increments(kernel, v1 + v2, word)
             dev = max(
                 (abs(x - y) for x, y in zip(inc_mix, inc2)), default=0.0
             )

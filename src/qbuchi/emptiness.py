@@ -8,6 +8,12 @@ certificate and cannot flip under a larger budget; INCONCLUSIVE pairs
 are re-simulated as the budget doubles. Every (pair, budget) point is
 therefore eventually reached and the procedure can only ever answer
 NONEMPTY or run out of rounds.
+
+The prefix phase of a run (the end marker and u) does not depend on the
+cycle, so one search keeps a table of its outcome per prefix, each entry
+derived from the entry for u minus its last symbol in one step. Pairs
+with the same prefix start their cycles from the shared state, and a
+pair whose prefix already settles it is answered from the table.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ from .semantics import (
     LassoWord,
     Status,
     Verdict,
+    _LassoContext,
     run_lasso,
 )
 
@@ -59,8 +66,10 @@ class SearchStatus(enum.Enum):
 class SearchResult:
     """Outcome of the dovetailing search.
 
-    candidates_tried counts simulations, including pairs re-simulated
-    under a doubled budget in later rounds. rounds_completed is the round
+    candidates_tried counts pair evaluations, including pairs evaluated
+    again under a doubled budget in later rounds; a pair whose prefix
+    already settles it counts although it is answered from the prefix
+    table without a simulation. rounds_completed is the round
     in which the witness was found, or max_rounds when the search
     exhausted its budget.
     """
@@ -89,6 +98,9 @@ def check_emptiness(
     if budget is None:
         budget = SearchBudget()
     symbols = sorted(a.alphabet)
+    context = _LassoContext(
+        a, float(p), budget.epsilon, budget.beta, budget.visit_eps, mode
+    )
     tried = 0
     rejected: set[tuple[str, str]] = set()
     for r in range(1, budget.max_rounds + 1):
@@ -108,6 +120,7 @@ def check_emptiness(
                     beta=budget.beta,
                     visit_eps=budget.visit_eps,
                     mode=mode,
+                    _context=context,
                 )
                 if verdict.status is Status.ACCEPTED:
                     return SearchResult(SearchStatus.NONEMPTY, (w, verdict), tried, r)

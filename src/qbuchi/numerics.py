@@ -138,8 +138,3 @@ def null_space(m, sv_tol: float = DEFAULT_SV_TOL) -> SubspaceBasis:
     _, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > sv_tol))
     return SubspaceBasis(vh[rank:].conj(), cols)
-
-
-def project_onto(v, s: SubspaceBasis) -> np.ndarray:
-    """Orthogonal projection of v onto the subspace s."""
-    return s.project(v)

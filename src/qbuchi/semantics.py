@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class TotalState:
 
     @property
     def nonhalt_norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.nonhalt, self.nonhalt)))
+        return _norm_sq(self.nonhalt)
 
     @property
     def halting_total(self) -> float:
@@ -180,30 +180,63 @@ def trace_to_json(records: Sequence[StepRecord]) -> str:
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
-def initial_state(a: Mmqba) -> TotalState:
+def _start_vector(a: Mmqba) -> np.ndarray:
     psi = np.zeros(a.dim, dtype=np.complex128)
     psi[a.initial] = 1.0
-    return TotalState(psi, {i: 0.0 for i in a.halting}, 0)
+    return psi
+
+
+def initial_state(a: Mmqba) -> TotalState:
+    return TotalState(_start_vector(a), {i: 0.0 for i in a.halting}, 0)
+
+
+def _norm_sq(psi: np.ndarray) -> float:
+    return float(np.vdot(psi, psi).real)
+
+
+class _Kernel:
+    """The measured step of one automaton, built once and shared by runs.
+
+    The halting indices sit in one array, the accepting states first and
+    then the rejecting ones, each in sorted order, so a step measures with
+    one gather and one scatter. apply never writes to the vector it is
+    given, so run states can be shared without copying.
+    """
+
+    __slots__ = ("a", "symbols", "halt_idx", "n_acc")
+
+    def __init__(self, a: Mmqba):
+        accepting = sorted(a.accepting)
+        self.a = a
+        self.symbols = set(a.alphabet)
+        self.halt_idx = np.array(accepting + sorted(a.rejecting), dtype=np.intp)
+        self.n_acc = len(accepting)
+
+    def check_word(self, word: str):
+        for ch in word:
+            if ch not in self.symbols:
+                raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
+
+    def apply(self, psi: np.ndarray, symbol: str):
+        """One measured step: the new vector, the halting probabilities in
+        halt_idx order, and their accepting and rejecting sums."""
+        psi = self.a.unitary_for(symbol) @ psi
+        amps = psi[self.halt_idx]
+        probs = amps.real * amps.real + amps.imag * amps.imag
+        psi[self.halt_idx] = 0.0
+        n = self.n_acc
+        alpha = float(np.add.reduce(probs[:n]))
+        rho = float(np.add.reduce(probs[n:]))
+        return psi, probs, alpha, rho
 
 
 def step(a: Mmqba, ts: TotalState, symbol: str) -> tuple[TotalState, StepRecord]:
     """Apply one symbol to a total state and report the step's increments."""
-    psi = a.unitary_for(symbol) @ ts.nonhalt
+    kernel = _Kernel(a)
+    psi, probs, alpha, rho = kernel.apply(ts.nonhalt, symbol)
     cum = dict(ts.cumulative)
-    alpha = 0.0
-    rho = 0.0
-    for i in a.accepting:
-        z = psi[i]
-        p = z.real * z.real + z.imag * z.imag
-        cum[i] += p
-        alpha += p
-        psi[i] = 0.0
-    for i in a.rejecting:
-        z = psi[i]
-        p = z.real * z.real + z.imag * z.imag
-        cum[i] += p
-        rho += p
-        psi[i] = 0.0
+    for i, q in zip(kernel.halt_idx.tolist(), probs.tolist()):
+        cum[i] += q
     acc = sum(cum[i] for i in a.accepting)
     rej = sum(cum[i] for i in a.rejecting)
     new = TotalState(psi, cum, ts.step_index + 1)
@@ -213,89 +246,132 @@ def step(a: Mmqba, ts: TotalState, symbol: str) -> tuple[TotalState, StepRecord]
     return new, rec
 
 
-class _Engine:
-    """Mutable evolution loop used by the run functions."""
-
-    __slots__ = ("a", "psi", "cum", "acc", "rej", "steps", "acc_idx", "rej_idx")
-
-    def __init__(self, a: Mmqba):
-        self.a = a
-        self.psi = np.zeros(a.dim, dtype=np.complex128)
-        self.psi[a.initial] = 1.0
-        self.cum = np.zeros(a.dim, dtype=np.float64)
-        self.acc = 0.0
-        self.rej = 0.0
-        self.steps = 0
-        self.acc_idx = np.fromiter(sorted(a.accepting), dtype=np.intp, count=len(a.accepting))
-        self.rej_idx = np.fromiter(sorted(a.rejecting), dtype=np.intp, count=len(a.rejecting))
-
-    def apply(self, symbol: str) -> tuple[float, float]:
-        psi = self.a.unitary_for(symbol) @ self.psi
-        alpha = 0.0
-        rho = 0.0
-        if self.acc_idx.size:
-            amps = psi[self.acc_idx]
-            probs = amps.real * amps.real + amps.imag * amps.imag
-            self.cum[self.acc_idx] += probs
-            alpha = float(probs.sum())
-            psi[self.acc_idx] = 0.0
-        if self.rej_idx.size:
-            amps = psi[self.rej_idx]
-            probs = amps.real * amps.real + amps.imag * amps.imag
-            self.cum[self.rej_idx] += probs
-            rho = float(probs.sum())
-            psi[self.rej_idx] = 0.0
-        self.psi = psi
-        self.acc += alpha
-        self.rej += rho
-        self.steps += 1
-        return alpha, rho
-
-    @property
-    def nonhalt_norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.psi, self.psi)))
-
-    def record(self, symbol: str, alpha: float, rho: float) -> StepRecord:
-        return StepRecord(
-            self.steps, symbol, alpha, rho, self.acc, self.rej, self.nonhalt_norm_sq
-        )
-
-    def snapshot(self) -> TotalState:
-        cum = {i: float(self.cum[i]) for i in self.a.halting}
-        return TotalState(self.psi.copy(), cum, self.steps)
-
-
-def _check_word(a: Mmqba, word: str):
-    symbols = set(a.alphabet)
-    for ch in word:
-        if ch not in symbols:
-            raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
-
-
 def run_prefix(a: Mmqba, word: str) -> Trace:
     """Apply the end marker once, then every symbol of the finite prefix."""
-    _check_word(a, word)
-    eng = _Engine(a)
-    eng.apply(END_MARKER)
-    eng.steps = 0
+    kernel = _Kernel(a)
+    kernel.check_word(word)
+    psi, cum, acc, rej = kernel.apply(_start_vector(a), END_MARKER)
     records = []
-    for sym in word:
-        alpha, rho = eng.apply(sym)
-        records.append(eng.record(sym, alpha, rho))
-    return Trace(tuple(records), eng.snapshot())
+    for j, sym in enumerate(word, 1):
+        psi, probs, alpha, rho = kernel.apply(psi, sym)
+        cum = cum + probs
+        acc += alpha
+        rej += rho
+        records.append(StepRecord(j, sym, alpha, rho, acc, rej, _norm_sq(psi)))
+    by_index = dict(zip(kernel.halt_idx.tolist(), cum.tolist()))
+    final = TotalState(psi, {i: by_index[i] for i in a.halting}, len(word))
+    return Trace(tuple(records), final)
 
 
 def run_mmqfa(a: Mmqfa, word: str) -> tuple[float, float]:
     """Total accept and reject probability of a finite word, end markers included."""
     if not isinstance(a, Mmqfa):
         raise TypeError("run_mmqfa requires an automaton with a terminal unitary")
-    _check_word(a, word)
-    eng = _Engine(a)
-    eng.apply(END_MARKER)
-    for sym in word:
-        eng.apply(sym)
-    eng.apply(TERMINAL)
-    return eng.acc, eng.rej
+    kernel = _Kernel(a)
+    kernel.check_word(word)
+    psi = _start_vector(a)
+    acc = rej = 0.0
+    for sym in (END_MARKER, *word, TERMINAL):
+        psi, _, alpha, rho = kernel.apply(psi, sym)
+        acc += alpha
+        rej += rho
+    return acc, rej
+
+
+class _Prefix(NamedTuple):
+    """Run state after '#u', where the cycle phase starts."""
+
+    psi: np.ndarray
+    acc: float
+    rej: float
+    steps: int
+    visits: int
+    halted: bool
+
+
+class _LassoContext:
+    """Kernel, acceptance test and prefix table of run_lasso calls.
+
+    The prefix phase of a run depends only on the automaton, the prefix
+    and the test, so its outcome is kept per prefix: a settled REJECTED
+    verdict, or the _Prefix state after '#u'. Each prefix symbol is one
+    extend step; a settled or halted entry passes on unchanged, so the
+    prefix phase returns or breaks where a plain loop over u would.
+    check_emptiness shares one context between the candidates of a search;
+    a single run builds its own, whose records collect the trace.
+    """
+
+    def __init__(self, a: Mmqba, p: float, epsilon: float, beta: float,
+                 visit_eps: float, mode: str, records: list | None = None):
+        self.kernel = _Kernel(a)
+        self.p, self.epsilon, self.beta, self.visit_eps, self.mode = (
+            p, epsilon, beta, visit_eps, mode)
+        self.records = records
+        psi, _, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
+        root = _Prefix(psi, alpha, rho, 0, 0, False)
+        if not a.accepting:
+            root = self.settle(root, REASON_BUCHI_REFUTED)
+        self.prefixes = {"": root}
+
+    def verdict(self, status, reason, acc, rej, nh, visits, periods) -> Verdict:
+        records = self.records
+        return Verdict(
+            status=status,
+            acc_lower=acc,
+            rej_lower=rej,
+            rej_upper=rej + nh,
+            visit_count=visits,
+            periods_simulated=periods,
+            reason=reason,
+            beta=self.beta,
+            epsilon=self.epsilon,
+            mode=self.mode,
+            trace=tuple(records) if records is not None else None,
+        )
+
+    def settle(self, s: _Prefix, reason: str) -> Verdict:
+        return self.verdict(
+            Status.REJECTED, reason, s.acc, s.rej, _norm_sq(s.psi), s.visits, 0
+        )
+
+    def extend(self, entry, sym: str):
+        """The prefix-phase outcome after one more prefix symbol."""
+        if isinstance(entry, Verdict) or entry.halted:
+            return entry
+        psi, _, alpha, rho = self.kernel.apply(entry.psi, sym)
+        acc = entry.acc + alpha
+        rej = entry.rej + rho
+        nh = _norm_sq(psi)
+        s = _Prefix(psi, acc, rej, entry.steps + 1,
+                    entry.visits + (alpha > self.visit_eps), False)
+        if self.records is not None:
+            self.records.append(StepRecord(s.steps, sym, alpha, rho, acc, rej, nh))
+        low = self.p - self.epsilon
+        if rej >= self.p:
+            return self.settle(s, REASON_REJ_REFUTED)
+        if nh <= self.visit_eps * self.visit_eps:
+            if acc < low:
+                return self.settle(s, REASON_HALTED_BELOW)
+            return s._replace(halted=True)
+        if acc + nh < low:
+            return self.settle(s, REASON_ACC_REFUTED)
+        return s
+
+    def after(self, u: str):
+        """The prefix-phase outcome of u, memoized.
+
+        It is built on the entry for u[:-1] when that is known, as in a
+        search, which asks for prefixes in order of length; otherwise
+        it is folded from the root.
+        """
+        entry = self.prefixes.get(u)
+        if entry is None:
+            base = u[:-1] if u[:-1] in self.prefixes else ""
+            entry = self.prefixes[base]
+            for sym in u[len(base):]:
+                entry = self.extend(entry, sym)
+            self.prefixes[u] = entry
+        return entry
 
 
 def run_lasso(
@@ -309,6 +385,7 @@ def run_lasso(
     visit_eps: float = DEFAULT_VISIT_EPS,
     mode: str = CERTIFIED,
     record_trace: bool = False,
+    _context: _LassoContext | None = None,
 ) -> Verdict:
     """Simulate u v^omega and return a cutpoint verdict with certificates.
 
@@ -326,6 +403,7 @@ def run_lasso(
     which would otherwise misfire at p = 1 where acc + nh rounds a few
     ulps under 1. Verdicts never flip between ACCEPTED and REJECTED when
     the budget grows, except for limits within epsilon of the cutpoint.
+    _context is private: check_emptiness passes one to all its candidates.
     """
     p = float(p)
     if not 0.0 < p <= 1.0:
@@ -340,101 +418,75 @@ def run_lasso(
         raise ValueError("beta must lie in (0, 1]")
     if visit_eps <= 0:
         raise ValueError("visit_eps must be positive")
-    _check_word(a, w.prefix + w.cycle)
+    test = (p, epsilon, beta, visit_eps, mode)
+    if _context is None:
+        context = _LassoContext(a, *test, [] if record_trace else None)
+    elif (_context.kernel.a is a and not record_trace
+          and (_context.p, _context.epsilon, _context.beta,
+               _context.visit_eps, _context.mode) == test):
+        context = _context
+    else:
+        raise ValueError("a shared lasso context needs the same automaton and test, and no trace")
+    kernel = context.kernel
+    kernel.check_word(w.prefix + w.cycle)
 
-    eng = _Engine(a)
-    eng.apply(END_MARKER)
-    eng.steps = 0
-    records: list[StepRecord] | None = [] if record_trace else None
-    visits = 0
+    start = context.after(w.prefix)
+    if isinstance(start, Verdict):
+        return start
+
+    records = context.records
+    verdict = context.verdict
+    psi, acc, rej, steps, visits, halted = start
     periods = 0
     accepted = False
-    halted = False
     stationary = False
     halt_sq = visit_eps * visit_eps
-    no_visits_possible = not a.accepting
-
-    def verdict(status: Status, reason: str) -> Verdict:
-        nh = eng.nonhalt_norm_sq
-        return Verdict(
-            status=status,
-            acc_lower=eng.acc,
-            rej_lower=eng.rej,
-            rej_upper=eng.rej + nh,
-            visit_count=visits,
-            periods_simulated=periods,
-            reason=reason,
-            beta=beta,
-            epsilon=epsilon,
-            mode=mode,
-            trace=tuple(records) if records is not None else None,
-        )
-
-    if no_visits_possible:
-        return verdict(Status.REJECTED, REASON_BUCHI_REFUTED)
-
-    for sym in w.prefix:
-        alpha, rho = eng.apply(sym)
-        if records is not None:
-            records.append(eng.record(sym, alpha, rho))
-        if alpha > visit_eps:
-            visits += 1
-        if eng.rej >= p:
-            return verdict(Status.REJECTED, REASON_REJ_REFUTED)
-        nh = eng.nonhalt_norm_sq
-        if nh <= halt_sq:
-            if eng.acc < p - epsilon:
-                return verdict(Status.REJECTED, REASON_HALTED_BELOW)
-            halted = True
-            break
-        if eng.acc + nh < p - epsilon:
-            return verdict(Status.REJECTED, REASON_ACC_REFUTED)
-
+    low = p - epsilon
     for k in range(1, max_periods + 1):
         periods = k
-        prev_psi = eng.psi
-        prev_acc = eng.acc
-        prev_rej = eng.rej
+        prev_psi = psi
+        prev_acc = acc
+        prev_rej = rej
         for sym in w.cycle:
-            alpha, rho = eng.apply(sym)
+            psi, _, alpha, rho = kernel.apply(psi, sym)
+            acc += alpha
+            rej += rho
+            steps += 1
+            nh = _norm_sq(psi)
             if records is not None:
-                records.append(eng.record(sym, alpha, rho))
+                records.append(StepRecord(steps, sym, alpha, rho, acc, rej, nh))
             if alpha > visit_eps:
                 visits += 1
-            if eng.rej >= p:
-                return verdict(Status.REJECTED, REASON_REJ_REFUTED)
-            nh = eng.nonhalt_norm_sq
+            if rej >= p:
+                return verdict(Status.REJECTED, REASON_REJ_REFUTED, acc, rej, nh, visits, k)
             halted_now = nh <= halt_sq
-            if halted_now and eng.acc < p - epsilon:
-                return verdict(Status.REJECTED, REASON_HALTED_BELOW)
-            if not halted_now and eng.acc + nh < p - epsilon:
-                return verdict(Status.REJECTED, REASON_ACC_REFUTED)
-            if not accepted and eng.acc >= p - epsilon and visits >= beta * k:
-                rej_ok = (eng.rej + nh < p) if mode == CERTIFIED else (eng.rej < p)
+            if halted_now and acc < low:
+                return verdict(Status.REJECTED, REASON_HALTED_BELOW, acc, rej, nh, visits, k)
+            if not halted_now and acc + nh < low:
+                return verdict(Status.REJECTED, REASON_ACC_REFUTED, acc, rej, nh, visits, k)
+            if not accepted and acc >= low and visits >= beta * k:
+                rej_ok = (rej + nh < p) if mode == CERTIFIED else (rej < p)
                 if rej_ok:
                     accepted = True
                     if mode == LITERAL:
-                        return verdict(Status.ACCEPTED, REASON_CERTIFIED)
+                        return verdict(Status.ACCEPTED, REASON_CERTIFIED, acc, rej, nh, visits, k)
             if halted_now:
                 halted = True
                 break
         if halted:
             break
-        if (
-            eng.acc == prev_acc
-            and eng.rej == prev_rej
-            and np.array_equal(eng.psi, prev_psi)
-        ):
+        if acc == prev_acc and rej == prev_rej and np.array_equal(psi, prev_psi):
             # exact fixed point of the cycle map: no future step can differ,
             # so no further accepting visit is possible
             stationary = True
             break
 
+    nh = _norm_sq(psi)
     if accepted:
-        return verdict(Status.ACCEPTED, REASON_CERTIFIED)
+        return verdict(Status.ACCEPTED, REASON_CERTIFIED, acc, rej, nh, visits, periods)
     if stationary:
-        return verdict(Status.REJECTED, REASON_BUCHI_REFUTED)
-    return verdict(Status.INCONCLUSIVE, REASON_BUDGET)
+        return verdict(Status.REJECTED, REASON_BUCHI_REFUTED, acc, rej, nh, visits, periods)
+    return verdict(Status.INCONCLUSIVE, REASON_BUDGET, acc, rej, nh, visits, periods)
 
 
 CLAUSE_CERTIFIED = "certified"

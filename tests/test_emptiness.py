@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qbuchi.emptiness import (
@@ -10,9 +12,24 @@ from qbuchi.emptiness import (
     check_emptiness,
     reference_run,
 )
-from qbuchi.semantics import LITERAL, LassoWord, Status, run_lasso, run_prefix
+from qbuchi.automata import Mmqba
+from qbuchi.semantics import (
+    CERTIFIED,
+    DEFAULT_BETA,
+    DEFAULT_EPSILON,
+    DEFAULT_VISIT_EPS,
+    LITERAL,
+    REASON_ACC_REFUTED,
+    REASON_BUCHI_REFUTED,
+    REASON_BUDGET,
+    LassoWord,
+    Status,
+    _LassoContext,
+    run_lasso,
+    run_prefix,
+)
 
-from conftest import acc_then_rej_automaton
+from conftest import acc_then_rej_automaton, haar_unitary, make_automaton
 
 # hand-computed: round r enumerates (2^(r+1)-2) prefixes and (2^(r+1)-2)
 # cycles over two symbols plus the empty prefix, and an always-rejecting
@@ -106,6 +123,150 @@ def test_literal_mode_is_forwarded():
     literal = check_emptiness(a, 0.4, SearchBudget(max_rounds=3), mode=LITERAL)
     assert literal.status is SearchStatus.NONEMPTY
     assert literal.candidates_tried == 1
+
+
+def _plain_search(a, p, budget, mode):
+    """The dovetailing loop of check_emptiness with every candidate run on
+    its own, without the search's shared prefix table."""
+    symbols = sorted(a.alphabet)
+
+    def words(lo, hi):
+        for n in range(lo, hi + 1):
+            for tup in itertools.product(symbols, repeat=n):
+                yield "".join(tup)
+
+    tried = 0
+    rejected = set()
+    for r in range(1, budget.max_rounds + 1):
+        for u in words(0, r):
+            for v in words(1, r):
+                if (u, v) in rejected:
+                    continue
+                tried += 1
+                w = LassoWord(u, v)
+                verdict = run_lasso(
+                    a, w, p, max_periods=2 ** r, epsilon=budget.epsilon,
+                    beta=budget.beta, visit_eps=budget.visit_eps, mode=mode,
+                )
+                if verdict.status is Status.ACCEPTED:
+                    return SearchResult(SearchStatus.NONEMPTY, (w, verdict), tried, r)
+                if verdict.status is Status.REJECTED:
+                    rejected.add((u, v))
+    return SearchResult(SearchStatus.INCONCLUSIVE, None, tried, budget.max_rounds)
+
+
+def _assert_search_matches_plain_loop(a, p, mode, rounds):
+    budget = SearchBudget(max_rounds=rounds)
+    got = check_emptiness(a, p, budget, mode=mode)
+    want = _plain_search(a, p, budget, mode)
+    assert got.status is want.status
+    assert got.candidates_tried == want.candidates_tried
+    assert got.rounds_completed == want.rounds_completed
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        (got_w, got_v), (want_w, want_v) = got.witness, want.witness
+        assert (got_w.prefix, got_w.cycle) == (want_w.prefix, want_w.cycle)
+        assert got_v.to_dict() == want_v.to_dict()
+    return got
+
+
+def _haar_automaton(seed):
+    """q0 initial, then seed % 3 accepting states and one rejecting state."""
+    rng = np.random.default_rng(seed)
+    n_acc = seed % 3
+    dim = int(rng.integers(max(3, n_acc + 2), 7))
+    unitaries = {"a": haar_unitary(rng, dim), "b": haar_unitary(rng, dim)}
+    return make_automaton(unitaries, accepting=range(1, 1 + n_acc), rejecting=[dim - 1])
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+@pytest.mark.parametrize("seed", range(9))
+def test_search_matches_plain_loop_on_haar_automata(seed, mode):
+    # seeds cover 0-2 accepting states at each of the three cutpoints
+    p = (0.55, 0.7, 0.9)[seed // 3]
+    _assert_search_matches_plain_loop(_haar_automaton(seed), p, mode, rounds=4)
+
+
+def _no_accepting_state():
+    rng = np.random.default_rng(7)
+    unitaries = {"a": haar_unitary(rng, 3), "b": haar_unitary(rng, 3)}
+    return make_automaton(unitaries, accepting=[], rejecting=[2])
+
+
+def _marker_halts():
+    """The end marker moves all mass onto the accepting q1, so every prefix
+    halts above the cutpoint at its first step without an accepting visit,
+    and each run falls through into the cycle and exhausts its budget."""
+    rng = np.random.default_rng(8)
+    return Mmqba(
+        state_names=("q0", "q1", "q2"),
+        alphabet=("a", "b"),
+        unitaries={"a": haar_unitary(rng, 3), "b": haar_unitary(rng, 3)},
+        initial=0,
+        accepting=frozenset([1]),
+        rejecting=frozenset([2]),
+        end_marker_unitary=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+    )
+
+
+def _prefix_refutes():
+    """'a' sends 0.3 of q0's mass to the rejecting q2, so at cutpoint 0.9
+    any prefix with an 'a' refutes the accepting limit; 'b' is the identity."""
+    c, s = math.sqrt(0.7), math.sqrt(0.3)
+    a = [[c, 0, -s], [0, 1, 0], [s, 0, c]]
+    return make_automaton({"a": a, "b": np.eye(3)}, accepting=[1], rejecting=[2])
+
+
+CRAFTED = [
+    # (name, automaton, cutpoint, lasso, (status, reason, periods) of the
+    # lasso, candidates of a 3-round search); a pair rejected at first sight
+    # is tried once, so 210 is REJECT_ALL_TRIED[3], while every marker_halts
+    # pair is inconclusive and each round tries all of its pairs: 6 + 42 + 210
+    ("no_accepting_state", _no_accepting_state, 0.7, ("ab", "a"),
+     (Status.REJECTED, REASON_BUCHI_REFUTED, 0), 210),
+    ("marker_halts", _marker_halts, 0.9, ("ab", "a"),
+     (Status.INCONCLUSIVE, REASON_BUDGET, 1), 258),
+    ("prefix_refutes", _prefix_refutes, 0.9, ("ba", "b"),
+     (Status.REJECTED, REASON_ACC_REFUTED, 0), 210),
+]
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+@pytest.mark.parametrize(
+    "make,p,lasso,expected,tried", [c[1:] for c in CRAFTED], ids=[c[0] for c in CRAFTED]
+)
+def test_search_matches_plain_loop_on_crafted_automata(make, p, lasso, expected, tried, mode):
+    a = make()
+    v = run_lasso(a, LassoWord(*lasso), p, max_periods=8, mode=mode)
+    assert (v.status, v.reason, v.periods_simulated) == expected
+    res = _assert_search_matches_plain_loop(a, p, mode, rounds=3)
+    assert res.status is SearchStatus.INCONCLUSIVE
+    assert res.candidates_tried == tried
+
+
+def test_run_lasso_with_a_shared_context_matches_single_runs():
+    p = 0.7
+    for a in (_haar_automaton(4), _marker_halts(), acc_then_rej_automaton()):
+        context = _LassoContext(
+            a, p, DEFAULT_EPSILON, DEFAULT_BETA, DEFAULT_VISIT_EPS, CERTIFIED
+        )
+        symbols = sorted(a.alphabet)
+        for n in range(4):
+            for u in itertools.product(symbols, repeat=n):
+                w = LassoWord("".join(u), symbols[-1])
+                shared = run_lasso(a, w, p, max_periods=16, _context=context)
+                assert shared == run_lasso(a, w, p, max_periods=16)
+    refuted = _no_accepting_state()
+    context = _LassoContext(
+        refuted, p, DEFAULT_EPSILON, DEFAULT_BETA, DEFAULT_VISIT_EPS, CERTIFIED
+    )
+    first = run_lasso(refuted, LassoWord("", "a"), p, _context=context)
+    assert run_lasso(refuted, LassoWord("ba", "b"), p, _context=context) is first
+    with pytest.raises(ValueError):
+        run_lasso(refuted, LassoWord("", "a"), 0.8, _context=context)
+    with pytest.raises(ValueError):
+        run_lasso(refuted, LassoWord("", "a"), p, record_trace=True, _context=context)
 
 
 def test_budget_validation():
