@@ -20,10 +20,9 @@ documents.
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +49,19 @@ class CutpointWarning(UserWarning):
     """Cutpoint lies at or below 1/2, where acceptance guarantees do not hold."""
 
 
+def _check_cutpoint(value) -> float:
+    """The cutpoint rule; NaN fails the comparison."""
+    p = float(value)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"cutpoint must lie in (0, 1], got {value!r}")
+    return p
+
+
 class Cutpoint(float):
     """Cutpoint probability in (0, 1]; values at or below 1/2 warn."""
 
     def __new__(cls, value):
-        p = float(value)
-        if math.isnan(p) or not 0.0 < p <= 1.0:
-            raise ValueError(f"cutpoint must lie in (0, 1], got {value!r}")
+        p = _check_cutpoint(value)
         if p <= 0.5:
             warnings.warn(
                 f"cutpoint {p} is not above 1/2; acceptance guarantees assume p > 1/2",
@@ -247,7 +252,10 @@ def _decode_matrix(raw, dim: int, path: str) -> np.ndarray:
                 "imaginary part must be a number",
                 here,
             )
-            m[s, t] = complex(float(re_part), float(im_part))
+            try:
+                m[s, t] = complex(float(re_part), float(im_part))
+            except OverflowError:
+                raise AutomatonFormatError("number is out of the float range", path=here) from None
     return m
 
 
@@ -338,12 +346,24 @@ def loads(text: str) -> Mmqba:
         raise AutomatonFormatError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise AutomatonFormatError("parse error: nesting too deep", path="$") from None
+    except ValueError:
+        # an integer literal longer than Python converts to int
+        raise AutomatonFormatError("parse error: integer literal too long", path="$") from None
     return _decode(doc)
 
 
 def load(path) -> Mmqba:
     """Load an automaton from a ``.qba`` file."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AutomatonFormatError(
+            f"not UTF-8 text: invalid byte at offset {exc.start}"
+        ) from None
+    return loads(text)
 
 
 def _encode_matrix(m: np.ndarray) -> list:

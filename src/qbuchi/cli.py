@@ -1,18 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success (ACCEPTED / NONEMPTY / no violations), 1 REJECTED
-or validation failure, 2 INCONCLUSIVE, 64 usage or unreadable file,
-65 malformed or inconsistent input data. Machine output (--json, CSV
-traces) prints floats with 17 significant digits and is byte-identical
-across identical invocations, except for bench, whose timings are
-inherently run-dependent. The QBA_TOL environment variable overrides
+or validation failure, 2 INCONCLUSIVE, 64 usage, invalid option value or
+unreadable file, 65 malformed or inconsistent input data. Machine output
+(--json, CSV traces) prints floats with 17 significant digits and is
+byte-identical across identical invocations, except for bench, whose
+timings are inherently run-dependent. The QBA_TOL environment variable overrides
 the default validation tolerance.
 """
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 
 from . import automata
@@ -30,6 +28,8 @@ from .semantics import (
     LITERAL,
     LassoWord,
     Status,
+    _check_test_params,
+    _json_text,
     trace_to_csv,
     trace_to_json,
     run_lasso,
@@ -57,26 +57,6 @@ class _CliError(Exception):
 
 def _h(x) -> str:
     return format(float(x), ".7g")
-
-
-def _json_text(obj) -> str:
-    """Deterministic JSON: sorted keys, floats with 17 significant digits."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return "null" if math.isnan(obj) else format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_text(x) for x in obj) + "]"
-    if isinstance(obj, dict):
-        parts = [f"{json.dumps(k)}: {_json_text(v)}" for k, v in sorted(obj.items())]
-        return "{" + ", ".join(parts) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _print_json(obj):
@@ -140,6 +120,7 @@ def cmd_run(args) -> int:
     try:
         w = LassoWord(args.prefix, args.cycle)
         p = Cutpoint(args.cutpoint)
+        _check_test_params(args.epsilon, args.beta, args.visit_eps)
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
     try:

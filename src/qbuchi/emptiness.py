@@ -35,6 +35,7 @@ from .semantics import (
     Status,
     Verdict,
     _LassoContext,
+    _check_test_params,
     run_lasso,
 )
 
@@ -49,12 +50,7 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if self.visit_eps <= 0:
-            raise ValueError("visit_eps must be positive")
+        _check_test_params(self.epsilon, self.beta, self.visit_eps)
 
 
 class SearchStatus(enum.Enum):
@@ -98,9 +94,7 @@ def check_emptiness(
     if budget is None:
         budget = SearchBudget()
     symbols = sorted(a.alphabet)
-    context = _LassoContext(
-        a, float(p), budget.epsilon, budget.beta, budget.visit_eps, mode
-    )
+    context = _LassoContext(a, p, budget.epsilon, budget.beta, budget.visit_eps, mode)
     tried = 0
     rejected: set[tuple[str, str]] = set()
     for r in range(1, budget.max_rounds + 1):

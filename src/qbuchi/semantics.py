@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .automata import END_MARKER, Mmqba, Mmqfa, TERMINAL
+from .automata import END_MARKER, Mmqba, Mmqfa, TERMINAL, _check_cutpoint
 
 DEFAULT_MAX_PERIODS = 1024
 DEFAULT_EPSILON = 1e-9
@@ -136,12 +137,6 @@ class Trace:
     def __getitem__(self, i):
         return self.records[i]
 
-    def to_csv(self) -> str:
-        return trace_to_csv(self.records)
-
-    def to_json(self) -> str:
-        return trace_to_json(self.records)
-
 
 CSV_HEADER = "j,symbol,alpha,rho,acc,rej,nonhalt_norm_sq"
 
@@ -160,24 +155,31 @@ def trace_to_csv(records: Sequence[StepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(obj) -> str:
+    """Deterministic JSON: sorted keys, floats with 17 significant digits,
+    and null for a float that is not finite."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, float):
+        return _f17(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_json_text(x) for x in obj) + "]"
+    if isinstance(obj, dict):
+        parts = [f"{json.dumps(k)}: {_json_text(v)}" for k, v in sorted(obj.items())]
+        return "{" + ", ".join(parts) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def trace_to_json(records: Sequence[StepRecord]) -> str:
-    # assembled by hand so floats print with .17g, same as the CSV export
-    rows = []
-    for r in records:
-        rows.append(
-            "  {"
-            f'"acc": {_f17(r.acc)}, '
-            f'"alpha": {_f17(r.alpha)}, '
-            f'"j": {r.j}, '
-            f'"nonhalt_norm_sq": {_f17(r.nonhalt_norm_sq)}, '
-            f'"rej": {_f17(r.rej)}, '
-            f'"rho": {_f17(r.rho)}, '
-            f'"symbol": {json.dumps(r.symbol)}'
-            "}"
-        )
-    if not rows:
+    if not records:
         return "[]\n"
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    return "[\n" + ",\n".join("  " + _json_text(vars(r)) for r in records) + "\n]\n"
 
 
 def _start_vector(a: Mmqba) -> np.ndarray:
@@ -278,39 +280,55 @@ def run_mmqfa(a: Mmqfa, word: str) -> tuple[float, float]:
     return acc, rej
 
 
-class _Prefix(NamedTuple):
-    """Run state after '#u', where the cycle phase starts."""
+def _check_test_params(epsilon: float, beta: float, visit_eps: float):
+    """The rules of the visit test's parameters; NaN fails every comparison."""
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
+    if not 0.0 < visit_eps < math.inf:
+        raise ValueError(f"visit_eps must be finite and positive, got {visit_eps!r}")
+
+
+class _Run(NamedTuple):
+    """Run state of a lasso word after some symbols past the end marker."""
 
     psi: np.ndarray
     acc: float
     rej: float
     steps: int
     visits: int
-    halted: bool
+    halted: bool = False
+    accepted: bool = False
 
 
 class _LassoContext:
     """Kernel, acceptance test and prefix table of run_lasso calls.
 
-    The prefix phase of a run depends only on the automaton, the prefix
-    and the test, so its outcome is kept per prefix: a settled REJECTED
-    verdict, or the _Prefix state after '#u'. Each prefix symbol is one
-    extend step; a settled or halted entry passes on unchanged, so the
-    prefix phase returns or breaks where a plain loop over u would.
-    check_emptiness shares one context between the candidates of a search;
-    a single run builds its own, whose records collect the trace.
+    The constructor is where the test (p, epsilon, beta, visit_eps, mode)
+    is checked, and advance is where it is applied. The prefix phase of a
+    run depends only on the automaton, the prefix and the test, so its
+    outcome is kept per prefix: a settled REJECTED verdict, or the _Run
+    after '#u'. check_emptiness shares one context between the
+    candidates of a search; a single run builds its own, whose records
+    collect the trace.
     """
 
     def __init__(self, a: Mmqba, p: float, epsilon: float, beta: float,
                  visit_eps: float, mode: str, records: list | None = None):
+        p = _check_cutpoint(p)
+        _check_test_params(epsilon, beta, visit_eps)
+        if mode not in (CERTIFIED, LITERAL):
+            raise ValueError(f"mode must be {CERTIFIED!r} or {LITERAL!r}")
         self.kernel = _Kernel(a)
         self.p, self.epsilon, self.beta, self.visit_eps, self.mode = (
             p, epsilon, beta, visit_eps, mode)
         self.records = records
         psi, _, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
-        root = _Prefix(psi, alpha, rho, 0, 0, False)
+        root = _Run(psi, alpha, rho, 0, 0)
         if not a.accepting:
-            root = self.settle(root, REASON_BUCHI_REFUTED)
+            root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED,
+                                alpha, rho, _norm_sq(psi), 0, 0)
         self.prefixes = {"": root}
 
     def verdict(self, status, reason, acc, rej, nh, visits, periods) -> Verdict:
@@ -329,47 +347,67 @@ class _LassoContext:
             trace=tuple(records) if records is not None else None,
         )
 
-    def settle(self, s: _Prefix, reason: str) -> Verdict:
-        return self.verdict(
-            Status.REJECTED, reason, s.acc, s.rej, _norm_sq(s.psi), s.visits, 0
-        )
+    def advance(self, run: _Run, word: str, periods: int, need: float):
+        """Step run through word and apply every certificate after each step.
 
-    def extend(self, entry, sym: str):
-        """The prefix-phase outcome after one more prefix symbol."""
-        if isinstance(entry, Verdict) or entry.halted:
-            return entry
-        psi, _, alpha, rho = self.kernel.apply(entry.psi, sym)
-        acc = entry.acc + alpha
-        rej = entry.rej + rho
-        nh = _norm_sq(psi)
-        s = _Prefix(psi, acc, rej, entry.steps + 1,
-                    entry.visits + (alpha > self.visit_eps), False)
-        if self.records is not None:
-            self.records.append(StepRecord(s.steps, sym, alpha, rho, acc, rej, nh))
-        low = self.p - self.epsilon
-        if rej >= self.p:
-            return self.settle(s, REASON_REJ_REFUTED)
-        if nh <= self.visit_eps * self.visit_eps:
-            if acc < low:
-                return self.settle(s, REASON_HALTED_BELOW)
-            return s._replace(halted=True)
-        if acc + nh < low:
-            return self.settle(s, REASON_ACC_REFUTED)
-        return s
+        Returns the verdict that settles the run (REJECTED, or ACCEPTED in
+        literal mode), or the run after word, which stops early at the
+        step where the non-halting mass is gone. The accept test needs
+        visits >= need; the prefix phase passes math.inf, so a prefix never
+        accepts. A verdict reports periods as its periods_simulated.
+        """
+        apply = self.kernel.apply
+        records = self.records
+        p, visit_eps, mode = self.p, self.visit_eps, self.mode
+        low = p - self.epsilon
+        halt_sq = visit_eps * visit_eps
+        psi, acc, rej, steps, visits, halted, accepted = run
+        for sym in word:
+            psi, _, alpha, rho = apply(psi, sym)
+            acc += alpha
+            rej += rho
+            steps += 1
+            nh = _norm_sq(psi)
+            if records is not None:
+                records.append(StepRecord(steps, sym, alpha, rho, acc, rej, nh))
+            if alpha > visit_eps:
+                visits += 1
+            if rej >= p:
+                return self.verdict(Status.REJECTED, REASON_REJ_REFUTED,
+                                    acc, rej, nh, visits, periods)
+            halted_now = nh <= halt_sq
+            if halted_now and acc < low:
+                return self.verdict(Status.REJECTED, REASON_HALTED_BELOW,
+                                    acc, rej, nh, visits, periods)
+            if not halted_now and acc + nh < low:
+                return self.verdict(Status.REJECTED, REASON_ACC_REFUTED,
+                                    acc, rej, nh, visits, periods)
+            if not accepted and acc >= low and visits >= need:
+                rej_ok = (rej + nh < p) if mode == CERTIFIED else (rej < p)
+                if rej_ok:
+                    accepted = True
+                    if mode == LITERAL:
+                        return self.verdict(Status.ACCEPTED, REASON_CERTIFIED,
+                                            acc, rej, nh, visits, periods)
+            if halted_now:
+                halted = True
+                break
+        return _Run(psi, acc, rej, steps, visits, halted, accepted)
 
     def after(self, u: str):
         """The prefix-phase outcome of u, memoized.
 
         It is built on the entry for u[:-1] when that is known, as in a
         search, which asks for prefixes in order of length; otherwise
-        it is folded from the root.
+        it is advanced from the root. A settled or halted entry passes on
+        unchanged.
         """
         entry = self.prefixes.get(u)
         if entry is None:
             base = u[:-1] if u[:-1] in self.prefixes else ""
             entry = self.prefixes[base]
-            for sym in u[len(base):]:
-                entry = self.extend(entry, sym)
+            if isinstance(entry, _Run) and not entry.halted:
+                entry = self.advance(entry, u[len(base):], 0, math.inf)
             self.prefixes[u] = entry
         return entry
 
@@ -405,82 +443,42 @@ def run_lasso(
     the budget grows, except for limits within epsilon of the cutpoint.
     _context is private: check_emptiness passes one to all its candidates.
     """
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"cutpoint must lie in (0, 1], got {p!r}")
-    if mode not in (CERTIFIED, LITERAL):
-        raise ValueError(f"mode must be {CERTIFIED!r} or {LITERAL!r}")
     if max_periods < 1:
         raise ValueError("max_periods must be at least 1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    if visit_eps <= 0:
-        raise ValueError("visit_eps must be positive")
-    test = (p, epsilon, beta, visit_eps, mode)
     if _context is None:
-        context = _LassoContext(a, *test, [] if record_trace else None)
+        context = _LassoContext(a, p, epsilon, beta, visit_eps, mode,
+                                [] if record_trace else None)
     elif (_context.kernel.a is a and not record_trace
           and (_context.p, _context.epsilon, _context.beta,
-               _context.visit_eps, _context.mode) == test):
+               _context.visit_eps, _context.mode)
+          == (p, epsilon, beta, visit_eps, mode)):
         context = _context
     else:
         raise ValueError("a shared lasso context needs the same automaton and test, and no trace")
-    kernel = context.kernel
-    kernel.check_word(w.prefix + w.cycle)
+    context.kernel.check_word(w.prefix + w.cycle)
 
-    start = context.after(w.prefix)
-    if isinstance(start, Verdict):
-        return start
-
-    records = context.records
-    verdict = context.verdict
-    psi, acc, rej, steps, visits, halted = start
+    run = context.after(w.prefix)
+    if isinstance(run, Verdict):
+        return run
     periods = 0
-    accepted = False
     stationary = False
-    halt_sq = visit_eps * visit_eps
-    low = p - epsilon
     for k in range(1, max_periods + 1):
         periods = k
-        prev_psi = psi
-        prev_acc = acc
-        prev_rej = rej
-        for sym in w.cycle:
-            psi, _, alpha, rho = kernel.apply(psi, sym)
-            acc += alpha
-            rej += rho
-            steps += 1
-            nh = _norm_sq(psi)
-            if records is not None:
-                records.append(StepRecord(steps, sym, alpha, rho, acc, rej, nh))
-            if alpha > visit_eps:
-                visits += 1
-            if rej >= p:
-                return verdict(Status.REJECTED, REASON_REJ_REFUTED, acc, rej, nh, visits, k)
-            halted_now = nh <= halt_sq
-            if halted_now and acc < low:
-                return verdict(Status.REJECTED, REASON_HALTED_BELOW, acc, rej, nh, visits, k)
-            if not halted_now and acc + nh < low:
-                return verdict(Status.REJECTED, REASON_ACC_REFUTED, acc, rej, nh, visits, k)
-            if not accepted and acc >= low and visits >= beta * k:
-                rej_ok = (rej + nh < p) if mode == CERTIFIED else (rej < p)
-                if rej_ok:
-                    accepted = True
-                    if mode == LITERAL:
-                        return verdict(Status.ACCEPTED, REASON_CERTIFIED, acc, rej, nh, visits, k)
-            if halted_now:
-                halted = True
-                break
-        if halted:
+        prev = run
+        run = context.advance(prev, w.cycle, k, beta * k)
+        if isinstance(run, Verdict):
+            return run
+        if run.halted:
             break
-        if acc == prev_acc and rej == prev_rej and np.array_equal(psi, prev_psi):
+        if (run.acc == prev.acc and run.rej == prev.rej
+                and np.array_equal(run.psi, prev.psi)):
             # exact fixed point of the cycle map: no future step can differ,
             # so no further accepting visit is possible
             stationary = True
             break
 
+    verdict = context.verdict
+    psi, acc, rej, _, visits, _, accepted = run
     nh = _norm_sq(psi)
     if accepted:
         return verdict(Status.ACCEPTED, REASON_CERTIFIED, acc, rej, nh, visits, periods)

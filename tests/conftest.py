@@ -74,3 +74,19 @@ def acc_then_rej_automaton() -> Mmqba:
     v[1, 2], v[3, 2] = r, -r
     v[2, 3] = 1.0
     return make_automaton({"a": v}, accepting=[1], rejecting=[2])
+
+
+def rotation_leak_automaton() -> Mmqba:
+    """Five states: 'a' rotates q0 -> q1 -> q2 and sends q2 to
+    cos 0.6 q0 + sin 0.6 q3, with q3 accepting and q4 a rejecting sink
+    nobody reaches. Every third step leaks sin^2 0.6 of the mass left to
+    the accepting q3, so a^omega has acceptance limit 1, rejection limit 0
+    and infinitely many accepting visits, one in every three steps."""
+    c, s = np.cos(0.6), np.sin(0.6)
+    v = np.zeros((5, 5))
+    v[1, 0] = 1.0
+    v[2, 1] = 1.0
+    v[0, 2], v[3, 2] = c, s
+    v[0, 3], v[3, 3] = -s, c
+    v[4, 4] = 1.0
+    return make_automaton({"a": v}, accepting=[3], rejecting=[4])

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbuchi.automata import (
     AutomatonFormatError,
@@ -170,6 +172,73 @@ def test_format_error_carries_path():
     with pytest.raises(AutomatonFormatError) as parse_err:
         loads("not json")
     assert "parse error" in str(parse_err.value)
+
+
+def test_loads_rejects_number_out_of_float_range():
+    doc = _doc()
+    doc["unitaries"]["a"][1][0] = [10 ** 400, 0.0]
+    with pytest.raises(AutomatonFormatError) as err:
+        loads(json.dumps(doc))
+    assert err.value.path == "unitaries.a[1][0]"
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000],
+                         ids=["deep-nesting", "long-integer"])
+def test_loads_rejects_what_the_parser_cannot_convert(text):
+    with pytest.raises(AutomatonFormatError) as err:
+        loads(text)
+    assert err.value.path == "$"
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin1.qba"
+    path.write_bytes(b'{"type": "mmqba\xe9"}')
+    with pytest.raises(AutomatonFormatError) as err:
+        load(path)
+    assert "offset 15" in str(err.value)
+
+
+def _node_paths(node, path=()):
+    """The path of keys and indices to every node of a JSON document."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+_DELETE = object()
+_REPLACEMENTS = st.one_of(
+    st.sampled_from([_DELETE, 10 ** 400, -(10 ** 400), True, None, "", [], {}]),
+    st.recursive(
+        st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loads_raises_only_format_errors_on_mutated_documents(data):
+    doc = _doc(data.draw(st.sampled_from(FIXTURE_NAMES)))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    value = data.draw(_REPLACEMENTS)
+    if not path:
+        doc = None if value is _DELETE else value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        assert isinstance(loads(json.dumps(doc)), Mmqba)
+    except AutomatonFormatError:
+        pass
 
 
 def test_load_mmqfa_kind():

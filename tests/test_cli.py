@@ -101,6 +101,17 @@ def test_boundary_cutpoint_warns_on_stderr():
     assert b"CutpointWarning" in r.stderr
 
 
+RUN_ARGV = ["run", fixture_path("lang_a_omega"), "--cycle", "a",
+            "--cutpoint", "0.8", "--periods", "8"]
+EMPTINESS_ARGV = ["emptiness", fixture_path("lang_a_omega"), "--cutpoint", "0.8",
+                  "--rounds", "1"]
+BAD_TEST_FLAGS = [
+    (flag, value)
+    for flag, low in (("--beta", "0"), ("--epsilon", "-1"), ("--visit-eps", "0"))
+    for value in (low, "nan", "inf")
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -114,14 +125,33 @@ def test_boundary_cutpoint_warns_on_stderr():
         ["run", fixture_path("no_entry"), "--cycle", "a", "--cutpoint", "0.8",
          "--trace", "/tmp/t", "--format", "xml"],
         ["emptiness", fixture_path("no_entry"), "--cutpoint", "0.8", "--rounds", "0"],
+        *([*base, flag, value] for base in (RUN_ARGV, EMPTINESS_ARGV)
+          for flag, value in BAD_TEST_FLAGS),
     ],
     ids=["no-args", "unknown-cmd", "missing-file", "cutpoint-high",
-         "cutpoint-zero", "zero-periods", "bad-format", "zero-rounds"],
+         "cutpoint-zero", "zero-periods", "bad-format", "zero-rounds",
+         *(f"{cmd}{flag}={value}" for cmd in ("run", "emptiness")
+           for flag, value in BAD_TEST_FLAGS)],
 )
 def test_usage_errors_exit_64(argv):
     r = qbuchi(*argv)
     assert r.returncode == 64
     assert r.stdout == b""
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--epsilon", "--visit-eps"])
+def test_bad_test_flag_has_one_message(flag):
+    run = qbuchi(*RUN_ARGV, flag, "nan")
+    emptiness = qbuchi(*EMPTINESS_ARGV, flag, "nan")
+    assert run.stderr.startswith(b"qbuchi: error: ")
+    assert run.stderr == emptiness.stderr
+
+
+def test_symbol_outside_alphabet_exits_65():
+    r = qbuchi("run", fixture_path("lang_a_omega"), "--prefix", "z", "--cycle", "a",
+               "--cutpoint", "0.8")
+    assert r.returncode == 65
+    assert b"alphabet" in r.stderr
 
 
 def test_malformed_file_exits_65(tmp_path):
@@ -130,6 +160,21 @@ def test_malformed_file_exits_65(tmp_path):
     r = qbuchi("validate", bad)
     assert r.returncode == 65
     assert b"error" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"[" * 100000, b'{"type": "\xff"}',
+     fixture_path("no_entry").read_bytes().replace(b"0.0", b"1" + b"0" * 400, 1)],
+    ids=["deep-nesting", "not-utf8", "huge-integer"],
+)
+def test_malformed_document_exits_65_without_traceback(tmp_path, body):
+    bad = tmp_path / "bad.qba"
+    bad.write_bytes(body)
+    r = qbuchi("validate", bad)
+    assert r.returncode == 65
+    assert b"Traceback" not in r.stderr
+    assert r.stderr.startswith(b"qbuchi: error: ")
 
 
 def test_union_alphabet_mismatch_exits_65(tmp_path):

@@ -278,6 +278,13 @@ def test_budget_validation():
         SearchBudget(epsilon=-1.0)
     with pytest.raises(ValueError):
         SearchBudget(visit_eps=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SearchBudget(beta=bad)
+        with pytest.raises(ValueError):
+            SearchBudget(epsilon=bad)
+        with pytest.raises(ValueError):
+            SearchBudget(visit_eps=bad)
 
 
 @pytest.mark.parametrize("name,word", [

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import qbuchi
 from qbuchi import automata
 from qbuchi.fixtures import fixture_path, golden_path, list_fixtures, load_fixture
 
@@ -49,3 +53,26 @@ def test_fixture_files_are_canonical(name):
     path = fixture_path(name)
     a = automata.load(str(path))
     assert automata.saves(a) == path.read_text(encoding="utf-8")
+
+
+SOURCE_FILES = sorted(Path(qbuchi.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCE_FILES, ids=[p.name for p in SOURCE_FILES])
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            # a name re-exported through __all__ is used
+            used.update(ast.literal_eval(node.value))
+    assert sorted(imported - used) == []

@@ -13,6 +13,7 @@ from qbuchi.semantics import (
     CLAUSE_REFUTED,
     CSV_HEADER,
     DEFAULT_MAX_PERIODS,
+    DEFAULT_VISIT_EPS,
     LITERAL,
     LassoWord,
     Status,
@@ -28,7 +29,12 @@ from qbuchi.semantics import (
     trace_to_json,
 )
 
-from conftest import acc_then_rej_automaton, make_automaton, two_block_automaton
+from conftest import (
+    acc_then_rej_automaton,
+    make_automaton,
+    rotation_leak_automaton,
+    two_block_automaton,
+)
 
 WORDS = st.text(alphabet="ab", min_size=1, max_size=40)
 
@@ -255,6 +261,16 @@ def test_run_lasso_validation_errors(fixtures):
         run_lasso(a, LassoWord("", "az"), 0.8)
 
 
+@pytest.mark.parametrize("name", ["epsilon", "beta", "visit_eps"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_lasso_rejects_non_finite_test_params(fixtures, name, bad):
+    # NaN fails every comparison, so a rule written as "reject if x < 0"
+    # would let it through
+    with pytest.raises(ValueError, match=name):
+        run_lasso(fixtures["lang_a_omega"], LassoWord("", "a"), 0.8,
+                  max_periods=8, **{name: bad})
+
+
 def test_verdict_to_dict_keys(fixtures):
     vd = run_lasso(fixtures["lang_a_omega"], LassoWord("", "a"), 0.6)
     d = vd.to_dict()
@@ -378,6 +394,26 @@ def test_certified_rejections_are_stable_under_budget(fixtures):
         assert small.status is Status.REJECTED
         assert big.status is Status.REJECTED
         assert small.reason == big.reason
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+def test_spellings_of_one_word_never_contradict(mode):
+    # every lasso below denotes a^omega, which is accepted at 0.8. ("", "a")
+    # sees one accepting visit every three periods, below beta, and its
+    # non-halting mass is gone by period 432 without an acceptance; no
+    # further visit can come, but REJECTED there would contradict the
+    # ACCEPTED certificates of ("", "aa") and ("", "aaa") for the same word
+    a = rotation_leak_automaton()
+    verdicts = {
+        (u, v): run_lasso(a, LassoWord(u, v), 0.8, mode=mode)
+        for u in ("", "a", "aa") for v in ("a", "aa", "aaa")
+    }
+    single = verdicts[("", "a")]
+    assert single.periods_simulated == 432
+    assert single.rej_upper - single.rej_lower <= DEFAULT_VISIT_EPS ** 2
+    statuses = {v.status for v in verdicts.values()}
+    assert Status.ACCEPTED in statuses
+    assert Status.REJECTED not in statuses
 
 
 def test_default_budget_constant():
