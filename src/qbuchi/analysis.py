@@ -23,7 +23,7 @@ import numpy as np
 
 from .automata import Mmqba
 from .numerics import DEFAULT_SV_TOL, SubspaceBasis, null_space
-from .semantics import StepRecord, Trace, _Kernel, _norm_sq
+from .semantics import StepRecord, _Kernel, _norm_sq
 
 RESIDUAL_TOL = 1e-9
 RATIO_TOL = 1e-6
@@ -46,14 +46,17 @@ class Decomposition:
     chain_dims: tuple[int, ...]
 
 
+def _outside(w: SubspaceBasis, x: np.ndarray) -> np.ndarray:
+    """The columns of x with their components in w removed: X - W^T (conj(W) X)."""
+    return x - w.vectors.T @ (w.vectors.conj() @ x)
+
+
 def _refine(a: Mmqba, w: SubspaceBasis, sv_tol: float) -> SubspaceBasis:
     if w.dim == 0:
         return w
-    d = a.dim
-    outside = np.eye(d, dtype=np.complex128) - w.projector()
-    blocks = [outside @ a.unitary_for(sym) @ w.vectors.T for sym in sorted(a.alphabet)]
+    blocks = [_outside(w, a.unitary_for(sym) @ w.vectors.T) for sym in sorted(a.alphabet)]
     coeff_basis = null_space(np.vstack(blocks), sv_tol)
-    return SubspaceBasis(coeff_basis.vectors @ w.vectors, d)
+    return SubspaceBasis(coeff_basis.vectors @ w.vectors, a.dim)
 
 
 def _complement_within(whole: SubspaceBasis, part: SubspaceBasis, sv_tol: float) -> SubspaceBasis:
@@ -61,8 +64,7 @@ def _complement_within(whole: SubspaceBasis, part: SubspaceBasis, sv_tol: float)
         return whole
     if part.dim == whole.dim:
         return SubspaceBasis(np.zeros((0, whole.ambient_dim), dtype=np.complex128), whole.ambient_dim)
-    residual = whole.vectors - whole.vectors @ part.projector().T
-    return SubspaceBasis.from_spanning(residual, sv_tol)
+    return SubspaceBasis.from_spanning(_outside(part, whole.vectors.T).T, sv_tol)
 
 
 def decompose_nonhalting(a: Mmqba, sv_tol: float = DEFAULT_SV_TOL) -> Decomposition:
@@ -104,12 +106,8 @@ def is_sigma_cycle_subspace(
     _require_within_nonhalting(a, s, tol)
     if s.dim == 0:
         return True
-    u = a.unitary_for(symbol)
-    for v in s.vectors:
-        image = u @ v
-        if float(np.linalg.norm(image - s.project(image))) > tol:
-            return False
-    return True
+    images = a.unitary_for(symbol) @ s.vectors.T
+    return not np.any(np.linalg.norm(_outside(s, images), axis=0) > tol)
 
 
 @dataclass(frozen=True)
@@ -139,13 +137,9 @@ def no_entry_check(
     )
     if not basis_spanned:
         raise ValueError("subspace is not spanned by computational basis vectors")
-    members = {i for i in range(a.dim) if diag[i] > 0.5}
-    u = a.unitary_for(symbol)
-    residuals = {}
-    for r in range(a.dim):
-        if r in members:
-            continue
-        residuals[r] = float(np.linalg.norm(proj @ u[:, r]))
+    outside = np.flatnonzero(diag <= 0.5)
+    norms = np.linalg.norm(proj @ a.unitary_for(symbol), axis=0)
+    residuals = dict(zip(outside.tolist(), norms[outside].tolist()))
     max_residual = max(residuals.values(), default=0.0)
     return NoEntryReport(residuals, max_residual)
 
@@ -155,18 +149,6 @@ def _random_member(s: SubspaceBasis, rng: np.random.Generator) -> np.ndarray:
     coeffs = parts[0] + 1j * parts[1]
     v = coeffs @ s.vectors
     return v / np.linalg.norm(v)
-
-
-def _evolve_increments(kernel: _Kernel, psi: np.ndarray, word: Sequence[str]):
-    """Evolve an arbitrary start vector, returning per-step halting increments
-    and the non-halting squared norm after each step."""
-    increments = []
-    norms_sq = []
-    for sym in word:
-        psi, _, alpha, rho = kernel.apply(psi, sym)
-        increments.append(alpha + rho)
-        norms_sq.append(_norm_sq(psi))
-    return increments, norms_sq
 
 
 @dataclass(frozen=True)
@@ -194,48 +176,47 @@ def verify_decomposition(
     and must stay inside the subspace at every step. Vectors from the
     complement get their norm trajectory reported. For combined vectors,
     the per-step halting increments must equal those of the complement
-    component alone. Each trial derives its own generator from
+    component alone. The three vectors of a trial are the columns of one
+    block, stepped together. Each trial derives its own generator from
     (seed, trial index), so trials are reproducible independently.
     """
     symbols = sorted(a.alphabet)
     kernel = _Kernel(a)
-    s1_halting = 0.0
-    s1_residual = 0.0
-    s1_trials = 0
-    s2_trials = 0
+    s1, s2 = d.s1, d.s2
+    zero = np.zeros(a.dim, dtype=np.complex128)
+    s1_halting = s1_residual = mixed_dev = 0.0
     trajectories = []
-    mixed_dev = 0.0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         word = [symbols[i] for i in rng.integers(0, len(symbols), size=word_len)]
-        if d.s1.dim:
-            s1_trials += 1
-            psi = _random_member(d.s1, rng)
-            cumulative = 0.0
-            for sym in word:
-                psi, _, alpha, rho = kernel.apply(psi, sym)
-                cumulative += alpha + rho
-                res = float(np.linalg.norm(psi - d.s1.project(psi)))
-                s1_residual = max(s1_residual, res)
-            s1_halting = max(s1_halting, cumulative)
-        if d.s2.dim:
-            s2_trials += 1
-            v2 = _random_member(d.s2, rng)
-            inc2, norms2 = _evolve_increments(kernel, v2, word)
-            trajectories.append(tuple(norms2))
-            v1 = _random_member(d.s1, rng) if d.s1.dim else np.zeros(a.dim, dtype=np.complex128)
-            inc_mix, _ = _evolve_increments(kernel, v1 + v2, word)
-            dev = max(
-                (abs(x - y) for x, y in zip(inc_mix, inc2)), default=0.0
-            )
-            mixed_dev = max(mixed_dev, dev)
+        # one block: an S1 member, an S2 member v2, and v1 + v2 for a
+        # second S1 member v1; a zero column stands for a trivial part
+        member = _random_member(s1, rng) if s1.dim else zero
+        v2 = _random_member(s2, rng) if s2.dim else zero
+        v1 = _random_member(s1, rng) if s1.dim and s2.dim else zero
+        psi = np.stack([member, v2, v1 + v2], axis=1)
+        increments = np.empty((word_len, 3))
+        norms_sq = np.empty(word_len)
+        residuals = np.empty(word_len)
+        for j, sym in enumerate(word):
+            psi, probs = kernel.measure(psi, sym)
+            increments[j] = np.add.reduce(probs, axis=0)
+            norms_sq[j] = _norm_sq(psi[:, 1])
+            residuals[j] = np.linalg.norm(_outside(s1, psi[:, 0]))
+        if s1.dim:
+            s1_halting = max(s1_halting, float(np.add.reduce(increments[:, 0])))
+            s1_residual = max(s1_residual, float(np.max(residuals, initial=0.0)))
+        if s2.dim:
+            trajectories.append(tuple(norms_sq.tolist()))
+            dev = np.abs(increments[:, 2] - increments[:, 1])
+            mixed_dev = max(mixed_dev, float(np.max(dev, initial=0.0)))
     return DecompositionReport(
         trials=trials,
         word_len=word_len,
-        s1_trials=s1_trials,
+        s1_trials=max(trials, 0) if s1.dim else 0,
         s1_max_cumulative_halting=s1_halting,
         s1_max_subspace_residual=s1_residual,
-        s2_trials=s2_trials,
+        s2_trials=max(trials, 0) if s2.dim else 0,
         s2_norm_sq_trajectories=tuple(trajectories),
         mixed_max_increment_deviation=mixed_dev,
     )
@@ -256,23 +237,21 @@ class LimitEstimate:
 
 def _series_tail(values: list[float]):
     """values: cumulative sums at 5 period boundaries, oldest first.
-    Returns (converged, geometric, ratio, tail_sum_estimate)."""
+    Returns (geometric, ratio, tail_sum_estimate)."""
     deltas = [values[i + 1] - values[i] for i in range(4)]
     if max(abs(x) for x in deltas) <= CONVERGED_DELTA:
-        return True, True, 0.0, 0.0
+        return True, 0.0, 0.0
     if any(x <= 0.0 for x in deltas):
-        return False, False, 0.0, 0.0
+        return False, 0.0, 0.0
     ratios = [deltas[i + 1] / deltas[i] for i in range(3)]
     spread = max(ratios) - min(ratios)
     r = sum(ratios) / 3.0
     if spread <= RATIO_TOL and r < 1.0:
-        return False, True, r, deltas[-1] * r / (1.0 - r)
-    return False, False, 0.0, 0.0
+        return True, r, deltas[-1] * r / (1.0 - r)
+    return False, 0.0, 0.0
 
 
-def estimate_limit(
-    trace: Trace | Sequence[StepRecord], period_len: int
-) -> LimitEstimate:
+def estimate_limit(trace: Sequence[StepRecord], period_len: int) -> LimitEstimate:
     """Extrapolate the cumulative limits from per-period increments.
 
     Looks at the last four full periods (aligned to the end of the
@@ -280,7 +259,7 @@ def estimate_limit(
     the limit is the closed-form tail sum, otherwise the monotone bounds
     are all that is reported.
     """
-    records = trace.records if isinstance(trace, Trace) else tuple(trace)
+    records = tuple(trace)
     period_len = int(period_len)
     if period_len < 1:
         raise ValueError("period_len must be at least 1")
@@ -296,8 +275,8 @@ def estimate_limit(
         idx = len(records) - 1 - m * period_len
         acc_vals.append(records[idx].acc if idx >= 0 else 0.0)
         rej_vals.append(records[idx].rej if idx >= 0 else 0.0)
-    _, acc_geo, acc_ratio, acc_tail = _series_tail(acc_vals)
-    _, rej_geo, rej_ratio, rej_tail = _series_tail(rej_vals)
+    acc_geo, acc_ratio, acc_tail = _series_tail(acc_vals)
+    rej_geo, rej_ratio, rej_tail = _series_tail(rej_vals)
     if acc_geo and rej_geo:
         ratio = acc_ratio if acc_ratio > 0.0 else rej_ratio
         return LimitEstimate(

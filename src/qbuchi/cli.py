@@ -28,6 +28,7 @@ from .semantics import (
     LITERAL,
     LassoWord,
     Status,
+    _check_epsilon_below,
     _check_test_params,
     _json_text,
     trace_to_csv,
@@ -81,13 +82,6 @@ def _load_valid(path: str) -> automata.Mmqba:
     return a
 
 
-def _basis_rows(basis: SubspaceBasis) -> list:
-    rows = []
-    for row in basis.vectors:
-        rows.append([[float(z.real), float(z.imag)] for z in row])
-    return rows
-
-
 def cmd_validate(args) -> int:
     a = _load(args.file)
     violations = automata.validate(a)
@@ -121,6 +115,7 @@ def cmd_run(args) -> int:
         w = LassoWord(args.prefix, args.cycle)
         p = Cutpoint(args.cutpoint)
         _check_test_params(args.epsilon, args.beta, args.visit_eps)
+        _check_epsilon_below(p, args.epsilon)
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
     try:
@@ -172,6 +167,7 @@ def cmd_emptiness(args) -> int:
             epsilon=args.epsilon,
             visit_eps=args.visit_eps,
         )
+        _check_epsilon_below(p, args.epsilon)
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
     result = check_emptiness(a, p, budget, mode=args.mode)
@@ -233,8 +229,8 @@ def cmd_decompose(args) -> int:
                 "s1_dim": d.s1.dim,
                 "s2_dim": d.s2.dim,
                 "chain_length": d.chain_length,
-                "s1_basis": _basis_rows(d.s1),
-                "s2_basis": _basis_rows(d.s2),
+                "s1_basis": automata._encode_matrix(d.s1.vectors),
+                "s2_basis": automata._encode_matrix(d.s2.vectors),
             }
         )
     else:

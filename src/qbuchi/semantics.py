@@ -201,8 +201,10 @@ class _Kernel:
 
     The halting indices sit in one array, the accepting states first and
     then the rejecting ones, each in sorted order, so a step measures with
-    one gather and one scatter. apply never writes to the vector it is
-    given, so run states can be shared without copying.
+    one gather and one scatter. measure steps a vector (dim,) or a block
+    (dim, B) whose columns are stepped together; apply adds a vector's
+    accepting and rejecting sums. Neither writes to the state it is given,
+    so run states can be shared without copying.
     """
 
     __slots__ = ("a", "symbols", "halt_idx", "n_acc")
@@ -219,13 +221,20 @@ class _Kernel:
             if ch not in self.symbols:
                 raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
 
-    def apply(self, psi: np.ndarray, symbol: str):
-        """One measured step: the new vector, the halting probabilities in
-        halt_idx order, and their accepting and rejecting sums."""
+    def measure(self, psi: np.ndarray, symbol: str):
+        """One measured step of a vector (dim,) or a block (dim, B): the
+        new state and the halting probabilities in halt_idx order, one
+        column per column of psi."""
         psi = self.a.unitary_for(symbol) @ psi
         amps = psi[self.halt_idx]
         probs = amps.real * amps.real + amps.imag * amps.imag
         psi[self.halt_idx] = 0.0
+        return psi, probs
+
+    def apply(self, psi: np.ndarray, symbol: str):
+        """measure on a vector, plus the accepting and rejecting sums of
+        its halting probabilities as Python floats."""
+        psi, probs = self.measure(psi, symbol)
         n = self.n_acc
         alpha = float(np.add.reduce(probs[:n]))
         rho = float(np.add.reduce(probs[n:]))
@@ -290,6 +299,12 @@ def _check_test_params(epsilon: float, beta: float, visit_eps: float):
         raise ValueError(f"visit_eps must be finite and positive, got {visit_eps!r}")
 
 
+def _check_epsilon_below(p: float, epsilon: float):
+    """The accept test is acc >= p - epsilon, which epsilon >= p makes vacuous."""
+    if not epsilon < p:
+        raise ValueError(f"epsilon must lie below the cutpoint {p!r}, got {epsilon!r}")
+
+
 class _Run(NamedTuple):
     """Run state of a lasso word after some symbols past the end marker."""
 
@@ -318,6 +333,7 @@ class _LassoContext:
                  visit_eps: float, mode: str, records: list | None = None):
         p = _check_cutpoint(p)
         _check_test_params(epsilon, beta, visit_eps)
+        _check_epsilon_below(p, epsilon)
         if mode not in (CERTIFIED, LITERAL):
             raise ValueError(f"mode must be {CERTIFIED!r} or {LITERAL!r}")
         self.kernel = _Kernel(a)
@@ -376,11 +392,9 @@ class _LassoContext:
                 return self.verdict(Status.REJECTED, REASON_REJ_REFUTED,
                                     acc, rej, nh, visits, periods)
             halted_now = nh <= halt_sq
-            if halted_now and acc < low:
-                return self.verdict(Status.REJECTED, REASON_HALTED_BELOW,
-                                    acc, rej, nh, visits, periods)
-            if not halted_now and acc + nh < low:
-                return self.verdict(Status.REJECTED, REASON_ACC_REFUTED,
+            if acc + nh < low:
+                reason = REASON_HALTED_BELOW if halted_now else REASON_ACC_REFUTED
+                return self.verdict(Status.REJECTED, reason,
                                     acc, rej, nh, visits, periods)
             if not accepted and acc >= low and visits >= need:
                 rej_ok = (rej + nh < p) if mode == CERTIFIED else (rej < p)
@@ -428,7 +442,8 @@ def run_lasso(
     """Simulate u v^omega and return a cutpoint verdict with certificates.
 
     REJECTED is certified: the rejecting mass reached p, or the accepting
-    mass can never reach p, or the run halted below p, or no accepting
+    mass can never reach p (acc + nh < p - epsilon, reported as
+    halted-below-cutpoint once the run has halted), or no accepting
     visit can ever happen again (no accepting states at all, or the cycle
     map reached an exact fixed point with zero halting flow). ACCEPTED
     combines two sound limit certificates with the heuristic
@@ -437,9 +452,9 @@ def run_lasso(
     the first success, which reproduces the search algorithm's behavior.
     In certified mode the simulation continues to the budget so the
     reported bounds are tight. epsilon pads the accept test (acc may sit
-    epsilon below p) and equally guards the accepting-side refutations,
-    which would otherwise misfire at p = 1 where acc + nh rounds a few
-    ulps under 1. Verdicts never flip between ACCEPTED and REJECTED when
+    epsilon below p, so epsilon must lie below p) and equally guards the
+    accepting-side refutation, which would otherwise misfire at p = 1
+    where acc + nh rounds a few ulps under 1. Verdicts never flip between ACCEPTED and REJECTED when
     the budget grows, except for limits within epsilon of the cutpoint.
     _context is private: check_emptiness passes one to all its candidates.
     """
@@ -511,19 +526,20 @@ class ClauseReport:
 
 
 def check_acceptance_clauses(
-    trace: Trace | Sequence[StepRecord],
+    trace: Sequence[StepRecord],
     p: float,
     visit_eps: float = DEFAULT_VISIT_EPS,
 ) -> ClauseReport:
     """Classify each acceptance clause as certified, possible, or refuted.
 
-    The visit count and the halting test use visit_eps; pass 0 to count
-    every strictly positive accepting amplitude as a visit.
+    trace is a Trace or any sequence of its records. The visit count and
+    the halting test use visit_eps; pass 0 to count every strictly
+    positive accepting amplitude as a visit.
     """
-    records = trace.records if isinstance(trace, Trace) else tuple(trace)
+    records = tuple(trace)
     if not records:
         raise ValueError("trace must contain at least one step")
-    p = float(p)
+    p = _check_cutpoint(p)
     visits = sum(1 for r in records if r.alpha > visit_eps)
     last = records[-1]
     if last.nonhalt_norm_sq <= visit_eps * visit_eps:

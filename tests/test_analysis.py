@@ -10,9 +10,10 @@ from qbuchi.analysis import (
     is_sigma_cycle_subspace,
     no_entry_check,
     verify_decomposition,
+    _random_member,
 )
 from qbuchi.numerics import SubspaceBasis
-from qbuchi.semantics import LassoWord, StepRecord, run_lasso, run_prefix
+from qbuchi.semantics import LassoWord, StepRecord, _Kernel, _norm_sq, run_lasso, run_prefix
 
 from conftest import haar_unitary, make_automaton, two_block_automaton
 
@@ -116,6 +117,112 @@ def test_verify_decomposition_is_seeded(fixtures):
     r1 = verify_decomposition(a, d, word_len=50, trials=5, seed=3)
     r2 = verify_decomposition(a, d, word_len=50, trials=5, seed=3)
     assert r1 == r2
+
+
+def test_block_step_matches_vector_steps():
+    rng = np.random.default_rng(41)
+    for dim in range(3, 9):
+        for n_cols in range(1, 5):
+            halting = rng.permutation(dim)[: int(rng.integers(1, dim))]
+            n_acc = int(rng.integers(0, len(halting) + 1))
+            a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                               accepting=halting[:n_acc].tolist(),
+                               rejecting=halting[n_acc:].tolist())
+            kernel = _Kernel(a)
+            block = rng.normal(size=(dim, n_cols)) + 1j * rng.normal(size=(dim, n_cols))
+            for sym in "abba":
+                given = block.copy()
+                new, probs = kernel.measure(block, sym)
+                assert np.array_equal(block, given)  # the input is not written
+                for c in range(n_cols):
+                    v_new, v_probs, alpha, rho = kernel.apply(block[:, c], sym)
+                    assert np.allclose(new[:, c], v_new, rtol=0.0, atol=1e-12)
+                    assert np.allclose(probs[:, c], v_probs, rtol=0.0, atol=1e-12)
+                    n = kernel.n_acc
+                    assert alpha == pytest.approx(probs[:n, c].sum(), abs=1e-12)
+                    assert rho == pytest.approx(probs[n:, c].sum(), abs=1e-12)
+                    assert type(alpha) is float and type(rho) is float
+                block = new
+
+
+def _three_loop_verify(a, d, word_len, trials, seed):
+    """verify_decomposition as three vector runs per trial: the reference
+    for the single block run."""
+    symbols = sorted(a.alphabet)
+    kernel = _Kernel(a)
+
+    def evolve(psi, word):
+        increments, norms_sq = [], []
+        for sym in word:
+            psi, _, alpha, rho = kernel.apply(psi, sym)
+            increments.append(alpha + rho)
+            norms_sq.append(_norm_sq(psi))
+        return increments, norms_sq
+
+    s1_halting = s1_residual = mixed_dev = 0.0
+    s1_trials = s2_trials = 0
+    trajectories = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        word = [symbols[i] for i in rng.integers(0, len(symbols), size=word_len)]
+        if d.s1.dim:
+            s1_trials += 1
+            psi = _random_member(d.s1, rng)
+            cumulative = 0.0
+            for sym in word:
+                psi, _, alpha, rho = kernel.apply(psi, sym)
+                cumulative += alpha + rho
+                s1_residual = max(s1_residual, float(np.linalg.norm(psi - d.s1.project(psi))))
+            s1_halting = max(s1_halting, cumulative)
+        if d.s2.dim:
+            s2_trials += 1
+            v2 = _random_member(d.s2, rng)
+            inc2, norms2 = evolve(v2, word)
+            trajectories.append(tuple(norms2))
+            v1 = _random_member(d.s1, rng) if d.s1.dim else np.zeros(a.dim, dtype=complex)
+            inc_mix, _ = evolve(v1 + v2, word)
+            dev = max((abs(x - y) for x, y in zip(inc_mix, inc2)), default=0.0)
+            mixed_dev = max(mixed_dev, dev)
+    return DecompositionReport(trials, word_len, s1_trials, s1_halting, s1_residual,
+                               s2_trials, tuple(trajectories), mixed_dev)
+
+
+def _planted_automaton(rng, dim, invariant):
+    """Block-diagonal: a Haar block on the first states with no halting
+    state in it, and a Haar block holding one accepting and one rejecting
+    state at its end."""
+    unitaries = {}
+    for sym in "ab":
+        u = np.zeros((dim, dim), dtype=complex)
+        u[:invariant, :invariant] = haar_unitary(rng, invariant)
+        u[invariant:, invariant:] = haar_unitary(rng, dim - invariant)
+        unitaries[sym] = u
+    return make_automaton(unitaries, accepting=[dim - 1], rejecting=[dim - 2],
+                          initial=invariant)
+
+
+@pytest.mark.parametrize("which", ["two_block", "planted", "s1_only", "s2_only"])
+def test_block_verify_matches_three_loops(fixtures, which):
+    a = {
+        "two_block": lambda: two_block_automaton(),
+        "planted": lambda: _planted_automaton(np.random.default_rng(5), 8, 3),
+        "s1_only": lambda: fixtures["no_entry"],
+        "s2_only": lambda: fixtures["lang_ab_cycle"],
+    }[which]()
+    d = decompose_nonhalting(a)
+    for word_len, trials, seed in ((120, 6, 4), (0, 2, 1)):
+        new = verify_decomposition(a, d, word_len=word_len, trials=trials, seed=seed)
+        old = _three_loop_verify(a, d, word_len, trials, seed)
+        assert (new.trials, new.word_len, new.s1_trials, new.s2_trials) == (
+            old.trials, old.word_len, old.s1_trials, old.s2_trials)
+        for field in ("s1_max_cumulative_halting", "s1_max_subspace_residual",
+                      "mixed_max_increment_deviation"):
+            assert getattr(new, field) == pytest.approx(getattr(old, field), abs=1e-12)
+        assert len(new.s2_norm_sq_trajectories) == len(old.s2_norm_sq_trajectories)
+        for x, y in zip(new.s2_norm_sq_trajectories, old.s2_norm_sq_trajectories):
+            assert len(x) == len(y) == word_len
+            assert np.allclose(x, y, rtol=0.0, atol=1e-12)
+            assert all(type(v) is float for v in x)
 
 
 def test_is_sigma_cycle_subspace(fixtures):

@@ -109,7 +109,7 @@ BAD_TEST_FLAGS = [
     (flag, value)
     for flag, low in (("--beta", "0"), ("--epsilon", "-1"), ("--visit-eps", "0"))
     for value in (low, "nan", "inf")
-]
+] + [("--epsilon", "0.8"), ("--epsilon", "1")]  # at or above the cutpoint 0.8
 
 
 @pytest.mark.parametrize(
@@ -145,6 +145,23 @@ def test_bad_test_flag_has_one_message(flag):
     emptiness = qbuchi(*EMPTINESS_ARGV, flag, "nan")
     assert run.stderr.startswith(b"qbuchi: error: ")
     assert run.stderr == emptiness.stderr
+
+
+def test_epsilon_above_cutpoint_has_one_message():
+    run = qbuchi(*RUN_ARGV, "--epsilon", "1")
+    emptiness = qbuchi(*EMPTINESS_ARGV, "--epsilon", "1")
+    assert run.stderr == emptiness.stderr == (
+        b"qbuchi: error: epsilon must lie below the cutpoint 0.8, got 1.0\n")
+
+
+def test_run_halted_with_reachable_cutpoint_is_inconclusive():
+    # visit_eps 0.5 counts the run as halted after one step while 0.2 of
+    # the mass has not halted: acc + nh = 0.8 reaches p, so no certificate
+    # refutes the accepting limit and the run must not be REJECTED
+    r = qbuchi(*RUN_ARGV, "--visit-eps", "0.5", "--json")
+    assert r.returncode == 2, r.stderr.decode()
+    doc = json.loads(r.stdout)
+    assert (doc["status"], doc["reason"]) == ("INCONCLUSIVE", "budget-exhausted")
 
 
 def test_symbol_outside_alphabet_exits_65():

@@ -287,6 +287,14 @@ def test_budget_validation():
             SearchBudget(visit_eps=bad)
 
 
+@pytest.mark.parametrize("epsilon", [0.8, 1.0])
+def test_search_refuses_epsilon_at_or_above_cutpoint(fixtures, epsilon):
+    # acc >= p - epsilon would hold for every word: the search must not answer
+    with pytest.raises(ValueError, match="epsilon must lie below the cutpoint"):
+        check_emptiness(fixtures["lang_a_omega"], 0.8,
+                        SearchBudget(max_rounds=1, epsilon=epsilon))
+
+
 @pytest.mark.parametrize("name,word", [
     ("lang_a_prefix", "aaabbb"),
     ("lang_ab_cycle", "ababab"),

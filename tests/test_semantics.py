@@ -257,6 +257,9 @@ def test_run_lasso_validation_errors(fixtures):
         run_lasso(a, w, 0.8, beta=1.1)
     with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, visit_eps=0.0)
+    for epsilon in (0.8, 1.0):
+        with pytest.raises(ValueError, match="epsilon must lie below the cutpoint"):
+            run_lasso(a, w, 0.8, epsilon=epsilon)
     with pytest.raises(ValueError):
         run_lasso(a, LassoWord("", "az"), 0.8)
 
@@ -380,6 +383,15 @@ def test_check_acceptance_clauses_refutations(fixtures):
 
     with pytest.raises(ValueError):
         check_acceptance_clauses((), 0.5)
+
+
+@pytest.mark.parametrize("p", [math.nan, -1.0, 0.0, 5.0])
+def test_check_acceptance_clauses_checks_the_cutpoint(fixtures, p):
+    # unchecked, NaN reports every clause possible and p < 0 or p > 1
+    # certifies one limit clause while refuting the other
+    tr = run_prefix(fixtures["lang_a_omega"], "aaaa")
+    with pytest.raises(ValueError, match="cutpoint"):
+        check_acceptance_clauses(tr, p)
 
 
 def test_certified_rejections_are_stable_under_budget(fixtures):
