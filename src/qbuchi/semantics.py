@@ -302,7 +302,8 @@ def _check_test_params(epsilon: float, beta: float, visit_eps: float):
 def _check_epsilon_below(p: float, epsilon: float):
     """The accept test is acc >= p - epsilon, which epsilon >= p makes vacuous."""
     if not epsilon < p:
-        raise ValueError(f"epsilon must lie below the cutpoint {p!r}, got {epsilon!r}")
+        raise ValueError(f"epsilon (default {DEFAULT_EPSILON!r}) must lie below "
+                         f"the cutpoint {p!r}, got {epsilon!r}")
 
 
 class _Run(NamedTuple):
@@ -367,10 +368,12 @@ class _LassoContext:
         """Step run through word and apply every certificate after each step.
 
         Returns the verdict that settles the run (REJECTED, or ACCEPTED in
-        literal mode), or the run after word, which stops early at the
-        step where the non-halting mass is gone. The accept test needs
-        visits >= need; the prefix phase passes math.inf, so a prefix never
-        accepts. A verdict reports periods as its periods_simulated.
+        literal mode), or the run after word. A cycle period stops early at
+        the step where the non-halting mass is gone; a prefix (periods 0)
+        is stepped to its end, since the cycle starts from the state after
+        the whole prefix. The accept test needs visits >= need; the prefix
+        phase passes math.inf, so a prefix never accepts. A verdict reports
+        periods as its periods_simulated.
         """
         apply = self.kernel.apply
         records = self.records
@@ -405,7 +408,8 @@ class _LassoContext:
                                             acc, rej, nh, visits, periods)
             if halted_now:
                 halted = True
-                break
+                if periods:
+                    break
         return _Run(psi, acc, rej, steps, visits, halted, accepted)
 
     def after(self, u: str):
@@ -413,14 +417,13 @@ class _LassoContext:
 
         It is built on the entry for u[:-1] when that is known, as in a
         search, which asks for prefixes in order of length; otherwise
-        it is advanced from the root. A settled or halted entry passes on
-        unchanged.
+        it is advanced from the root. A settled entry passes on unchanged.
         """
         entry = self.prefixes.get(u)
         if entry is None:
             base = u[:-1] if u[:-1] in self.prefixes else ""
             entry = self.prefixes[base]
-            if isinstance(entry, _Run) and not entry.halted:
+            if isinstance(entry, _Run):
                 entry = self.advance(entry, u[len(base):], 0, math.inf)
             self.prefixes[u] = entry
         return entry
@@ -454,8 +457,9 @@ def run_lasso(
     reported bounds are tight. epsilon pads the accept test (acc may sit
     epsilon below p, so epsilon must lie below p) and equally guards the
     accepting-side refutation, which would otherwise misfire at p = 1
-    where acc + nh rounds a few ulps under 1. Verdicts never flip between ACCEPTED and REJECTED when
-    the budget grows, except for limits within epsilon of the cutpoint.
+    where acc + nh rounds a few ulps under 1. Verdicts never flip between
+    ACCEPTED and REJECTED when the budget grows, except for limits within
+    epsilon of the cutpoint.
     _context is private: check_emptiness passes one to all its candidates.
     """
     if max_periods < 1:

@@ -125,11 +125,15 @@ BAD_TEST_FLAGS = [
         ["run", fixture_path("no_entry"), "--cycle", "a", "--cutpoint", "0.8",
          "--trace", "/tmp/t", "--format", "xml"],
         ["emptiness", fixture_path("no_entry"), "--cutpoint", "0.8", "--rounds", "0"],
+        # a cutpoint at or below the default epsilon, with no --epsilon given
+        ["run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "1e-9"],
+        ["emptiness", fixture_path("lang_a_omega"), "--cutpoint", "1e-10", "--rounds", "1"],
         *([*base, flag, value] for base in (RUN_ARGV, EMPTINESS_ARGV)
           for flag, value in BAD_TEST_FLAGS),
     ],
     ids=["no-args", "unknown-cmd", "missing-file", "cutpoint-high",
          "cutpoint-zero", "zero-periods", "bad-format", "zero-rounds",
+         "run-cutpoint-at-default-epsilon", "emptiness-cutpoint-below-default-epsilon",
          *(f"{cmd}{flag}={value}" for cmd in ("run", "emptiness")
            for flag, value in BAD_TEST_FLAGS)],
 )
@@ -151,7 +155,14 @@ def test_epsilon_above_cutpoint_has_one_message():
     run = qbuchi(*RUN_ARGV, "--epsilon", "1")
     emptiness = qbuchi(*EMPTINESS_ARGV, "--epsilon", "1")
     assert run.stderr == emptiness.stderr == (
-        b"qbuchi: error: epsilon must lie below the cutpoint 0.8, got 1.0\n")
+        b"qbuchi: error: epsilon (default 1e-09) must lie below the cutpoint 0.8, got 1.0\n")
+
+
+def test_tiny_cutpoint_names_the_default_epsilon():
+    r = qbuchi("run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "1e-10")
+    assert r.returncode == 64
+    assert r.stderr.endswith(b"qbuchi: error: epsilon (default 1e-09) must lie below "
+                             b"the cutpoint 1e-10, got 1e-09\n")
 
 
 def test_run_halted_with_reachable_cutpoint_is_inconclusive():

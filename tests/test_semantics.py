@@ -164,6 +164,20 @@ def test_run_lasso_rejects_halted_below(fixtures):
     assert vd.reason in ("rej-limit-refuted", "halted-below-cutpoint", "buchi-refuted")
 
 
+@pytest.mark.parametrize("prefix", ["ab", "abbb"])
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+def test_prefix_is_simulated_to_its_end_after_the_run_halts(fixtures, prefix, mode):
+    # visit_eps 0.5 counts the run as halted after 'a' (acc 0.6, 0.2 not
+    # halted); 'b' then sends that 0.2 to the rejecting state, so the
+    # accepting limit is 0.6 < 0.7. Applying the cycle to the state after
+    # 'a' instead of after the whole prefix would report acc_lower 0.72
+    a = fixtures["lang_a_omega"]
+    vd = run_lasso(a, LassoWord(prefix, "a"), 0.7, visit_eps=0.5, max_periods=8, mode=mode)
+    assert (vd.status, vd.reason) == (Status.REJECTED, "halted-below-cutpoint")
+    assert vd.acc_lower == pytest.approx(0.6)
+    assert vd.rej_upper == pytest.approx(0.4)
+
+
 def test_run_lasso_buchi_refuted_without_accepting_states(fixtures):
     vd = run_lasso(fixtures["no_entry"], LassoWord("", "a"), 0.5)
     assert vd.status is Status.REJECTED
@@ -258,7 +272,7 @@ def test_run_lasso_validation_errors(fixtures):
     with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, visit_eps=0.0)
     for epsilon in (0.8, 1.0):
-        with pytest.raises(ValueError, match="epsilon must lie below the cutpoint"):
+        with pytest.raises(ValueError, match="must lie below the cutpoint"):
             run_lasso(a, w, 0.8, epsilon=epsilon)
     with pytest.raises(ValueError):
         run_lasso(a, LassoWord("", "az"), 0.8)
