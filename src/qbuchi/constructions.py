@@ -19,8 +19,30 @@ from .numerics import tensor
 from .semantics import LassoWord
 
 
-def _product_names(names1: Sequence[str], names2: Sequence[str]) -> tuple[str, ...]:
-    return tuple(f"({n1},{n2})" for n1 in names1 for n2 in names2)
+def _masks(m: Mmqba) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean accepting and rejecting masks; out-of-range indices drop out."""
+    states = np.arange(m.dim)
+    return np.isin(states, list(m.accepting)), np.isin(states, list(m.rejecting))
+
+
+def _product(m1: Mmqba, m2: Mmqba, accepting: np.ndarray, rejecting: np.ndarray) -> Mmqba:
+    """Tensor product over m1's alphabet; the (m1.dim, m2.dim) masks mark
+    the halting product states, and a state in both masks accepts."""
+    unitaries = {
+        sym: tensor(m1.unitary_for(sym), m2.unitary_for(sym)) for sym in m1.alphabet
+    }
+    end = None
+    if m1.end_marker_unitary is not None or m2.end_marker_unitary is not None:
+        end = tensor(m1.unitary_for("#"), m2.unitary_for("#"))
+    return Mmqba(
+        state_names=tuple(f"({n1},{n2})" for n1 in m1.state_names for n2 in m2.state_names),
+        alphabet=tuple(m1.alphabet),
+        unitaries=unitaries,
+        initial=m1.initial * m2.dim + m2.initial,
+        accepting=frozenset(np.flatnonzero(accepting).tolist()),
+        rejecting=frozenset(np.flatnonzero(rejecting & ~accepting).tolist()),
+        end_marker_unitary=end,
+    )
 
 
 def union(m1: Mmqba, m2: Mmqba) -> Mmqba:
@@ -31,42 +53,24 @@ def union(m1: Mmqba, m2: Mmqba) -> Mmqba:
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError("union requires identical alphabets")
-    d2 = m2.dim
-    unitaries = {
-        sym: tensor(m1.unitary_for(sym), m2.unitary_for(sym)) for sym in m1.alphabet
-    }
-    end = None
-    if m1.end_marker_unitary is not None or m2.end_marker_unitary is not None:
-        end = tensor(m1.unitary_for("#"), m2.unitary_for("#"))
-    acc1 = m1.accepting
-    acc2 = m2.accepting
-    rej1 = m1.rejecting
-    rej2 = m2.rejecting
-    accepting = set()
-    rejecting = set()
-    for q1 in range(m1.dim):
-        for q2 in range(d2):
-            idx = q1 * d2 + q2
-            if q1 in acc1 or q2 in acc2:
-                accepting.add(idx)
-            elif q1 in rej1 and q2 in rej2:
-                rejecting.add(idx)
-    return Mmqba(
-        state_names=_product_names(m1.state_names, m2.state_names),
-        alphabet=tuple(m1.alphabet),
-        unitaries=unitaries,
-        initial=m1.initial * d2 + m2.initial,
-        accepting=frozenset(accepting),
-        rejecting=frozenset(rejecting),
-        end_marker_unitary=end,
-    )
+    (acc1, rej1), (acc2, rej2) = _masks(m1), _masks(m2)
+    return _product(m1, m2, acc1[:, None] | acc2, rej1[:, None] & rej2)
+
+
+def _symbols(alphabet: Iterable[str]) -> tuple[str, ...]:
+    """Sorted, deduplicated alphabet of single, non-reserved characters."""
+    symbols = tuple(sorted(set(alphabet)))
+    if not symbols:
+        raise ValueError("alphabet must be nonempty")
+    for sym in symbols:
+        if len(sym) != 1 or sym in RESERVED_SYMBOLS:
+            raise ValueError(f"invalid alphabet symbol {sym!r}")
+    return symbols
 
 
 def empty_automaton(alphabet: Iterable[str]) -> Mmqba:
     """Two-state automaton with identity dynamics that accepts nothing."""
-    symbols = tuple(sorted(set(alphabet)))
-    if not symbols:
-        raise ValueError("alphabet must be nonempty")
+    symbols = _symbols(alphabet)
     eye = np.eye(2, dtype=np.complex128)
     return Mmqba(
         state_names=("q0", "qr"),
@@ -78,17 +82,19 @@ def empty_automaton(alphabet: Iterable[str]) -> Mmqba:
     )
 
 
-def _complete_permutation(mapping: dict[int, int], dim: int) -> np.ndarray:
-    """Permutation matrix extending an injective partial index map; column s
-    of the result is the basis vector of the image of s."""
-    targets = list(mapping.values())
-    if len(set(targets)) != len(targets):
+def _sink_permutation(successors: Sequence[int | None], dim: int) -> np.ndarray:
+    """Permutation matrix sending live state i to successors[i], or to its
+    own sink len(successors) + i where that is None; the remaining columns
+    take the unused targets in index order. Column s of the result is the
+    basis vector of the image of s."""
+    n = len(successors)
+    targets = [n + i if t is None else t for i, t in enumerate(successors)]
+    used = set(targets)
+    if len(used) != n:
         raise ValueError("partial permutation is not injective")
-    free = iter(t for t in range(dim) if t not in set(targets))
+    free = [t for t in range(dim) if t not in used]
     m = np.zeros((dim, dim), dtype=np.complex128)
-    for src in range(dim):
-        tgt = mapping[src] if src in mapping else next(free)
-        m[tgt, src] = 1.0
+    m[targets + free, np.arange(dim)] = 1.0
     return m
 
 
@@ -102,12 +108,7 @@ def finite_language_mmqfa(words: Iterable[str], alphabet: Iterable[str]) -> Mmqf
     transitions injective. State count is exponential in the longest
     word's length over alphabets with two or more symbols.
     """
-    symbols = tuple(sorted(set(alphabet)))
-    if not symbols:
-        raise ValueError("alphabet must be nonempty")
-    for sym in symbols:
-        if len(sym) != 1 or sym in RESERVED_SYMBOLS:
-            raise ValueError(f"invalid alphabet symbol {sym!r}")
+    symbols = _symbols(alphabet)
     language = sorted(set(words))
     for w in language:
         for ch in w:
@@ -122,26 +123,15 @@ def finite_language_mmqfa(words: Iterable[str], alphabet: Iterable[str]) -> Mmqf
         nodes.extend(level)
     node_index = {s: i for i, s in enumerate(nodes)}
     n_nodes = len(nodes)
-    reject_of = {s: n_nodes + i for i, s in enumerate(nodes)}
     accept_of = {w: 2 * n_nodes + i for i, w in enumerate(language)}
     dim = 2 * n_nodes + len(language)
 
-    unitaries = {}
-    for sym in symbols:
-        mapping = {}
-        for s in nodes:
-            if len(s) < depth:
-                mapping[node_index[s]] = node_index[s + sym]
-            else:
-                mapping[node_index[s]] = reject_of[s]
-        unitaries[sym] = _complete_permutation(mapping, dim)
-    terminal_map = {}
-    for s in nodes:
-        if s in accept_of:
-            terminal_map[node_index[s]] = accept_of[s]
-        else:
-            terminal_map[node_index[s]] = reject_of[s]
-    terminal = _complete_permutation(terminal_map, dim)
+    unitaries = {
+        sym: _sink_permutation(
+            [node_index[s + sym] if len(s) < depth else None for s in nodes], dim)
+        for sym in symbols
+    }
+    terminal = _sink_permutation([accept_of.get(s) for s in nodes], dim)
 
     names = (
         [f"s_{s}" for s in nodes]
@@ -154,7 +144,7 @@ def finite_language_mmqfa(words: Iterable[str], alphabet: Iterable[str]) -> Mmqf
         unitaries=unitaries,
         initial=0,
         accepting=frozenset(accept_of.values()),
-        rejecting=frozenset(reject_of.values()),
+        rejecting=frozenset(range(n_nodes, 2 * n_nodes)),
         terminal_unitary=terminal,
     )
 
@@ -189,42 +179,22 @@ def restrict_to_lasso(m: Mmqba, w: LassoWord) -> Mmqba:
     u, v = norm.prefix, norm.cycle
     live = len(u) + len(v)
     expected = u + v
-    dim_matcher = 2 * live
 
     def advance(i: int) -> int:
         return i + 1 if i < live - 1 else len(u)
 
-    matchers = {}
-    for sym in m.alphabet:
-        mapping = {}
-        for i in range(live):
-            mapping[i] = advance(i) if expected[i] == sym else live + i
-        matchers[sym] = _complete_permutation(mapping, dim_matcher)
-
-    matcher_names = [f"m{i}" for i in range(live)] + [f"d{i}" for i in range(live)]
-    dm = m.dim
-    unitaries = {sym: tensor(matchers[sym], m.unitary_for(sym)) for sym in m.alphabet}
-    end = None
-    if m.end_marker_unitary is not None:
-        end = tensor(np.eye(dim_matcher, dtype=np.complex128), m.end_marker_unitary)
-    accepting = set()
-    rejecting = set()
-    for k in range(dim_matcher):
-        for q in range(dm):
-            idx = k * dm + q
-            if k < live:
-                if q in m.accepting:
-                    accepting.add(idx)
-                elif q in m.rejecting:
-                    rejecting.add(idx)
-            else:
-                rejecting.add(idx)
-    return Mmqba(
-        state_names=_product_names(matcher_names, m.state_names),
+    matcher = Mmqba(
+        state_names=tuple(f"m{i}" for i in range(live)) + tuple(f"d{i}" for i in range(live)),
         alphabet=tuple(m.alphabet),
-        unitaries=unitaries,
-        initial=m.initial,
-        accepting=frozenset(accepting),
-        rejecting=frozenset(rejecting),
-        end_marker_unitary=end,
+        unitaries={
+            sym: _sink_permutation(
+                [advance(i) if expected[i] == sym else None for i in range(live)], 2 * live)
+            for sym in m.alphabet
+        },
+        initial=0,
+        accepting=frozenset(),
+        rejecting=frozenset(range(live, 2 * live)),
     )
+    dead = np.arange(2 * live)[:, None] >= live
+    acc, rej = _masks(m)
+    return _product(matcher, m, ~dead & acc, dead | rej)

@@ -295,8 +295,8 @@ def _check_test_params(epsilon: float, beta: float, visit_eps: float):
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-    if not 0.0 < visit_eps < math.inf:
-        raise ValueError(f"visit_eps must be finite and positive, got {visit_eps!r}")
+    if not 0.0 < visit_eps < 1.0:
+        raise ValueError(f"visit_eps must lie in (0, 1), got {visit_eps!r}")
 
 
 def _check_epsilon_below(p: float, epsilon: float):
@@ -519,14 +519,6 @@ class ClauseReport:
     buchi: str
     acc_limit: str
     rej_limit: str
-
-    def to_dict(self) -> dict:
-        return {
-            "buchi_visits": self.buchi_visits,
-            "buchi": self.buchi,
-            "acc_limit": self.acc_limit,
-            "rej_limit": self.rej_limit,
-        }
 
 
 def check_acceptance_clauses(

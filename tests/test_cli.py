@@ -109,7 +109,10 @@ BAD_TEST_FLAGS = [
     (flag, value)
     for flag, low in (("--beta", "0"), ("--epsilon", "-1"), ("--visit-eps", "0"))
     for value in (low, "nan", "inf")
-] + [("--epsilon", "0.8"), ("--epsilon", "1")]  # at or above the cutpoint 0.8
+] + [
+    ("--epsilon", "0.8"), ("--epsilon", "1"),  # at or above the cutpoint 0.8
+    ("--visit-eps", "1"), ("--visit-eps", "2"),  # no step could count as a visit
+]
 
 
 @pytest.mark.parametrize(
@@ -218,6 +221,7 @@ def test_union_writes_valid_automaton(tmp_path):
                "-o", out)
     assert r.returncode == 0
     assert r.stdout.decode() == f"wrote {out} (9 states)\n"
+    assert out.read_bytes() == golden_path("union_lang_a_omega_lang_a_prefix.qba").read_bytes()
     merged = automata.load(str(out))
     assert automata.validate(merged) == []
     assert merged.state_names[0] == "(q0,q0)"

@@ -3,14 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from qbuchi.automata import Mmqfa, validate
+from qbuchi.automata import Mmqba, Mmqfa, saves, validate
 from qbuchi.constructions import (
+    _normalize_lasso,
     empty_automaton,
     finite_language_mmqfa,
     restrict_to_lasso,
     union,
 )
+from qbuchi.numerics import tensor
 from qbuchi.semantics import LassoWord, Status, run_lasso, run_mmqfa, run_prefix
+
+from conftest import FIXTURE_NAMES, haar_unitary
 
 
 def test_union_requires_matching_alphabets(fixtures):
@@ -100,6 +104,11 @@ def test_empty_automaton_rejects_everything():
 def test_empty_automaton_requires_symbols():
     with pytest.raises(ValueError):
         empty_automaton([])
+    # the same alphabet rule as finite_language_mmqfa, instead of an
+    # automaton that fails validate
+    for alphabet in (["#"], ["ab"]):
+        with pytest.raises(ValueError, match="invalid alphabet symbol"):
+            empty_automaton(alphabet)
 
 
 def _all_words(symbols, max_len):
@@ -183,3 +192,206 @@ def test_restriction_normalizes_rotated_lassos(fixtures):
 def test_restriction_checks_symbols(fixtures):
     with pytest.raises(ValueError):
         restrict_to_lasso(fixtures["no_entry"], LassoWord("", "b"))
+
+
+# Loop versions of the constructions, one product state and one
+# permutation column at a time: the reference for the mask-based product
+# and the sink permutation.
+
+def _loop_permutation(mapping, dim):
+    targets = list(mapping.values())
+    if len(set(targets)) != len(targets):
+        raise ValueError("partial permutation is not injective")
+    free = iter(t for t in range(dim) if t not in set(targets))
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for src in range(dim):
+        m[mapping[src] if src in mapping else next(free), src] = 1.0
+    return m
+
+
+def _loop_names(names1, names2):
+    return tuple(f"({n1},{n2})" for n1 in names1 for n2 in names2)
+
+
+def _loop_union(m1, m2):
+    if set(m1.alphabet) != set(m2.alphabet):
+        raise ValueError("union requires identical alphabets")
+    d2 = m2.dim
+    unitaries = {s: tensor(m1.unitary_for(s), m2.unitary_for(s)) for s in m1.alphabet}
+    end = None
+    if m1.end_marker_unitary is not None or m2.end_marker_unitary is not None:
+        end = tensor(m1.unitary_for("#"), m2.unitary_for("#"))
+    accepting, rejecting = set(), set()
+    for q1 in range(m1.dim):
+        for q2 in range(d2):
+            if q1 in m1.accepting or q2 in m2.accepting:
+                accepting.add(q1 * d2 + q2)
+            elif q1 in m1.rejecting and q2 in m2.rejecting:
+                rejecting.add(q1 * d2 + q2)
+    return Mmqba(_loop_names(m1.state_names, m2.state_names), tuple(m1.alphabet),
+                 unitaries, m1.initial * d2 + m2.initial, frozenset(accepting),
+                 frozenset(rejecting), end)
+
+
+def _loop_restrict(m, w):
+    for ch in w.prefix + w.cycle:
+        if ch not in set(m.alphabet):
+            raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
+    norm = _normalize_lasso(w)
+    u, v = norm.prefix, norm.cycle
+    live = len(u) + len(v)
+    expected = u + v
+    matchers = {}
+    for sym in m.alphabet:
+        mapping = {}
+        for i in range(live):
+            advance = i + 1 if i < live - 1 else len(u)
+            mapping[i] = advance if expected[i] == sym else live + i
+        matchers[sym] = _loop_permutation(mapping, 2 * live)
+    names = [f"m{i}" for i in range(live)] + [f"d{i}" for i in range(live)]
+    unitaries = {sym: tensor(matchers[sym], m.unitary_for(sym)) for sym in m.alphabet}
+    end = None
+    if m.end_marker_unitary is not None:
+        end = tensor(np.eye(2 * live, dtype=np.complex128), m.end_marker_unitary)
+    accepting, rejecting = set(), set()
+    for k in range(2 * live):
+        for q in range(m.dim):
+            idx = k * m.dim + q
+            if k >= live:
+                rejecting.add(idx)
+            elif q in m.accepting:
+                accepting.add(idx)
+            elif q in m.rejecting:
+                rejecting.add(idx)
+    return Mmqba(_loop_names(names, m.state_names), tuple(m.alphabet), unitaries,
+                 m.initial, frozenset(accepting), frozenset(rejecting), end)
+
+
+def _loop_finite_language(words, alphabet):
+    symbols = tuple(sorted(set(alphabet)))
+    language = sorted(set(words))
+    depth = max((len(w) for w in language), default=0)
+    nodes, level = [""], [""]
+    for _ in range(depth):
+        level = [s + c for s in level for c in symbols]
+        nodes.extend(level)
+    index = {s: i for i, s in enumerate(nodes)}
+    n = len(nodes)
+    reject_of = {s: n + i for i, s in enumerate(nodes)}
+    accept_of = {w: 2 * n + i for i, w in enumerate(language)}
+    dim = 2 * n + len(language)
+    unitaries = {}
+    for sym in symbols:
+        mapping = {}
+        for s in nodes:
+            mapping[index[s]] = index[s + sym] if len(s) < depth else reject_of[s]
+        unitaries[sym] = _loop_permutation(mapping, dim)
+    terminal = _loop_permutation(
+        {index[s]: accept_of.get(s, reject_of[s]) for s in nodes}, dim)
+    names = ([f"s_{s}" for s in nodes] + [f"r_{s}" for s in nodes]
+             + [f"acc_{w}" for w in language])
+    return Mmqfa(tuple(names), symbols, unitaries, 0, frozenset(accept_of.values()),
+                 frozenset(reject_of.values()), terminal_unitary=terminal)
+
+
+def _random_automaton(rng, valid):
+    """Haar dynamics on 2-4 states, with an end marker half the time. An
+    invalid one has overlapping halting sets, a halting initial state and
+    out-of-range halting indices."""
+    dim = int(rng.integers(2, 5))
+    end = haar_unitary(rng, dim) if rng.random() < 0.5 else None
+    if valid:
+        order = rng.permutation(np.arange(1, dim))
+        k = int(rng.integers(0, dim))
+        split = int(rng.integers(0, k + 1))
+        accepting, rejecting = order[:split], order[split:k]
+    else:
+        inside = rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=False)
+        accepting = [*inside, dim + int(rng.integers(0, 3)), -1]
+        rejecting = [inside[0], *rng.choice(dim + 3, size=dim, replace=False)]
+    return Mmqba(tuple(f"s{i}" for i in range(dim)), ("a", "b"),
+                 {s: haar_unitary(rng, dim) for s in "ab"},
+                 0 if valid else int(rng.integers(0, dim)),
+                 frozenset(int(i) for i in accepting), frozenset(int(i) for i in rejecting),
+                 end)
+
+
+def _lassos():
+    for u in ("", "a", "b", "ab", "ba", "aab"):
+        for v in ("a", "b", "ab", "ba", "abb", "aba"):
+            yield LassoWord(u, v)
+
+
+def _same_bits(got, want):
+    assert tuple(got.state_names) == tuple(want.state_names)
+    assert tuple(got.alphabet) == tuple(want.alphabet)
+    assert (got.initial, got.accepting, got.rejecting) == (
+        want.initial, want.accepting, want.rejecting)
+    pairs = [(got.unitaries[s], want.unitaries[s]) for s in want.alphabet]
+    pairs.append((got.end_marker_unitary, want.end_marker_unitary))
+    for g, w in pairs:
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+def test_union_matches_loop_reference_on_fixtures(fixtures):
+    for n1, n2 in itertools.product(FIXTURE_NAMES, FIXTURE_NAMES):
+        m1, m2 = fixtures[n1], fixtures[n2]
+        if set(m1.alphabet) != set(m2.alphabet):
+            continue
+        assert saves(union(m1, m2)) == saves(_loop_union(m1, m2)), (n1, n2)
+    for name in FIXTURE_NAMES:
+        m, empty = fixtures[name], empty_automaton(fixtures[name].alphabet)
+        assert saves(union(m, empty)) == saves(_loop_union(m, empty)), name
+        assert saves(union(empty, m)) == saves(_loop_union(empty, m)), name
+
+
+def test_restriction_matches_loop_reference_on_fixtures(fixtures):
+    for name in FIXTURE_NAMES:
+        m = fixtures[name]
+        for w in _lassos():
+            if set(w.prefix + w.cycle) <= set(m.alphabet):
+                _same_bits(restrict_to_lasso(m, w), _loop_restrict(m, w))
+        # bit-equal fields give equal documents; pin the text on short lassos
+        for w in (LassoWord("", "a"), LassoWord("ab", "a")):
+            if set(w.prefix + w.cycle) <= set(m.alphabet):
+                assert saves(restrict_to_lasso(m, w)) == saves(_loop_restrict(m, w)), (name, w)
+
+
+@pytest.mark.parametrize("alphabet", [{"a"}, {"a", "b"}, {"a", "b", "c"}])
+def test_finite_language_matches_loop_reference(alphabet):
+    languages = [set(), {""}, {"a"}, {"aaa"}, {"a", "aa"}, {"ab", "b"}, {"ba", "ab", ""},
+                 {"abc", "c"}]
+    for language in languages:
+        if set("".join(language)) <= alphabet:
+            got = finite_language_mmqfa(language, alphabet)
+            want = _loop_finite_language(language, alphabet)
+            assert saves(got) == saves(want), language
+            assert got.terminal_unitary.tobytes() == want.terminal_unitary.tobytes()
+
+
+def test_constructions_match_loop_reference_on_haar_automata():
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        m1, m2 = _random_automaton(rng, True), _random_automaton(rng, True)
+        assert validate(m1) == validate(m2) == []
+        assert saves(union(m1, m2)) == saves(_loop_union(m1, m2))
+        for w in (LassoWord("", "a"), LassoWord("ab", "ba")):
+            assert saves(restrict_to_lasso(m1, w)) == saves(_loop_restrict(m1, w))
+        for w in _lassos():
+            _same_bits(restrict_to_lasso(m2, w), _loop_restrict(m2, w))
+
+
+def test_constructions_match_loop_reference_on_invalid_halting_sets():
+    # out-of-range indices drop out of the product and a state in both
+    # halting sets accepts, as in the loops
+    rng = np.random.default_rng(6)
+    for _ in range(12):
+        m1, m2 = _random_automaton(rng, False), _random_automaton(rng, False)
+        assert m1.accepting & m1.rejecting and max(m1.accepting) >= m1.dim
+        _same_bits(union(m1, m2), _loop_union(m1, m2))
+        _same_bits(union(m2, m1), _loop_union(m2, m1))
+        for w in _lassos():
+            _same_bits(restrict_to_lasso(m1, w), _loop_restrict(m1, w))

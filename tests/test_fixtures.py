@@ -21,6 +21,7 @@ GOLDEN_FILES = [
     "run_swap_halt_once.json",
     "trace_lang_a_omega.csv",
     "trace_lang_a_omega.json",
+    "union_lang_a_omega_lang_a_prefix.qba",
 ]
 
 
@@ -76,3 +77,29 @@ def test_no_unused_imports(path):
             # a name re-exported through __all__ is used
             used.update(ast.literal_eval(node.value))
     assert sorted(imported - used) == []
+
+
+def test_no_unused_private_names():
+    # a private module-level name that nothing in the package reads is a
+    # helper left behind by a refactor
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCE_FILES]
+    private = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            private.update(n for n in targets if n.startswith("_") and not n.startswith("__"))
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(private - read) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -271,6 +272,11 @@ def test_run_lasso_validation_errors(fixtures):
         run_lasso(a, w, 0.8, beta=1.1)
     with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, visit_eps=0.0)
+    # a step halts with probability at most 1, so from visit_eps 1 up no
+    # step counts as a visit and no word could be ACCEPTED
+    for visit_eps in (1.0, 2.0):
+        with pytest.raises(ValueError, match=r"visit_eps must lie in \(0, 1\)"):
+            run_lasso(a, w, 0.8, visit_eps=visit_eps)
     for epsilon in (0.8, 1.0):
         with pytest.raises(ValueError, match="must lie below the cutpoint"):
             run_lasso(a, w, 0.8, epsilon=epsilon)
@@ -368,7 +374,8 @@ def test_check_acceptance_clauses_positive(fixtures):
     assert rep.acc_limit == CLAUSE_CERTIFIED
     assert rep.rej_limit == CLAUSE_CERTIFIED
     assert rep.buchi_visits == vd.visit_count
-    assert set(rep.to_dict()) == {"buchi_visits", "buchi", "acc_limit", "rej_limit"}
+    assert {f.name for f in dataclasses.fields(rep)} == {
+        "buchi_visits", "buchi", "acc_limit", "rej_limit"}
 
 
 def test_check_acceptance_clauses_swap(fixtures):
