@@ -277,21 +277,12 @@ def estimate_limit(trace: Sequence[StepRecord], period_len: int) -> LimitEstimat
         rej_vals.append(records[idx].rej if idx >= 0 else 0.0)
     acc_geo, acc_ratio, acc_tail = _series_tail(acc_vals)
     rej_geo, rej_ratio, rej_tail = _series_tail(rej_vals)
-    if acc_geo and rej_geo:
-        ratio = acc_ratio if acc_ratio > 0.0 else rej_ratio
-        return LimitEstimate(
-            acc_limit_estimate=last.acc + acc_tail,
-            rej_limit_estimate=last.rej + rej_tail,
-            ratio=ratio,
-            is_geometric=True,
-            acc_bounds=acc_bounds,
-            rej_bounds=rej_bounds,
-        )
+    geometric = acc_geo and rej_geo
     return LimitEstimate(
-        acc_limit_estimate=last.acc,
-        rej_limit_estimate=last.rej,
-        ratio=0.0,
-        is_geometric=False,
+        acc_limit_estimate=last.acc + acc_tail if geometric else last.acc,
+        rej_limit_estimate=last.rej + rej_tail if geometric else last.rej,
+        ratio=(acc_ratio if acc_ratio > 0.0 else rej_ratio) if geometric else 0.0,
+        is_geometric=geometric,
         acc_bounds=acc_bounds,
         rej_bounds=rej_bounds,
     )

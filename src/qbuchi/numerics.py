@@ -8,7 +8,7 @@ column t is the image of basis state t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,17 +50,6 @@ def is_unitary(m, tol: float = DEFAULT_UNITARY_TOL) -> bool:
         return False
     dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
     return bool(dev <= tol)
-
-
-def projector_from_indices(indices: Iterable[int], dim: int) -> np.ndarray:
-    """Orthogonal projector onto the span of the given computational basis states."""
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    for i in indices:
-        i = int(i)
-        if not 0 <= i < dim:
-            raise ValueError(f"basis index {i} out of range for dimension {dim}")
-        p[i, i] = 1.0
-    return p
 
 
 def tensor(a, b) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Total-state evolution, traces, and verdicts for lasso-shaped infinite words.
+"""Runs, traces, and verdicts for finite words and lasso-shaped infinite words.
 
-The total state of a run is the unnormalized non-halting amplitude vector
-together with the cumulative probability collected so far in each halting
-basis state. One step applies the symbol's unitary, moves the squared
-amplitude of every halting coordinate into the cumulative map, and zeroes
-those coordinates. Norm is conserved: the non-halting squared norm plus
-all cumulative mass stays 1.
+The state of a run is the unnormalized non-halting amplitude vector
+together with the accepting and rejecting probability collected so far.
+One step applies the symbol's unitary, adds the squared amplitude of the
+accepting and of the rejecting coordinates to the two sums, and zeroes
+the halting coordinates. Norm is conserved: the non-halting squared norm
+plus both sums stays 1. A trace is the tuple of StepRecords of a run, one
+per symbol after the end marker.
 
 A lasso word u v^omega is accepted at cutpoint p when the accepting mass
 reaches p (up to a slack epsilon), the rejecting mass provably stays below
@@ -47,23 +48,6 @@ class Status(enum.Enum):
     ACCEPTED = "ACCEPTED"
     REJECTED = "REJECTED"
     INCONCLUSIVE = "INCONCLUSIVE"
-
-
-@dataclass(frozen=True)
-class TotalState:
-    """Non-halting amplitude plus cumulative halting probability per state index."""
-
-    nonhalt: np.ndarray
-    cumulative: dict[int, float]
-    step_index: int = 0
-
-    @property
-    def nonhalt_norm_sq(self) -> float:
-        return _norm_sq(self.nonhalt)
-
-    @property
-    def halting_total(self) -> float:
-        return float(sum(self.cumulative.values()))
 
 
 @dataclass(frozen=True)
@@ -121,23 +105,6 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Sequence of step records plus the total state after the last one."""
-
-    records: tuple[StepRecord, ...]
-    final: TotalState
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-
 CSV_HEADER = "j,symbol,alpha,rho,acc,rej,nonhalt_norm_sq"
 
 
@@ -188,10 +155,6 @@ def _start_vector(a: Mmqba) -> np.ndarray:
     return psi
 
 
-def initial_state(a: Mmqba) -> TotalState:
-    return TotalState(_start_vector(a), {i: 0.0 for i in a.halting}, 0)
-
-
 def _norm_sq(psi: np.ndarray) -> float:
     return float(np.vdot(psi, psi).real)
 
@@ -202,9 +165,9 @@ class _Kernel:
     The halting indices sit in one array, the accepting states first and
     then the rejecting ones, each in sorted order, so a step measures with
     one gather and one scatter. measure steps a vector (dim,) or a block
-    (dim, B) whose columns are stepped together; apply adds a vector's
-    accepting and rejecting sums. Neither writes to the state it is given,
-    so run states can be shared without copying.
+    (dim, B) whose columns are stepped together; apply sums a vector's
+    accepting and its rejecting probabilities. Neither writes to the
+    state it is given, so run states can be shared without copying.
     """
 
     __slots__ = ("a", "symbols", "halt_idx", "n_acc")
@@ -232,46 +195,31 @@ class _Kernel:
         return psi, probs
 
     def apply(self, psi: np.ndarray, symbol: str):
-        """measure on a vector, plus the accepting and rejecting sums of
-        its halting probabilities as Python floats."""
+        """measure on a vector: the new state and the accepting and
+        rejecting probabilities of the step as Python floats."""
         psi, probs = self.measure(psi, symbol)
         n = self.n_acc
-        alpha = float(np.add.reduce(probs[:n]))
-        rho = float(np.add.reduce(probs[n:]))
-        return psi, probs, alpha, rho
+        return psi, float(np.add.reduce(probs[:n])), float(np.add.reduce(probs[n:]))
 
 
-def step(a: Mmqba, ts: TotalState, symbol: str) -> tuple[TotalState, StepRecord]:
-    """Apply one symbol to a total state and report the step's increments."""
-    kernel = _Kernel(a)
-    psi, probs, alpha, rho = kernel.apply(ts.nonhalt, symbol)
-    cum = dict(ts.cumulative)
-    for i, q in zip(kernel.halt_idx.tolist(), probs.tolist()):
-        cum[i] += q
-    acc = sum(cum[i] for i in a.accepting)
-    rej = sum(cum[i] for i in a.rejecting)
-    new = TotalState(psi, cum, ts.step_index + 1)
-    rec = StepRecord(
-        new.step_index, symbol, alpha, rho, acc, rej, new.nonhalt_norm_sq
-    )
-    return new, rec
-
-
-def run_prefix(a: Mmqba, word: str) -> Trace:
-    """Apply the end marker once, then every symbol of the finite prefix."""
-    kernel = _Kernel(a)
-    kernel.check_word(word)
-    psi, cum, acc, rej = kernel.apply(_start_vector(a), END_MARKER)
+def _records(kernel: _Kernel, word: str) -> tuple[StepRecord, ...]:
+    """Apply the end marker, then every symbol of word, with one record
+    per symbol; the marker's probabilities count toward acc and rej."""
+    psi, acc, rej = kernel.apply(_start_vector(kernel.a), END_MARKER)
     records = []
     for j, sym in enumerate(word, 1):
-        psi, probs, alpha, rho = kernel.apply(psi, sym)
-        cum = cum + probs
+        psi, alpha, rho = kernel.apply(psi, sym)
         acc += alpha
         rej += rho
         records.append(StepRecord(j, sym, alpha, rho, acc, rej, _norm_sq(psi)))
-    by_index = dict(zip(kernel.halt_idx.tolist(), cum.tolist()))
-    final = TotalState(psi, {i: by_index[i] for i in a.halting}, len(word))
-    return Trace(tuple(records), final)
+    return tuple(records)
+
+
+def run_prefix(a: Mmqba, word: str) -> tuple[StepRecord, ...]:
+    """The trace of a finite word: one step record per symbol, after the end marker."""
+    kernel = _Kernel(a)
+    kernel.check_word(word)
+    return _records(kernel, word)
 
 
 def run_mmqfa(a: Mmqfa, word: str) -> tuple[float, float]:
@@ -280,13 +228,8 @@ def run_mmqfa(a: Mmqfa, word: str) -> tuple[float, float]:
         raise TypeError("run_mmqfa requires an automaton with a terminal unitary")
     kernel = _Kernel(a)
     kernel.check_word(word)
-    psi = _start_vector(a)
-    acc = rej = 0.0
-    for sym in (END_MARKER, *word, TERMINAL):
-        psi, _, alpha, rho = kernel.apply(psi, sym)
-        acc += alpha
-        rej += rho
-    return acc, rej
+    last = _records(kernel, word + TERMINAL)[-1]
+    return last.acc, last.rej
 
 
 def _check_test_params(epsilon: float, beta: float, visit_eps: float):
@@ -341,7 +284,7 @@ class _LassoContext:
         self.p, self.epsilon, self.beta, self.visit_eps, self.mode = (
             p, epsilon, beta, visit_eps, mode)
         self.records = records
-        psi, _, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
+        psi, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
         root = _Run(psi, alpha, rho, 0, 0)
         if not a.accepting:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED,
@@ -382,7 +325,7 @@ class _LassoContext:
         halt_sq = visit_eps * visit_eps
         psi, acc, rej, steps, visits, halted, accepted = run
         for sym in word:
-            psi, _, alpha, rho = apply(psi, sym)
+            psi, alpha, rho = apply(psi, sym)
             acc += alpha
             rej += rho
             steps += 1
@@ -528,14 +471,17 @@ def check_acceptance_clauses(
 ) -> ClauseReport:
     """Classify each acceptance clause as certified, possible, or refuted.
 
-    trace is a Trace or any sequence of its records. The visit count and
-    the halting test use visit_eps; pass 0 to count every strictly
+    trace is a sequence of step records, as run_prefix returns and
+    Verdict.trace holds. The visit count and the halting test use
+    visit_eps, which must lie in [0, 1); pass 0 to count every strictly
     positive accepting amplitude as a visit.
     """
     records = tuple(trace)
     if not records:
         raise ValueError("trace must contain at least one step")
     p = _check_cutpoint(p)
+    if not 0.0 <= visit_eps < 1.0:
+        raise ValueError(f"visit_eps must lie in [0, 1), got {visit_eps!r}")
     visits = sum(1 for r in records if r.alpha > visit_eps)
     last = records[-1]
     if last.nonhalt_norm_sq <= visit_eps * visit_eps:

@@ -12,7 +12,7 @@ from qbuchi.analysis import decompose_nonhalting, no_entry_check, verify_decompo
 from qbuchi.automata import validate
 from qbuchi.constructions import union
 from qbuchi.emptiness import SearchStatus, benchmark_step_cost, check_emptiness
-from qbuchi.numerics import SubspaceBasis, projector_from_indices
+from qbuchi.numerics import SubspaceBasis
 from qbuchi.semantics import (
     CLAUSE_REFUTED,
     LassoWord,
@@ -116,7 +116,7 @@ def test_criterion_05_single_visit_is_not_buchi(fixtures):
     visits = sum(1 for r in trace if r.alpha > 0.0)
     assert visits == 1
     for horizon in range(2, 31):
-        rep = check_acceptance_clauses(trace.records[:horizon], 0.9)
+        rep = check_acceptance_clauses(trace[:horizon], 0.9)
         assert rep.buchi == CLAUSE_REFUTED
         assert rep.buchi_visits == 1
     print("criterion 5: PASS - acc hits 1.0 at step 1 with a single visit; "
@@ -128,9 +128,9 @@ def test_criterion_06_randomized_invariants(fixtures):
     automata = [fixtures[name] for name in FIXTURE_NAMES]
     for a in automata:
         partition = (
-            projector_from_indices(sorted(a.accepting), a.dim)
-            + projector_from_indices(sorted(a.rejecting), a.dim)
-            + projector_from_indices(sorted(a.nonhalting), a.dim)
+            SubspaceBasis.from_indices(sorted(a.accepting), a.dim).projector()
+            + SubspaceBasis.from_indices(sorted(a.rejecting), a.dim).projector()
+            + SubspaceBasis.from_indices(sorted(a.nonhalting), a.dim).projector()
         )
         assert np.abs(partition - np.eye(a.dim)).max() <= 1e-12
     t0 = time.perf_counter()

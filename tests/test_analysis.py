@@ -135,7 +135,8 @@ def test_block_step_matches_vector_steps():
                 new, probs = kernel.measure(block, sym)
                 assert np.array_equal(block, given)  # the input is not written
                 for c in range(n_cols):
-                    v_new, v_probs, alpha, rho = kernel.apply(block[:, c], sym)
+                    v_new, v_probs = kernel.measure(block[:, c], sym)
+                    _, alpha, rho = kernel.apply(block[:, c], sym)
                     assert np.allclose(new[:, c], v_new, rtol=0.0, atol=1e-12)
                     assert np.allclose(probs[:, c], v_probs, rtol=0.0, atol=1e-12)
                     n = kernel.n_acc
@@ -154,7 +155,7 @@ def _three_loop_verify(a, d, word_len, trials, seed):
     def evolve(psi, word):
         increments, norms_sq = [], []
         for sym in word:
-            psi, _, alpha, rho = kernel.apply(psi, sym)
+            psi, alpha, rho = kernel.apply(psi, sym)
             increments.append(alpha + rho)
             norms_sq.append(_norm_sq(psi))
         return increments, norms_sq
@@ -170,7 +171,7 @@ def _three_loop_verify(a, d, word_len, trials, seed):
             psi = _random_member(d.s1, rng)
             cumulative = 0.0
             for sym in word:
-                psi, _, alpha, rho = kernel.apply(psi, sym)
+                psi, alpha, rho = kernel.apply(psi, sym)
                 cumulative += alpha + rho
                 s1_residual = max(s1_residual, float(np.linalg.norm(psi - d.s1.project(psi))))
             s1_halting = max(s1_halting, cumulative)

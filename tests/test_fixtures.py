@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,27 @@ def test_fixture_files_are_canonical(name):
     path = fixture_path(name)
     a = automata.load(str(path))
     assert automata.saves(a) == path.read_text(encoding="utf-8")
+
+
+def test_all_lists_the_public_names_of_the_package():
+    # the import list and __all__ in __init__.py are kept by hand; a name
+    # removed from one must go from the other
+    namespace = {}
+    exec("from qbuchi import *", namespace)
+    tree = ast.parse(Path(qbuchi.__file__).read_text(encoding="utf-8"))
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    public = {n for n in bound
+              if not n.startswith("_") and not inspect.ismodule(getattr(qbuchi, n))}
+    assert len(qbuchi.__all__) == len(set(qbuchi.__all__))
+    assert sorted(qbuchi.__all__) == sorted(public)
+    assert set(namespace) - {"__builtins__"} == public
 
 
 SOURCE_FILES = sorted(Path(qbuchi.__file__).parent.glob("*.py"))

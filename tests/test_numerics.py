@@ -11,7 +11,6 @@ from qbuchi.numerics import (
     is_unitary,
     norm_sq,
     null_space,
-    projector_from_indices,
     tensor,
 )
 
@@ -56,12 +55,6 @@ def test_is_unitary_random():
         assert not is_unitary(u + 1e-6)
 
 
-def test_projector_from_indices():
-    p = projector_from_indices([0, 2], 3)
-    assert np.array_equal(np.diag(p), [1, 0, 1])
-    assert np.allclose(p @ p, p)
-
-
 def test_tensor_dims():
     t = tensor(np.eye(2), np.eye(3))
     assert t.shape == (6, 6)
@@ -76,6 +69,11 @@ def test_from_indices_projection():
     pv = s.project(v)
     assert np.allclose(pv, [0.0, 2.0, 3.0j, 0.0])
     assert np.allclose(s.projector() @ v, pv)
+    p = SubspaceBasis.from_indices([0, 2], 3).projector()
+    assert np.array_equal(np.diag(p), [1, 0, 1])
+    assert np.allclose(p @ p, p)
+    with pytest.raises(ValueError, match="out of range"):
+        SubspaceBasis.from_indices([3], 3)
 
 
 def test_from_spanning_drops_dependent_rows():

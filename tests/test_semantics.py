@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbuchi.automata import END_MARKER, TERMINAL
+from qbuchi.constructions import finite_language_mmqfa
 from qbuchi.semantics import (
     CERTIFIED,
     CLAUSE_CERTIFIED,
@@ -19,19 +22,19 @@ from qbuchi.semantics import (
     LassoWord,
     Status,
     StepRecord,
-    Trace,
     check_acceptance_clauses,
-    initial_state,
     run_lasso,
     run_mmqfa,
     run_prefix,
-    step,
     trace_to_csv,
+    _Kernel,
+    _norm_sq,
     trace_to_json,
 )
 
 from conftest import (
     acc_then_rej_automaton,
+    haar_unitary,
     make_automaton,
     rotation_leak_automaton,
     two_block_automaton,
@@ -45,22 +48,6 @@ def test_lasso_word_validation():
     assert w.expand(3).startswith("abbab")
     with pytest.raises(ValueError):
         LassoWord("a", "")
-
-
-def test_initial_state_and_step(fixtures):
-    a = fixtures["lang_a_prefix"]
-    ts = initial_state(a)
-    assert ts.nonhalt_norm_sq == pytest.approx(1.0)
-    nxt, rec = step(a, ts, "a")
-    assert nxt.step_index == 1
-    # one 'a' sends 2/3 of the mass to the accepting axis
-    assert nxt.cumulative[1] == pytest.approx(2.0 / 3.0)
-    assert nxt.nonhalt_norm_sq == pytest.approx(1.0 / 3.0)
-    assert nxt.halting_total == pytest.approx(2.0 / 3.0)
-    assert rec.j == 1 and rec.symbol == "a"
-    assert rec.alpha == pytest.approx(2.0 / 3.0)
-    with pytest.raises(KeyError):
-        step(a, ts, "z")
 
 
 def test_prefix_trace_closed_form(fixtures):
@@ -345,7 +332,7 @@ def test_trace_formats(fixtures):
     assert [row["j"] for row in rows] == [1, 2]
     assert rows[0]["alpha"] == tr[0].alpha
     assert rows[1]["acc"] == tr[1].acc
-    assert trace_to_json(Trace(records=(), final=None)) == "[]\n"
+    assert trace_to_json(()) == "[]\n"
 
 
 def test_run_mmqfa_membership(fixtures):
@@ -384,7 +371,7 @@ def test_check_acceptance_clauses_swap(fixtures):
     tr = run_prefix(fixtures["swap_halt_once"], "ab" * 4)
     assert tr[0].alpha == 1.0
     for horizon in range(1, len(tr) + 1):
-        rep = check_acceptance_clauses(tr.records[:horizon], 1.0)
+        rep = check_acceptance_clauses(tr[:horizon], 1.0)
         assert rep.buchi == CLAUSE_REFUTED
         assert rep.buchi_visits == 1
         assert rep.acc_limit == CLAUSE_CERTIFIED
@@ -413,6 +400,19 @@ def test_check_acceptance_clauses_checks_the_cutpoint(fixtures, p):
     tr = run_prefix(fixtures["lang_a_omega"], "aaaa")
     with pytest.raises(ValueError, match="cutpoint"):
         check_acceptance_clauses(tr, p)
+
+
+@pytest.mark.parametrize("visit_eps", [math.nan, math.inf, -math.inf, -1.0, 1.0, 2.0])
+def test_check_acceptance_clauses_checks_visit_eps(fixtures, visit_eps):
+    # unchecked, 2.0 refutes buchi with 0 visits, NaN leaves it possible
+    # with 0 visits and -1.0 refutes it with 30 visits
+    vd = run_lasso(fixtures["lang_a_omega"], LassoWord("", "a"), 0.6,
+                   max_periods=30, record_trace=True)
+    with pytest.raises(ValueError, match="visit_eps"):
+        check_acceptance_clauses(vd.trace, 0.6, visit_eps)
+    rep = check_acceptance_clauses(vd.trace, 0.6, 0.0)
+    assert rep.buchi == CLAUSE_POSSIBLE
+    assert rep.buchi_visits == 30
 
 
 def test_certified_rejections_are_stable_under_budget(fixtures):
@@ -473,4 +473,48 @@ def test_simulation_is_deterministic(fixtures, word):
     a = fixtures["lang_ab_cycle"]
     t1 = run_prefix(a, word)
     t2 = run_prefix(a, word)
-    assert t1.records == t2.records
+    assert t1 == t2
+
+
+def _apply_loop(a, word):
+    """Records and sums of '#' + word from a plain _Kernel.apply loop."""
+    kernel = _Kernel(a)
+    psi = np.zeros(a.dim, dtype=np.complex128)
+    psi[a.initial] = 1.0
+    acc = rej = 0.0
+    records = []
+    for j, sym in enumerate(END_MARKER + word):
+        psi, alpha, rho = kernel.apply(psi, sym)
+        acc += alpha
+        rej += rho
+        if j:
+            records.append(StepRecord(j, sym, alpha, rho, acc, rej, _norm_sq(psi)))
+    return tuple(records), acc, rej
+
+
+def _words(alphabet, max_len):
+    for n in range(max_len + 1):
+        for letters in itertools.product(sorted(alphabet), repeat=n):
+            yield "".join(letters)
+
+
+def test_finite_word_runs_match_a_plain_step_loop(fixtures):
+    rng = np.random.default_rng(2718)
+    automata = list(fixtures.values())
+    for dim in range(2, 7):
+        halting = rng.permutation(dim)[: int(rng.integers(1, dim))]
+        n_acc = int(rng.integers(0, len(halting) + 1))
+        a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                           accepting=halting[:n_acc].tolist(),
+                           rejecting=halting[n_acc:].tolist())
+        automata += [a, dataclasses.replace(a, end_marker_unitary=haar_unitary(rng, dim))]
+    for a in automata:
+        for word in _words(a.alphabet, 5):
+            assert run_prefix(a, word) == _apply_loop(a, word)[0]
+
+    mmqfas = [fixtures["finite_ab"],
+              finite_language_mmqfa(["ab", "b"], "ab"),
+              finite_language_mmqfa(["", "aa", "bab"], "ab")]
+    for a in mmqfas:
+        for word in _words(a.alphabet, 5):
+            assert run_mmqfa(a, word) == _apply_loop(a, word + TERMINAL)[1:]
