@@ -69,6 +69,9 @@ def test_from_indices_projection():
     pv = s.project(v)
     assert np.allclose(pv, [0.0, 2.0, 3.0j, 0.0])
     assert np.allclose(s.projector() @ v, pv)
+
+
+def test_projector_from_indices():
     p = SubspaceBasis.from_indices([0, 2], 3).projector()
     assert np.array_equal(np.diag(p), [1, 0, 1])
     assert np.allclose(p @ p, p)
