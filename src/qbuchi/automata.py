@@ -23,6 +23,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +230,8 @@ def _expect(cond: bool, message: str, path: str):
         raise AutomatonFormatError(message, path=path)
 
 
-def _decode_matrix(raw, dim: int, path: str) -> np.ndarray:
+def _walk_matrix(raw, dim: int, path: str) -> np.ndarray:
+    """Decode a matrix entry by entry, naming the first bad entry."""
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} rows", path)
     m = np.zeros((dim, dim), dtype=np.complex128)
     for s, row in enumerate(raw):
@@ -257,6 +259,32 @@ def _decode_matrix(raw, dim: int, path: str) -> np.ndarray:
             except OverflowError:
                 raise AutomatonFormatError("number is out of the float range", path=here) from None
     return m
+
+
+def _leaves(raw):
+    return chain.from_iterable(chain.from_iterable(raw))
+
+
+def _decode_matrix(raw, dim: int, path: str) -> np.ndarray:
+    """Decode a matrix with checks that run in C; only a document that fails
+    one is walked entry by entry, to name the bad entry."""
+    if (
+        type(raw) is list
+        and len(raw) == dim
+        and set(map(type, raw)) == {list}
+        and set(map(len, raw)) == {dim}
+        and set(map(type, chain.from_iterable(raw))) == {list}
+        and set(map(len, chain.from_iterable(raw))) == {2}
+        # json.loads gives exact types, so this excludes bool, str and None
+        and set(map(type, _leaves(raw))) <= {float, int}
+    ):
+        try:
+            flat = np.fromiter(_leaves(raw), np.float64, 2 * dim * dim)
+        except OverflowError:
+            pass
+        else:
+            return flat.view(np.complex128).reshape(dim, dim)
+    return _walk_matrix(raw, dim, path)
 
 
 def _decode_state_list(raw, names: dict[str, int], path: str) -> frozenset[int]:
@@ -356,9 +384,9 @@ def loads(text: str) -> Mmqba:
 
 def load(path) -> Mmqba:
     """Load an automaton from a ``.qba`` file."""
-    data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        # the bytes are dropped once decoded, before the parse
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise AutomatonFormatError(
             f"not UTF-8 text: invalid byte at offset {exc.start}"
@@ -367,31 +395,69 @@ def load(path) -> Mmqba:
 
 
 def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """A matrix as nested lists of [re, im] float pairs."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
-def _encode(a: Mmqba) -> dict:
-    unitaries = {}
-    if a.end_marker_unitary is not None:
-        unitaries[END_MARKER] = _encode_matrix(a.end_marker_unitary)
-    if isinstance(a, Mmqfa):
-        unitaries[TERMINAL] = _encode_matrix(a.terminal_unitary)
-    for sym in sorted(a.alphabet):
-        unitaries[sym] = _encode_matrix(a.unitaries[sym])
-    return {
-        "type": a.kind,
-        "states": list(a.state_names),
-        "alphabet": list(a.alphabet),
-        "initial": a.state_names[a.initial],
-        "accepting": [a.state_names[i] for i in sorted(a.accepting)],
-        "rejecting": [a.state_names[i] for i in sorted(a.rejecting)],
-        "unitaries": unitaries,
-    }
+_ENTRY = "\n        [\n          %r,\n          %r\n        ]"
+
+
+def _append_matrix(m: np.ndarray, pieces: list) -> None:
+    """Append a matrix as ``json.dumps(indent=2)`` lays it out inside the
+    unitaries object: one %-format of a row template per row, whose first
+    field is the "[" or "," before the row."""
+    flat = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    width = flat.shape[1] // 2
+    row = "%s\n      [" + ",".join([_ENTRY] * width) + ("\n      ]" if width else "]")
+    finite = bool(np.isfinite(flat).all())
+    lead = "["
+    for values in flat:
+        text = row % (lead, *values.tolist())
+        if not finite:
+            # %r spells them nan, inf and -inf; json writes NaN, Infinity, -Infinity
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        pieces.append(text)
+        lead = ","
+    pieces.append("\n    ]" if len(flat) else "[]")
 
 
 def saves(a: Mmqba) -> str:
-    """Serialize an automaton to its canonical JSON document."""
-    return json.dumps(_encode(a), indent=2, ensure_ascii=False) + "\n"
+    """Serialize an automaton to its canonical JSON document.
+
+    The text is what ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``
+    writes: floats as ``float.__repr__`` spells them, non-finite ones as
+    NaN, Infinity and -Infinity. Only the header goes through ``json``; the
+    matrices are written row by row and the pieces joined once.
+    """
+    unitaries = {}
+    if a.end_marker_unitary is not None:
+        unitaries[END_MARKER] = a.end_marker_unitary
+    if isinstance(a, Mmqfa):
+        unitaries[TERMINAL] = a.terminal_unitary
+    for sym in sorted(a.alphabet):
+        unitaries[sym] = a.unitaries[sym]
+    header = json.dumps(
+        {
+            "type": a.kind,
+            "states": list(a.state_names),
+            "alphabet": list(a.alphabet),
+            "initial": a.state_names[a.initial],
+            "accepting": [a.state_names[i] for i in sorted(a.accepting)],
+            "rejecting": [a.state_names[i] for i in sorted(a.rejecting)],
+        },
+        indent=2,
+        ensure_ascii=False,
+    )
+    # the header ends in "\n}"; "unitaries" is the last key of the document
+    pieces = [header[:-2], ',\n  "unitaries": {']
+    sep = "\n    "
+    for sym, m in unitaries.items():
+        pieces += (sep, json.dumps(sym, ensure_ascii=False), ": ")
+        _append_matrix(m, pieces)
+        sep = ",\n    "
+    pieces.append("\n  }\n}\n" if unitaries else "}\n}\n")
+    return "".join(pieces)
 
 
 def save(a: Mmqba, path) -> None:

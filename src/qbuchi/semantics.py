@@ -22,6 +22,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -122,6 +123,25 @@ def trace_to_csv(records: Sequence[StepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_nest_text(obj: list | tuple) -> str | None:
+    """The JSON text of a list that nests lists of equal length down to
+    plain finite floats, filled into one template by one map over ``_f17``;
+    None for any other list."""
+    shape, leaves = [len(obj)], obj
+    while set(map(type, leaves)) == {list}:
+        widths = set(map(len, leaves))
+        if len(widths) != 1:
+            return None
+        shape.append(widths.pop())
+        leaves = list(chain.from_iterable(leaves))
+    if set(map(type, leaves)) != {float} or not all(map(math.isfinite, leaves)):
+        return None
+    template = "%s"
+    for width in reversed(shape):
+        template = "[" + ", ".join([template] * width) + "]"
+    return template % tuple(map(_f17, leaves))
+
+
 def _json_text(obj) -> str:
     """Deterministic JSON: sorted keys, floats with 17 significant digits,
     and null for a float that is not finite."""
@@ -136,6 +156,9 @@ def _json_text(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
+        text = _float_nest_text(obj)
+        if text is not None:
+            return text
         return "[" + ", ".join(_json_text(x) for x in obj) + "]"
     if isinstance(obj, dict):
         parts = [f"{json.dumps(k)}: {_json_text(v)}" for k, v in sorted(obj.items())]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from qbuchi.automata import (
 )
 from qbuchi.fixtures import fixture_path, list_fixtures
 
-from conftest import FIXTURE_NAMES, make_automaton
+from conftest import FIXTURE_NAMES, haar_unitary, make_automaton
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -61,6 +62,116 @@ def test_save_and_load_file(tmp_path):
     b = load(out)
     assert b.state_names == a.state_names
     assert np.array_equal(a.unitaries["b"], b.unitaries["b"])
+
+
+# The writer that saves replaced, built on json.dumps: the reference for the
+# row-template writer, which must produce the same bytes.
+def _json_encode_matrix(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _json_encode(a):
+    unitaries = {}
+    if a.end_marker_unitary is not None:
+        unitaries["#"] = _json_encode_matrix(a.end_marker_unitary)
+    if isinstance(a, Mmqfa):
+        unitaries["$"] = _json_encode_matrix(a.terminal_unitary)
+    for sym in sorted(a.alphabet):
+        unitaries[sym] = _json_encode_matrix(a.unitaries[sym])
+    return {
+        "type": a.kind,
+        "states": list(a.state_names),
+        "alphabet": list(a.alphabet),
+        "initial": a.state_names[a.initial],
+        "accepting": [a.state_names[i] for i in sorted(a.accepting)],
+        "rejecting": [a.state_names[i] for i in sorted(a.rejecting)],
+        "unitaries": unitaries,
+    }
+
+
+def _json_saves(a):
+    return json.dumps(_json_encode(a), indent=2, ensure_ascii=False) + "\n"
+
+
+def _haar_automaton(rng, dim, names=None, alphabet=("a", "b"), **extra):
+    halting = rng.permutation(dim)
+    kind = Mmqfa if "terminal_unitary" in extra else Mmqba
+    return kind(
+        state_names=names or [f"q{i}" for i in range(dim)],
+        alphabet=list(alphabet),
+        unitaries={sym: haar_unitary(rng, dim) for sym in alphabet},
+        initial=int(halting[0]),
+        accepting=frozenset(int(i) for i in halting[1:2]),
+        rejecting=frozenset(int(i) for i in halting[2:4]),
+        **extra,
+    )
+
+
+def _writer_cases():
+    rng = np.random.default_rng(7)
+    for dim in range(1, 31):
+        yield f"haar{dim}", _haar_automaton(rng, dim)
+    yield "mmqfa", _haar_automaton(rng, 4, terminal_unitary=haar_unitary(rng, 4))
+    yield "end-marker", _haar_automaton(rng, 5, end_marker_unitary=haar_unitary(rng, 5))
+    yield "both-markers", _haar_automaton(
+        rng, 3, end_marker_unitary=haar_unitary(rng, 3), terminal_unitary=haar_unitary(rng, 3))
+    yield "escaped-names", _haar_automaton(
+        rng, 3, names=['q"0', "q\\1", "qé"], alphabet=('"', "\\", "é"))
+    m = haar_unitary(rng, 3)
+    m[0, 0] = complex(np.nan, np.inf)
+    m[1, 2] = complex(-np.inf, -0.0)
+    m[2, 1] = complex(-0.0, 0.0)
+    yield "non-finite", make_automaton({"a": m, "b": np.eye(3)}, accepting=[1], rejecting=[2])
+    for name in FIXTURE_NAMES:
+        yield name, load(fixture_path(name))
+
+
+@pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in _writer_cases()])
+def test_saves_writes_what_json_dumps_writes(a):
+    text = saves(a)
+    assert text == _json_saves(a)
+    assert saves(loads(text)) == text
+    b = loads(text)
+    mats = [(a.unitaries[s], b.unitaries[s]) for s in a.alphabet]
+    if a.end_marker_unitary is not None:
+        mats.append((a.end_marker_unitary, b.end_marker_unitary))
+    if isinstance(a, Mmqfa):
+        mats.append((a.terminal_unitary, b.terminal_unitary))
+    for want, got in mats:
+        assert got.dtype == np.complex128
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_saves_writes_empty_rows_and_columns_as_json_dumps_does():
+    # loads rejects such shapes, but saves takes any automaton it is given
+    a = Mmqba(
+        state_names=["q0", "q1"],
+        alphabet=["a", "b"],
+        unitaries={"a": np.zeros((0, 2)), "b": np.zeros((2, 0))},
+        initial=0,
+        accepting=frozenset(),
+        rejecting=frozenset(),
+    )
+    assert saves(a) == _json_saves(a)
+
+
+def test_codec_memory_stays_near_the_text_size(tmp_path):
+    # saves holds the row pieces and their join; loads holds the parsed
+    # document and the decoded matrices; load holds the text on top of what
+    # loads holds, the file's bytes being dropped before the parse
+    a = _haar_automaton(np.random.default_rng(3), 81)
+    text = saves(a)
+    path = tmp_path / "haar81.qba"
+    save(a, path)
+    calls = ((lambda: saves(a), 2.5), (lambda: loads(text), 2.0), (lambda: load(path), 3.0))
+    for call, bound in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(text)
 
 
 def _doc(name="swap_halt_once"):
@@ -182,6 +293,60 @@ def test_loads_rejects_number_out_of_float_range():
     assert err.value.path == "unitaries.a[1][0]"
 
 
+_ENTRY_ERROR = "matrix entry must be a [re, im] pair"
+_RANGE_ERROR = "number is out of the float range"
+_BAD_VALUES = [True, "1.0", None, 10 ** 400, [1.0], [1.0, 0.0, 0.0], {}, 0.5]
+
+
+def _bad_value_cases():
+    """(value, index, message) for a bad value placed in a matrix: as the
+    entry itself (index None), or as its real (0) or imaginary (1) part."""
+    for value in _BAD_VALUES:
+        yield value, None, _ENTRY_ERROR
+        if isinstance(value, float):
+            continue  # a bare number is a valid part
+        for index, part in ((0, "real"), (1, "imaginary")):
+            message = _RANGE_ERROR if value == 10 ** 400 else f"{part} part must be a number"
+            yield value, index, message
+
+
+@pytest.mark.parametrize("value, index, message", list(_bad_value_cases()),
+                         ids=lambda v: repr(v)[:12])
+@pytest.mark.parametrize("s, t", [(0, 0), (17, 29), (29, 3)])
+def test_loads_names_the_bad_matrix_entry(value, index, message, s, t):
+    a = _haar_automaton(np.random.default_rng(5), 30)
+    doc = json.loads(saves(a))
+    if index is None:
+        doc["unitaries"]["b"][s][t] = value
+    else:
+        doc["unitaries"]["b"][s][t][index] = value
+    with pytest.raises(AutomatonFormatError) as err:
+        loads(json.dumps(doc))
+    assert err.value.path == f"unitaries.b[{s}][{t}]"
+    assert str(err.value) == f"unitaries.b[{s}][{t}]: {message}"
+
+
+@pytest.mark.parametrize("row", [0.5, [], [[1.0, 0.0]] * 29, [[1.0, 0.0]] * 31, None])
+def test_loads_names_the_bad_matrix_row(row):
+    doc = json.loads(saves(_haar_automaton(np.random.default_rng(5), 30)))
+    doc["unitaries"]["a"][12] = row
+    with pytest.raises(AutomatonFormatError) as err:
+        loads(json.dumps(doc))
+    assert str(err.value) == "unitaries.a[12]: expected 30 entries"
+
+
+def test_loads_decodes_integer_entries_exactly():
+    ints = [0, 1, -3, 2 ** 53 + 1, -(2 ** 64) - 1, 10 ** 300, 7 ** 100]
+    dim = 3
+    raw = [[[ints[(s + t) % len(ints)], ints[(s * t + 1) % len(ints)]] for t in range(dim)]
+           for s in range(dim)]
+    doc = _doc("no_entry")
+    doc["unitaries"]["a"] = raw
+    got = loads(json.dumps(doc)).unitaries["a"]
+    want = np.array([[complex(float(re), float(im)) for re, im in row] for row in raw])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 @pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000],
                          ids=["deep-nesting", "long-integer"])
 def test_loads_rejects_what_the_parser_cannot_convert(text):
@@ -237,8 +402,14 @@ def test_loads_raises_only_format_errors_on_mutated_documents(data):
             parent[path[-1]] = value
     try:
         assert isinstance(loads(json.dumps(doc)), Mmqba)
-    except AutomatonFormatError:
-        pass
+    except AutomatonFormatError as err:
+        if len(path) > 2 and path[0] == "unitaries":
+            # inside a matrix: the error names the mutated node or an ancestor
+            ancestors = {
+                f"unitaries.{path[1]}" + "".join(f"[{i}]" for i in path[2:k])
+                for k in range(2, len(path) + 1)
+            }
+            assert err.path in ancestors
 
 
 def test_load_mmqfa_kind():

@@ -28,6 +28,7 @@ from qbuchi.semantics import (
     run_prefix,
     trace_to_csv,
     _Kernel,
+    _json_text,
     _norm_sq,
     trace_to_json,
 )
@@ -333,6 +334,58 @@ def test_trace_formats(fixtures):
     assert rows[0]["alpha"] == tr[0].alpha
     assert rows[1]["acc"] == tr[1].acc
     assert trace_to_json(()) == "[]\n"
+
+
+# The writer before lists of floats were filled into one template: one
+# call per value, the reference for _json_text.
+def _recursive_json_text(obj):
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, float):
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_recursive_json_text(x) for x in obj) + "]"
+    parts = [f"{json.dumps(k)}: {_recursive_json_text(v)}" for k, v in sorted(obj.items())]
+    return "{" + ", ".join(parts) + "}"
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    obj=st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+        max_leaves=12,
+    ),
+)
+def test_json_text_matches_the_recursive_writer(obj):
+    assert _json_text(obj) == _recursive_json_text(obj)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (2, 0), (1, 1), (4, 3, 2), (2, 3, 1, 2)])
+def test_json_text_matches_the_recursive_writer_on_float_arrays(shape):
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    nests = [values.tolist()]
+    flat = values.ravel()
+    for odd in (np.nan, np.inf, -0.0, 1.0, True, 2, "x", None):
+        for index in (0, -1)[:flat.size]:
+            nest = flat.astype(object)
+            nest[index] = odd
+            nests.append(nest.reshape(shape).tolist())
+    if len(shape) > 1 and shape[-1]:
+        nests.append(values.tolist()[:-1] + [values.tolist()[-1][:-1]])  # ragged
+    for nest in nests:
+        assert _json_text(nest) == _recursive_json_text(nest)
 
 
 def test_run_mmqfa_membership(fixtures):
