@@ -269,12 +269,13 @@ def estimate_limit(trace: Sequence[StepRecord], period_len: int) -> LimitEstimat
     acc_bounds = (last.acc, last.acc + last.nonhalt_norm_sq)
     rej_bounds = (last.rej, last.rej + last.nonhalt_norm_sq)
 
-    acc_vals = []
-    rej_vals = []
-    for m in range(4, -1, -1):
-        idx = len(records) - 1 - m * period_len
-        acc_vals.append(records[idx].acc if idx >= 0 else 0.0)
-        rej_vals.append(records[idx].rej if idx >= 0 else 0.0)
+    # a trace of exactly four periods starts its first one before its
+    # first record, where the sums hold the end marker's mass
+    first = records[0]
+    before = (first.acc - first.alpha, first.rej - first.rho)
+    ends = range(len(records) - 1 - 4 * period_len, len(records), period_len)
+    acc_vals, rej_vals = zip(*((records[i].acc, records[i].rej) if i >= 0 else before
+                               for i in ends))
     acc_geo, acc_ratio, acc_tail = _series_tail(acc_vals)
     rej_geo, rej_ratio, rej_tail = _series_tail(rej_vals)
     geometric = acc_geo and rej_geo

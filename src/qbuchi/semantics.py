@@ -15,6 +15,13 @@ cycle repetition. The visit-frequency test is a finite-horizon heuristic
 for the infinitely-many-visits clause; it is reported in the verdict so
 callers can audit or tighten it. Rejection certificates are sound: once
 one holds it holds forever.
+
+From state dimension 16 up, when at least that many periods are left in
+the budget, an undecided cycle period from the second on is applied as
+one compiled map: the period's non-halting map and every step's halting
+rows, built once per cycle. Its floats may differ from stepping in the
+last bits; a period in which the run would settle, accept or halt is
+stepped again, so verdicts are always decided on stepped arithmetic.
 """
 from __future__ import annotations
 
@@ -187,13 +194,14 @@ class _Kernel:
 
     The halting indices sit in one array, the accepting states first and
     then the rejecting ones, each in sorted order, so a step measures with
-    one gather and one scatter. measure steps a vector (dim,) or a block
-    (dim, B) whose columns are stepped together; apply sums a vector's
-    accepting and its rejecting probabilities. Neither writes to the
-    state it is given, so run states can be shared without copying.
+    one gather and one scatter. amplitudes steps a vector (dim,) or a
+    block (dim, B) whose columns are stepped together; measure squares its
+    halting amplitudes into probabilities, and apply sums a vector's
+    accepting and its rejecting probabilities. None writes to the state
+    it is given, so run states can be shared without copying.
     """
 
-    __slots__ = ("a", "symbols", "halt_idx", "n_acc")
+    __slots__ = ("a", "symbols", "halt_idx", "n_acc", "split")
 
     def __init__(self, a: Mmqba):
         accepting = sorted(a.accepting)
@@ -201,26 +209,38 @@ class _Kernel:
         self.symbols = set(a.alphabet)
         self.halt_idx = np.array(accepting + sorted(a.rejecting), dtype=np.intp)
         self.n_acc = len(accepting)
+        # halting amplitudes in halt_idx order, viewed as (re, im) float
+        # pairs and squared, times split: the accepting and the rejecting
+        # probability
+        self.split = np.repeat(np.eye(2)[[0] * len(accepting) + [1] * len(a.rejecting)],
+                               2, axis=0)
 
     def check_word(self, word: str):
         for ch in word:
             if ch not in self.symbols:
                 raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
 
-    def measure(self, psi: np.ndarray, symbol: str):
+    def amplitudes(self, psi: np.ndarray, symbol: str):
         """One measured step of a vector (dim,) or a block (dim, B): the
-        new state and the halting probabilities in halt_idx order, one
+        new state and the halting amplitudes in halt_idx order, one
         column per column of psi."""
         psi = self.a.unitary_for(symbol) @ psi
         amps = psi[self.halt_idx]
-        probs = amps.real * amps.real + amps.imag * amps.imag
         psi[self.halt_idx] = 0.0
-        return psi, probs
+        return psi, amps
+
+    def measure(self, psi: np.ndarray, symbol: str):
+        """amplitudes, with the halting probabilities in place of the
+        amplitudes."""
+        psi, amps = self.amplitudes(psi, symbol)
+        return psi, amps.real * amps.real + amps.imag * amps.imag
 
     def apply(self, psi: np.ndarray, symbol: str):
         """measure on a vector: the new state and the accepting and
-        rejecting probabilities of the step as Python floats."""
-        psi, probs = self.measure(psi, symbol)
+        rejecting probabilities of the step as Python floats. It squares
+        the amplitudes itself, which saves a call per step of a search."""
+        psi, amps = self.amplitudes(psi, symbol)
+        probs = amps.real * amps.real + amps.imag * amps.imag
         n = self.n_acc
         return psi, float(np.add.reduce(probs[:n])), float(np.add.reduce(probs[n:]))
 
@@ -284,16 +304,25 @@ class _Run(NamedTuple):
     accepted: bool = False
 
 
+# Cycle periods of a run are applied as one compiled map only from this
+# state dimension up. Below it the per-step Python work, not the matrix
+# products, dominates a period, and every bundled fixture (the largest has
+# dimension 15) keeps the stepped arithmetic its goldens were written with.
+_COMPILED_MIN_DIM = 16
+
+
 class _LassoContext:
-    """Kernel, acceptance test and prefix table of run_lasso calls.
+    """Kernel, acceptance test, prefix table and compiled cycles of
+    run_lasso calls.
 
     The constructor is where the test (p, epsilon, beta, visit_eps, mode)
     is checked, and advance is where it is applied. The prefix phase of a
     run depends only on the automaton, the prefix and the test, so its
     outcome is kept per prefix: a settled REJECTED verdict, or the _Run
-    after '#u'. check_emptiness shares one context between the
-    candidates of a search; a single run builds its own, whose records
-    collect the trace.
+    after '#u'. The compiled map of a cycle depends only on the automaton
+    and the cycle, so it is kept per cycle. check_emptiness shares one
+    context between the candidates of a search; a single run builds its
+    own, whose records collect the trace.
     """
 
     def __init__(self, a: Mmqba, p: float, epsilon: float, beta: float,
@@ -313,6 +342,7 @@ class _LassoContext:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED,
                                 alpha, rho, _norm_sq(psi), 0, 0)
         self.prefixes = {"": root}
+        self.cycles: dict[str, np.ndarray] = {}
 
     def verdict(self, status, reason, acc, rej, nh, visits, periods) -> Verdict:
         records = self.records
@@ -330,7 +360,8 @@ class _LassoContext:
             trace=tuple(records) if records is not None else None,
         )
 
-    def advance(self, run: _Run, word: str, periods: int, need: float):
+    def advance(self, run: _Run, word: str, periods: int, need: float,
+                given: list | None = None):
         """Step run through word and apply every certificate after each step.
 
         Returns the verdict that settles the run (REJECTED, or ACCEPTED in
@@ -339,7 +370,9 @@ class _LassoContext:
         is stepped to its end, since the cycle starts from the state after
         the whole prefix. The accept test needs visits >= need; the prefix
         phase passes math.inf, so a prefix never accepts. A verdict reports
-        periods as its periods_simulated.
+        periods as its periods_simulated. given, when passed, holds the
+        (alpha, rho, nh) of every step of word, which are then not stepped:
+        the run keeps the psi it is given.
         """
         apply = self.kernel.apply
         records = self.records
@@ -347,12 +380,17 @@ class _LassoContext:
         low = p - self.epsilon
         halt_sq = visit_eps * visit_eps
         psi, acc, rej, steps, visits, halted, accepted = run
+        if given is not None:
+            given = iter(given)
         for sym in word:
-            psi, alpha, rho = apply(psi, sym)
+            if given is None:
+                psi, alpha, rho = apply(psi, sym)
+                nh = _norm_sq(psi)
+            else:
+                alpha, rho, nh = next(given)
             acc += alpha
             rej += rho
             steps += 1
-            nh = _norm_sq(psi)
             if records is not None:
                 records.append(StepRecord(steps, sym, alpha, rho, acc, rej, nh))
             if alpha > visit_eps:
@@ -377,6 +415,62 @@ class _LassoContext:
                 if periods:
                     break
         return _Run(psi, acc, rej, steps, visits, halted, accepted)
+
+    def compiled(self, cycle: str) -> np.ndarray:
+        """The compiled map G of one period of cycle, memoized.
+
+        Stepping the identity block through the cycle gives it: after step
+        j the block is M_j, the non-halting map of the first j steps, and
+        the amplitudes the step zeroes are the halting rows of
+        U_{v_j} M_{j-1}. G stacks these rows in step order over M_|v|, so
+        G @ psi holds the halting amplitudes of every step of a period
+        that starts at psi, followed by the state after the period.
+        """
+        g = self.cycles.get(cycle)
+        if g is None:
+            dim, h = self.kernel.a.dim, len(self.kernel.halt_idx)
+            g = np.empty((len(cycle) * h + dim, dim), dtype=np.complex128)
+            # 64 columns at a time, so that no dim x dim temporary is made
+            for c in range(0, dim, 64):
+                cols = slice(c, c + 64)
+                block = np.eye(dim, min(64, dim - c), -c, dtype=np.complex128)
+                for j, sym in enumerate(cycle):
+                    block, amps = self.kernel.amplitudes(block, sym)
+                    g[j * h:(j + 1) * h, cols] = amps
+                g[len(cycle) * h:, cols] = block
+            self.cycles[cycle] = g
+        return g
+
+    def period(self, run: _Run, cycle: str, k: int, need: float, g: np.ndarray):
+        """Period k of cycle from run by its compiled map g, as advance
+        returns it.
+
+        The period is one product. Mid-period, the non-halting mass is the
+        mass at the start less what has halted, and at the end it is the
+        norm of the new state. The period is kept only if it stays
+        undecided: if one of its steps settles the run, sets accepted or
+        halts it, it is discarded and stepped again from run, so those
+        outcomes are always decided by stepping.
+        """
+        kernel, records = self.kernel, self.records
+        mark = len(records) if records is not None else 0
+        out = g @ run.psi
+        n_rows = len(cycle) * len(kernel.halt_idx)
+        parts = out[:n_rows].view(np.float64)
+        probs = (np.square(parts).reshape(len(cycle), -1) @ kernel.split).tolist()
+        psi = out[n_rows:]
+        nh = _norm_sq(run.psi)
+        given = []
+        for alpha, rho in probs:
+            nh -= alpha + rho
+            given.append((alpha, rho, nh))
+        given[-1] = (alpha, rho, _norm_sq(psi))
+        new = self.advance(_Run(psi, *run[1:]), cycle, k, need, given)
+        if isinstance(new, _Run) and not new.halted and new.accepted == run.accepted:
+            return new
+        if records is not None:
+            del records[mark:]
+        return self.advance(run, cycle, k, need)
 
     def after(self, u: str):
         """The prefix-phase outcome of u, memoized.
@@ -425,7 +519,11 @@ def run_lasso(
     accepting-side refutation, which would otherwise misfire at p = 1
     where acc + nh rounds a few ulps under 1. Verdicts never flip between
     ACCEPTED and REJECTED when the budget grows, except for limits within
-    epsilon of the cutpoint.
+    epsilon of the cutpoint. At dimension 16 and up, when at least dim
+    periods are left after the first, the undecided periods are applied
+    as one compiled map each, whose floats may differ from run_prefix in
+    the last bits; a period that would settle, accept or halt the run is
+    stepped again, so verdicts are decided on stepped arithmetic.
     _context is private: check_emptiness passes one to all its candidates.
     """
     if max_periods < 1:
@@ -447,10 +545,16 @@ def run_lasso(
         return run
     periods = 0
     stationary = False
+    g = None
     for k in range(1, max_periods + 1):
         periods = k
         prev = run
-        run = context.advance(prev, w.cycle, k, beta * k)
+        if k == 2 and max_periods - 1 >= a.dim >= _COMPILED_MIN_DIM:
+            g = context.compiled(w.cycle)
+        if g is None:
+            run = context.advance(prev, w.cycle, k, beta * k)
+        else:
+            run = context.period(prev, w.cycle, k, beta * k, g)
         if isinstance(run, Verdict):
             return run
         if run.halted:

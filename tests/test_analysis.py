@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -365,6 +367,24 @@ def test_estimate_limit_reaches_one(fixtures, name, cycle, period_len, ratio):
     assert est.ratio == pytest.approx(ratio, abs=1e-6)
     assert est.acc_limit_estimate == pytest.approx(1.0, abs=1e-9)
     assert est.rej_limit_estimate == 0.0
+
+
+@pytest.mark.parametrize("periods", [4, 5, 8])
+def test_estimate_limit_counts_the_end_marker_mass(fixtures, periods):
+    # the end marker rotates q0 onto the accepting q1 by 0.5 rad; the rest
+    # accepts 3/4 of its mass over a^omega with ratio 1/5. A trace of
+    # exactly four periods must start its first increment from the
+    # marker's sums, not from 0
+    c, s = np.cos(0.5), np.sin(0.5)
+    a = dataclasses.replace(fixtures["lang_a_omega"], end_marker_unitary=np.array(
+        [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]))
+    vd = run_lasso(a, LassoWord("", "a"), 0.3, max_periods=periods, record_trace=True)
+    assert len(vd.trace) == periods
+    est = estimate_limit(vd.trace, period_len=1)
+    assert est.is_geometric
+    assert est.ratio == pytest.approx(0.2, abs=1e-9)
+    assert est.acc_limit_estimate == pytest.approx(s * s + 0.75 * c * c, abs=1e-12)
+    assert est.rej_limit_estimate == pytest.approx(0.25 * c * c, abs=1e-12)
 
 
 def test_estimate_limit_converged_real_trace(fixtures):

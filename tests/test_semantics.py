@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbuchi.automata import END_MARKER, TERMINAL
+from qbuchi import semantics
+from qbuchi.automata import END_MARKER, TERMINAL, Mmqba
 from qbuchi.constructions import finite_language_mmqfa
+from qbuchi.emptiness import SearchBudget, check_emptiness, reference_run
 from qbuchi.semantics import (
     CERTIFIED,
     CLAUSE_CERTIFIED,
@@ -22,6 +24,7 @@ from qbuchi.semantics import (
     LassoWord,
     Status,
     StepRecord,
+    Verdict,
     check_acceptance_clauses,
     run_lasso,
     run_mmqfa,
@@ -571,3 +574,151 @@ def test_finite_word_runs_match_a_plain_step_loop(fixtures):
     for a in mmqfas:
         for word in _words(a.alphabet, 5):
             assert run_mmqfa(a, word) == _apply_loop(a, word + TERMINAL)[1:]
+
+
+def _stepped_only(monkeypatch):
+    monkeypatch.setattr(semantics, "_COMPILED_MIN_DIM", math.inf)
+
+
+def _assert_same_run(got, want):
+    """Compiled against stepped: equal decisions, floats within 1e-12."""
+    assert (got.status, got.reason, got.periods_simulated, got.visit_count) == (
+        want.status, want.reason, want.periods_simulated, want.visit_count)
+    for name in ("acc_lower", "rej_lower", "rej_upper"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0.0, abs=1e-12)
+    assert (got.trace is None) == (want.trace is None)
+    if got.trace is not None:
+        assert len(got.trace) == len(want.trace)
+        for r, s in zip(got.trace, want.trace):
+            assert (r.j, r.symbol) == (s.j, s.symbol)
+            for name in ("alpha", "rho", "acc", "rej", "nonhalt_norm_sq"):
+                assert getattr(r, name) == pytest.approx(getattr(s, name), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [16, 27, 81])
+def test_compiled_cycles_match_stepped_runs(monkeypatch, dim):
+    rng = np.random.default_rng(dim)
+    a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    budget = 2 * dim  # at least dim periods left at period 2, so cycles compile
+    runs = []
+    for p in (0.3, 0.6, 0.9):
+        for mode in (CERTIFIED, LITERAL):
+            for n in range(1, 5):
+                w = LassoWord("".join(rng.choice(["a", "b"], 2)),
+                              "".join(rng.choice(["a", "b"], n)))
+                for trace in (False, True):
+                    runs.append(((a, w, p), dict(max_periods=budget, mode=mode,
+                                                 record_trace=trace)))
+    compiled = [run_lasso(*args, **kw) for args, kw in runs]
+    _stepped_only(monkeypatch)
+    stepped = [run_lasso(*args, **kw) for args, kw in runs]
+    for got, want in zip(compiled, stepped):
+        _assert_same_run(got, want)
+    # some run went past period 2, so it was compiled
+    assert max(v.periods_simulated for v in compiled) > 2
+
+
+def test_compiled_run_matches_the_reference_kernel():
+    rng = np.random.default_rng(3)
+    a = make_automaton({s: haar_unitary(rng, 27) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    w = LassoWord("ba", "abb")
+    v = run_lasso(a, w, 0.6, max_periods=28, record_trace=True)
+    assert v.periods_simulated > 2
+    steps = len(v.trace)
+    acc, rej, _ = reference_run(a, w.expand(v.periods_simulated)[:steps])
+    assert v.trace[-1].acc == pytest.approx(acc, rel=0.0, abs=1e-9)
+    assert v.trace[-1].rej == pytest.approx(rej, rel=0.0, abs=1e-9)
+
+
+def test_a_period_that_decides_is_the_stepped_period():
+    rng = np.random.default_rng(17)
+    a = make_automaton({s: haar_unitary(rng, 16) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    events = set()
+    for p, mode, cycle in [(0.3, CERTIFIED, "ab"), (0.6, CERTIFIED, "abb"),
+                           (0.6, LITERAL, "b"), (0.75, CERTIFIED, "b")]:
+        context = semantics._LassoContext(a, p, 1e-9, 0.5, DEFAULT_VISIT_EPS, mode)
+        g = context.compiled(cycle)
+        run = context.after("")
+        for k in range(1, DEFAULT_MAX_PERIODS + 1):
+            stepped = context.advance(run, cycle, k, 0.5 * k)
+            got = context.period(run, cycle, k, 0.5 * k, g)
+            if isinstance(stepped, Verdict):
+                events.add(stepped.status)
+                assert got == stepped
+                break
+            if stepped.halted or stepped.accepted != run.accepted:
+                events.add("halted" if stepped.halted else "accepted")
+                assert got[1:] == stepped[1:]
+                assert np.array_equal(got.psi, stepped.psi)
+            if stepped.halted:
+                break
+            run = got
+    assert events == {Status.ACCEPTED, Status.REJECTED, "accepted", "halted"}
+
+
+def _chain_automaton(dim):
+    """'a' moves q0 -> q1 -> ... -> q(dim-3) one state per step and then
+    onto the accepting q(dim-2), so all the mass halts at step dim-2;
+    q(dim-1) rejects."""
+    successors = list(range(1, dim)) + [0]
+    v = np.zeros((dim, dim))
+    v[successors, range(dim)] = 1.0
+    return make_automaton({"a": v}, accepting=[dim - 2], rejecting=[dim - 1])
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+def test_compiled_period_that_halts_is_stepped_again(monkeypatch, mode):
+    # all the mass halts at step 14 = 1 + 3 * 4 + 1, the first step of
+    # period 4, so that compiled period is discarded and stepped again
+    a = _chain_automaton(16)
+    w = LassoWord("a", "aaaa")
+    applies = []
+    apply = _Kernel.apply
+    monkeypatch.setattr(_Kernel, "apply",
+                        lambda self, psi, sym: applies.append(sym) or apply(self, psi, sym))
+    got = run_lasso(a, w, 0.9, max_periods=20, mode=mode, record_trace=True)
+    # the end marker, the prefix, period 1, and one step of period 4
+    assert len(applies) == 1 + 1 + 4 + 1
+    _stepped_only(monkeypatch)
+    want = run_lasso(a, w, 0.9, max_periods=20, mode=mode, record_trace=True)
+    assert len(applies) == 7 + 1 + 14
+    _assert_same_run(got, want)
+    assert (got.periods_simulated, got.acc_lower, len(got.trace)) == (4, 1.0, 14)
+
+
+def test_a_search_compiles_each_cycle_once(monkeypatch):
+    # a rotation block q0..q7 that never halts and a leaking block q8..q15;
+    # the end marker splits q0 between them, so the non-halting mass stays
+    # at 1/2 and no word is ever decided at p 0.7
+    rng = np.random.default_rng(16)
+    u = np.zeros((16, 16), dtype=complex)
+    u[:8, :8] = haar_unitary(rng, 8)
+    u[8:, 8:] = haar_unitary(rng, 8)
+    marker = np.eye(16)
+    r = 1.0 / np.sqrt(2.0)
+    marker[[0, 8, 0, 8], [0, 0, 8, 8]] = [r, r, -r, r]
+    a = dataclasses.replace(make_automaton({"a": u}, accepting=[9, 10, 11], rejecting=[12]),
+                            end_marker_unitary=marker)
+    lookups = []
+    unitary_for = Mmqba.unitary_for
+    monkeypatch.setattr(Mmqba, "unitary_for",
+                        lambda self, sym: lookups.append(sym) or unitary_for(self, sym))
+    built = {}
+    compiled = semantics._LassoContext.compiled
+
+    def counted(self, cycle):
+        before = len(lookups)
+        g = compiled(self, cycle)
+        built[cycle] = built.get(cycle, 0) + len(lookups) - before
+        return g
+
+    monkeypatch.setattr(semantics._LassoContext, "compiled", counted)
+    result = check_emptiness(a, 0.7, SearchBudget(max_rounds=6))
+    # every pair of every round is tried: none was decided
+    assert (result.witness, result.candidates_tried) == (None, sum(r * (r + 1) for r in range(1, 7)))
+    # rounds 5 and 6 leave at least 16 periods after period 1: their
+    # cycles a..aaaaaa are compiled, once each, by len(cycle) lookups
+    assert built == {"a" * n: n for n in range(1, 7)}
