@@ -16,12 +16,17 @@ for the infinitely-many-visits clause; it is reported in the verdict so
 callers can audit or tighten it. Rejection certificates are sound: once
 one holds it holds forever.
 
-From state dimension 16 up, when at least that many periods are left in
-the budget, an undecided cycle period from the second on is applied as
-one compiled map: the period's non-halting map and every step's halting
-rows, built once per cycle. Its floats may differ from stepping in the
-last bits; a period in which the run would settle, accept or halt is
-stepped again, so verdicts are always decided on stepped arithmetic.
+From state dimension 16 up, for a cycle of two symbols or more and when
+at least dim periods are left in the budget, an undecided cycle period
+from the second on is applied as one compiled map: the period's
+non-halting map and every step's halting rows, built once per run. Its
+floats may differ from stepping in the last bits. A compiled period in
+which the run would settle, accept or halt, or that leaves both sums and,
+to within rounding, the state as they were, is stepped again, so those
+outcomes, and the exact fixed point test, are decided on stepped
+arithmetic. What the compiled floats cannot show is a threshold that
+stepping would cross within those last bits: there a verdict, its period
+or its visit count can differ from a stepped run's.
 """
 from __future__ import annotations
 
@@ -201,7 +206,7 @@ class _Kernel:
     it is given, so run states can be shared without copying.
     """
 
-    __slots__ = ("a", "symbols", "halt_idx", "n_acc", "split")
+    __slots__ = ("a", "symbols", "halt_idx", "n_acc")
 
     def __init__(self, a: Mmqba):
         accepting = sorted(a.accepting)
@@ -209,11 +214,6 @@ class _Kernel:
         self.symbols = set(a.alphabet)
         self.halt_idx = np.array(accepting + sorted(a.rejecting), dtype=np.intp)
         self.n_acc = len(accepting)
-        # halting amplitudes in halt_idx order, viewed as (re, im) float
-        # pairs and squared, times split: the accepting and the rejecting
-        # probability
-        self.split = np.repeat(np.eye(2)[[0] * len(accepting) + [1] * len(a.rejecting)],
-                               2, axis=0)
 
     def check_word(self, word: str):
         for ch in word:
@@ -305,24 +305,29 @@ class _Run(NamedTuple):
 
 
 # Cycle periods of a run are applied as one compiled map only from this
-# state dimension up. Below it the per-step Python work, not the matrix
-# products, dominates a period, and every bundled fixture (the largest has
-# dimension 15) keeps the stepped arithmetic its goldens were written with.
+# state dimension up. The bound keeps every bundled fixture (the largest
+# has dimension 15), and so every golden and every bit-for-bit test built
+# on one, on the stepped arithmetic they were written with.
 _COMPILED_MIN_DIM = 16
+
+# A compiled period that moves the state by a squared distance of at most
+# this share of its squared norm is stepped again, since stepping could
+# leave that state exactly where it was. Compiled and stepped states differ
+# by a few ulps times dim, far below it; a state that still drains or
+# turns moves far more.
+_FIXED_POINT_SQ = 1e-18
 
 
 class _LassoContext:
-    """Kernel, acceptance test, prefix table and compiled cycles of
-    run_lasso calls.
+    """Kernel, acceptance test and prefix table of run_lasso calls.
 
     The constructor is where the test (p, epsilon, beta, visit_eps, mode)
     is checked, and advance is where it is applied. The prefix phase of a
     run depends only on the automaton, the prefix and the test, so its
     outcome is kept per prefix: a settled REJECTED verdict, or the _Run
-    after '#u'. The compiled map of a cycle depends only on the automaton
-    and the cycle, so it is kept per cycle. check_emptiness shares one
-    context between the candidates of a search; a single run builds its
-    own, whose records collect the trace.
+    after '#u'. check_emptiness shares one context between the
+    candidates of a search; a single run builds its own, whose records
+    collect the trace.
     """
 
     def __init__(self, a: Mmqba, p: float, epsilon: float, beta: float,
@@ -342,7 +347,6 @@ class _LassoContext:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED,
                                 alpha, rho, _norm_sq(psi), 0, 0)
         self.prefixes = {"": root}
-        self.cycles: dict[str, np.ndarray] = {}
 
     def verdict(self, status, reason, acc, rej, nh, visits, periods) -> Verdict:
         records = self.records
@@ -417,7 +421,7 @@ class _LassoContext:
         return _Run(psi, acc, rej, steps, visits, halted, accepted)
 
     def compiled(self, cycle: str) -> np.ndarray:
-        """The compiled map G of one period of cycle, memoized.
+        """The compiled map G of one period of cycle.
 
         Stepping the identity block through the cycle gives it: after step
         j the block is M_j, the non-halting map of the first j steps, and
@@ -426,19 +430,16 @@ class _LassoContext:
         G @ psi holds the halting amplitudes of every step of a period
         that starts at psi, followed by the state after the period.
         """
-        g = self.cycles.get(cycle)
-        if g is None:
-            dim, h = self.kernel.a.dim, len(self.kernel.halt_idx)
-            g = np.empty((len(cycle) * h + dim, dim), dtype=np.complex128)
-            # 64 columns at a time, so that no dim x dim temporary is made
-            for c in range(0, dim, 64):
-                cols = slice(c, c + 64)
-                block = np.eye(dim, min(64, dim - c), -c, dtype=np.complex128)
-                for j, sym in enumerate(cycle):
-                    block, amps = self.kernel.amplitudes(block, sym)
-                    g[j * h:(j + 1) * h, cols] = amps
-                g[len(cycle) * h:, cols] = block
-            self.cycles[cycle] = g
+        dim, h = self.kernel.a.dim, len(self.kernel.halt_idx)
+        g = np.empty((len(cycle) * h + dim, dim), dtype=np.complex128)
+        # 64 columns at a time, so that no dim x dim temporary is made
+        for c in range(0, dim, 64):
+            cols = slice(c, c + 64)
+            block = np.eye(dim, min(64, dim - c), -c, dtype=np.complex128)
+            for j, sym in enumerate(cycle):
+                block, amps = self.kernel.amplitudes(block, sym)
+                g[j * h:(j + 1) * h, cols] = amps
+            g[len(cycle) * h:, cols] = block
         return g
 
     def period(self, run: _Run, cycle: str, k: int, need: float, g: np.ndarray):
@@ -449,24 +450,31 @@ class _LassoContext:
         mass at the start less what has halted, and at the end it is the
         norm of the new state. The period is kept only if it stays
         undecided: if one of its steps settles the run, sets accepted or
-        halts it, it is discarded and stepped again from run, so those
-        outcomes are always decided by stepping.
+        halts it, or if it leaves both sums as they were and the state
+        within _FIXED_POINT_SQ of where it was, so that run_lasso's test
+        for an exact fixed point could hold, it is discarded and stepped
+        again from run, so those outcomes are decided by stepping.
         """
         kernel, records = self.kernel, self.records
         mark = len(records) if records is not None else 0
         out = g @ run.psi
         n_rows = len(cycle) * len(kernel.halt_idx)
-        parts = out[:n_rows].view(np.float64)
-        probs = (np.square(parts).reshape(len(cycle), -1) @ kernel.split).tolist()
+        # per step, the squares of the halting amplitudes' real and
+        # imaginary parts, the accepting states' first
+        rows = np.square(out[:n_rows].view(np.float64)).reshape(len(cycle), -1).tolist()
+        m = 2 * kernel.n_acc
         psi = out[n_rows:]
         nh = _norm_sq(run.psi)
         given = []
-        for alpha, rho in probs:
+        for row in rows:
+            alpha, rho = sum(row[:m]), sum(row[m:])
             nh -= alpha + rho
             given.append((alpha, rho, nh))
         given[-1] = (alpha, rho, _norm_sq(psi))
         new = self.advance(_Run(psi, *run[1:]), cycle, k, need, given)
-        if isinstance(new, _Run) and not new.halted and new.accepted == run.accepted:
+        if (isinstance(new, _Run) and not new.halted and new.accepted == run.accepted
+                and ((new.acc, new.rej) != (run.acc, run.rej)
+                     or _norm_sq(psi - run.psi) > _FIXED_POINT_SQ * _norm_sq(run.psi))):
             return new
         if records is not None:
             del records[mark:]
@@ -519,11 +527,15 @@ def run_lasso(
     accepting-side refutation, which would otherwise misfire at p = 1
     where acc + nh rounds a few ulps under 1. Verdicts never flip between
     ACCEPTED and REJECTED when the budget grows, except for limits within
-    epsilon of the cutpoint. At dimension 16 and up, when at least dim
-    periods are left after the first, the undecided periods are applied
-    as one compiled map each, whose floats may differ from run_prefix in
-    the last bits; a period that would settle, accept or halt the run is
-    stepped again, so verdicts are decided on stepped arithmetic.
+    epsilon of the cutpoint. At dimension 16 and up, for a cycle of two
+    symbols or more and when at least dim periods are left after the
+    first, the undecided periods are applied as one compiled map each,
+    whose floats may differ from run_prefix in the last bits. A period
+    that would settle, accept or halt the run, or that leaves both sums
+    and, to within rounding, the state unchanged, is stepped again, so
+    those outcomes are decided on stepped arithmetic; only where a stepped
+    value would cross a threshold by no more than those last bits can a
+    compiled run differ.
     _context is private: check_emptiness passes one to all its candidates.
     """
     if max_periods < 1:
@@ -549,7 +561,9 @@ def run_lasso(
     for k in range(1, max_periods + 1):
         periods = k
         prev = run
-        if k == 2 and max_periods - 1 >= a.dim >= _COMPILED_MIN_DIM:
+        # compiling costs about (|v| - 1) * dim matrix-vector products and
+        # saves |v| - 1 of them a period; a cycle of one symbol saves none
+        if k == 2 and len(w.cycle) > 1 and max_periods - 1 >= a.dim >= _COMPILED_MIN_DIM:
             g = context.compiled(w.cycle)
         if g is None:
             run = context.advance(prev, w.cycle, k, beta * k)

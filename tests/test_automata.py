@@ -20,6 +20,7 @@ from qbuchi.automata import (
     save,
     saves,
     validate,
+    _walk_matrix,
 )
 from qbuchi.fixtures import fixture_path, list_fixtures
 
@@ -404,15 +405,12 @@ def test_loads_raises_only_format_errors_on_mutated_documents(data):
         assert isinstance(loads(json.dumps(doc)), Mmqba)
     except AutomatonFormatError as err:
         if len(path) > 2 and path[0] == "unitaries":
-            # inside a matrix: the error names the mutated node or an
-            # ancestor, or an entry of a list put in the node's place
-            ancestors = {
-                f"unitaries.{path[1]}" + "".join(f"[{i}]" for i in path[2:k])
-                for k in range(2, len(path) + 1)
-            }
-            node = f"unitaries.{path[1]}" + "".join(f"[{i}]" for i in path[2:])
-            inside = isinstance(value, list) and err.path.startswith(node + "[")
-            assert err.path in ancestors or inside
+            # inside a matrix: the error names the first bad row or entry,
+            # which the entry walk finds on the mutated matrix alone
+            with pytest.raises(AutomatonFormatError) as walked:
+                _walk_matrix(doc["unitaries"][path[1]], len(doc["states"]),
+                             f"unitaries.{path[1]}")
+            assert err.path == walked.value.path
 
 
 def test_load_mmqfa_kind():

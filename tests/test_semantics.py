@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbuchi import semantics
-from qbuchi.automata import END_MARKER, TERMINAL, Mmqba
+from qbuchi.automata import END_MARKER, TERMINAL
 from qbuchi.constructions import finite_language_mmqfa
-from qbuchi.emptiness import SearchBudget, check_emptiness, reference_run
+from qbuchi.emptiness import reference_run
 from qbuchi.semantics import (
     CERTIFIED,
     CLAUSE_CERTIFIED,
@@ -21,6 +21,7 @@ from qbuchi.semantics import (
     DEFAULT_MAX_PERIODS,
     DEFAULT_VISIT_EPS,
     LITERAL,
+    REASON_BUCHI_REFUTED,
     LassoWord,
     Status,
     StepRecord,
@@ -600,7 +601,7 @@ def test_compiled_cycles_match_stepped_runs(monkeypatch, dim):
     rng = np.random.default_rng(dim)
     a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
                        accepting=[1, 2, 3], rejecting=[4])
-    budget = 2 * dim  # at least dim periods left at period 2, so cycles compile
+    budget = 2 * dim  # at least dim periods left at period 2
     runs = []
     for p in (0.3, 0.6, 0.9):
         for mode in (CERTIFIED, LITERAL):
@@ -610,13 +611,17 @@ def test_compiled_cycles_match_stepped_runs(monkeypatch, dim):
                 for trace in (False, True):
                     runs.append(((a, w, p), dict(max_periods=budget, mode=mode,
                                                  record_trace=trace)))
+    built = []
+    compile_cycle = semantics._LassoContext.compiled
+    monkeypatch.setattr(semantics._LassoContext, "compiled",
+                        lambda self, cycle: built.append(cycle) or compile_cycle(self, cycle))
     compiled = [run_lasso(*args, **kw) for args, kw in runs]
+    # a cycle of one symbol saves no product a period, so it is not compiled
+    assert {len(cycle) for cycle in built} == {2, 3, 4}
     _stepped_only(monkeypatch)
     stepped = [run_lasso(*args, **kw) for args, kw in runs]
     for got, want in zip(compiled, stepped):
         _assert_same_run(got, want)
-    # some run went past period 2, so it was compiled
-    assert max(v.periods_simulated for v in compiled) > 2
 
 
 def test_compiled_run_matches_the_reference_kernel():
@@ -659,66 +664,77 @@ def test_a_period_that_decides_is_the_stepped_period():
     assert events == {Status.ACCEPTED, Status.REJECTED, "accepted", "halted"}
 
 
-def _chain_automaton(dim):
-    """'a' moves q0 -> q1 -> ... -> q(dim-3) one state per step and then
-    onto the accepting q(dim-2), so all the mass halts at step dim-2;
-    q(dim-1) rejects."""
-    successors = list(range(1, dim)) + [0]
-    v = np.zeros((dim, dim))
-    v[successors, range(dim)] = 1.0
-    return make_automaton({"a": v}, accepting=[dim - 2], rejecting=[dim - 1])
+def _chain_unitary(dim, chain, partners, end, theta=0.1):
+    """'a' moves amplitude one state per step along chain and from its last
+    state onto end; each move onto chain[i] (i >= 1) then turns sin(theta)
+    of it onto partners[i - 1]. Every other state stays where it is."""
+    succ = list(range(dim))
+    for i, j in zip(chain, chain[1:] + [end]):
+        succ[i] = j
+    succ[end] = chain[0]
+    u = np.zeros((dim, dim))
+    u[succ, range(dim)] = 1.0
+    c, s = np.cos(theta), np.sin(theta)
+    for i, j in zip(chain[1:], partners):
+        rot = np.eye(dim)
+        rot[[i, j, i, j], [i, i, j, j]] = [c, s, -s, c]
+        u = rot @ u
+    return u
 
 
-@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
-def test_compiled_period_that_halts_is_stepped_again(monkeypatch, mode):
-    # all the mass halts at step 14 = 1 + 3 * 4 + 1, the first step of
-    # period 4, so that compiled period is discarded and stepped again
-    a = _chain_automaton(16)
-    w = LassoWord("a", "aaaa")
+def _counted_applies(monkeypatch):
     applies = []
     apply = _Kernel.apply
     monkeypatch.setattr(_Kernel, "apply",
                         lambda self, psi, sym: applies.append(sym) or apply(self, psi, sym))
+    return applies
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.0])
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+def test_compiled_period_that_halts_is_stepped_again(monkeypatch, mode, theta):
+    # the chain q0..q6 leaks to the rejecting q8..q13 at every step (or,
+    # at theta 0, not at all), and all the mass left halts on the
+    # accepting q14 at step 7, the first step of period 4: periods 2 and 3
+    # are compiled and kept, since they move the state even where they
+    # leave both sums unchanged, and period 4 is discarded and stepped again
+    u = _chain_unitary(16, list(range(7)), list(range(8, 14)), 14, theta)
+    a = make_automaton({"a": u}, accepting=[14], rejecting=list(range(8, 14)))
+    w = LassoWord("", "aa")
+    applies = _counted_applies(monkeypatch)
     got = run_lasso(a, w, 0.9, max_periods=20, mode=mode, record_trace=True)
-    # the end marker, the prefix, period 1, and one step of period 4
-    assert len(applies) == 1 + 1 + 4 + 1
+    # the end marker, period 1 and one step of period 4
+    assert len(applies) == 1 + 2 + 1
     _stepped_only(monkeypatch)
     want = run_lasso(a, w, 0.9, max_periods=20, mode=mode, record_trace=True)
-    assert len(applies) == 7 + 1 + 14
+    assert len(applies) == 4 + 1 + 7
     _assert_same_run(got, want)
-    assert (got.periods_simulated, got.acc_lower, len(got.trace)) == (4, 1.0, 14)
+    assert (got.periods_simulated, len(got.trace)) == (4, 7)
+    assert got.acc_lower == pytest.approx(np.cos(theta) ** 12, abs=1e-12)
 
 
-def test_a_search_compiles_each_cycle_once(monkeypatch):
-    # a rotation block q0..q7 that never halts and a leaking block q8..q15;
-    # the end marker splits q0 between them, so the non-halting mass stays
-    # at 1/2 and no word is ever decided at p 0.7
-    rng = np.random.default_rng(16)
-    u = np.zeros((16, 16), dtype=complex)
-    u[:8, :8] = haar_unitary(rng, 8)
-    u[8:, 8:] = haar_unitary(rng, 8)
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+def test_compiled_fixed_point_is_stepped_again(monkeypatch, mode):
+    # the end marker splits q0 between a block q0..q7 that 'a' permutes,
+    # so that 'aa' leaves it exactly as it was, and a chain q8..q11 whose
+    # mass has all halted at the end of period 2. Period 3 then leaves
+    # both sums and the state unchanged, so it is stepped again, and
+    # stepping finds the exact fixed point
+    u = _chain_unitary(16, [8, 9, 10, 11], [12, 13, 14], 15)
+    u[:8, :8] = np.eye(8)[[1, 0, 3, 2, 5, 4, 7, 6]]
     marker = np.eye(16)
     r = 1.0 / np.sqrt(2.0)
     marker[[0, 8, 0, 8], [0, 0, 8, 8]] = [r, r, -r, r]
-    a = dataclasses.replace(make_automaton({"a": u}, accepting=[9, 10, 11], rejecting=[12]),
+    a = dataclasses.replace(make_automaton({"a": u}, accepting=[15], rejecting=[12, 13, 14]),
                             end_marker_unitary=marker)
-    lookups = []
-    unitary_for = Mmqba.unitary_for
-    monkeypatch.setattr(Mmqba, "unitary_for",
-                        lambda self, sym: lookups.append(sym) or unitary_for(self, sym))
-    built = {}
-    compiled = semantics._LassoContext.compiled
-
-    def counted(self, cycle):
-        before = len(lookups)
-        g = compiled(self, cycle)
-        built[cycle] = built.get(cycle, 0) + len(lookups) - before
-        return g
-
-    monkeypatch.setattr(semantics._LassoContext, "compiled", counted)
-    result = check_emptiness(a, 0.7, SearchBudget(max_rounds=6))
-    # every pair of every round is tried: none was decided
-    assert (result.witness, result.candidates_tried) == (None, sum(r * (r + 1) for r in range(1, 7)))
-    # rounds 5 and 6 leave at least 16 periods after period 1: their
-    # cycles a..aaaaaa are compiled, once each, by len(cycle) lookups
-    assert built == {"a" * n: n for n in range(1, 7)}
+    w = LassoWord("", "aa")
+    applies = _counted_applies(monkeypatch)
+    got = run_lasso(a, w, 0.7, max_periods=20, mode=mode, record_trace=True)
+    # the end marker, period 1 and period 3
+    assert len(applies) == 1 + 2 + 2
+    _stepped_only(monkeypatch)
+    want = run_lasso(a, w, 0.7, max_periods=20, mode=mode, record_trace=True)
+    assert len(applies) == 5 + 1 + 6
+    _assert_same_run(got, want)
+    assert (got.status, got.reason, got.periods_simulated) == (
+        Status.REJECTED, REASON_BUCHI_REFUTED, 3)
