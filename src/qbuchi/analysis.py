@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automata import Mmqba
+from .automata import Mmqba, _check_count
 from .numerics import DEFAULT_SV_TOL, SubspaceBasis, null_space
 from .semantics import StepRecord, _Kernel, _norm_sq
 
@@ -51,23 +51,23 @@ def _outside(w: SubspaceBasis, x: np.ndarray) -> np.ndarray:
     return x - w.vectors.T @ (w.vectors.conj() @ x)
 
 
-def _refine(a: Mmqba, w: SubspaceBasis, sv_tol: float) -> SubspaceBasis:
+def _refine(a: Mmqba, w: SubspaceBasis) -> SubspaceBasis:
     if w.dim == 0:
         return w
     blocks = [_outside(w, a.unitary_for(sym) @ w.vectors.T) for sym in sorted(a.alphabet)]
-    coeff_basis = null_space(np.vstack(blocks), sv_tol)
+    coeff_basis = null_space(np.vstack(blocks), DEFAULT_SV_TOL)
     return SubspaceBasis(coeff_basis.vectors @ w.vectors, a.dim)
 
 
-def _complement_within(whole: SubspaceBasis, part: SubspaceBasis, sv_tol: float) -> SubspaceBasis:
+def _complement_within(whole: SubspaceBasis, part: SubspaceBasis) -> SubspaceBasis:
     if part.dim == 0:
         return whole
     if part.dim == whole.dim:
         return SubspaceBasis(np.zeros((0, whole.ambient_dim), dtype=np.complex128), whole.ambient_dim)
-    return SubspaceBasis.from_spanning(_outside(part, whole.vectors.T).T, sv_tol)
+    return SubspaceBasis.from_spanning(_outside(part, whole.vectors.T).T, DEFAULT_SV_TOL)
 
 
-def decompose_nonhalting(a: Mmqba, sv_tol: float = DEFAULT_SV_TOL) -> Decomposition:
+def decompose_nonhalting(a: Mmqba) -> Decomposition:
     """Split the non-halting span into its maximal invariant part and the rest."""
     s_non = SubspaceBasis.from_indices(a.nonhalting, a.dim)
     w = s_non
@@ -75,39 +75,37 @@ def decompose_nonhalting(a: Mmqba, sv_tol: float = DEFAULT_SV_TOL) -> Decomposit
     iterations = 0
     while True:
         iterations += 1
-        refined = _refine(a, w, sv_tol)
+        refined = _refine(a, w)
         dims.append(refined.dim)
         stable = refined.dim == w.dim
         w = refined
         if stable:
             break
     s1 = w
-    s2 = _complement_within(s_non, s1, sv_tol)
+    s2 = _complement_within(s_non, s1)
     return Decomposition(s1, s2, iterations, tuple(dims))
 
 
-def _require_within_nonhalting(a: Mmqba, s: SubspaceBasis, tol: float):
+def _require_within_nonhalting(a: Mmqba, s: SubspaceBasis):
     if s.ambient_dim != a.dim:
         raise ValueError("subspace ambient dimension does not match the automaton")
     if s.dim and a.halting:
         halting = list(a.halting)
         leak = float(np.max(np.abs(s.vectors[:, halting])))
-        if leak > tol:
+        if leak > RESIDUAL_TOL:
             raise ValueError(
                 f"subspace is not contained in the non-halting span "
                 f"(halting component {leak:.3e})"
             )
 
 
-def is_sigma_cycle_subspace(
-    a: Mmqba, s: SubspaceBasis, symbol: str, tol: float = RESIDUAL_TOL
-) -> bool:
+def is_sigma_cycle_subspace(a: Mmqba, s: SubspaceBasis, symbol: str) -> bool:
     """True iff the symbol's unitary maps the subspace into itself."""
-    _require_within_nonhalting(a, s, tol)
+    _require_within_nonhalting(a, s)
     if s.dim == 0:
         return True
     images = a.unitary_for(symbol) @ s.vectors.T
-    return not np.any(np.linalg.norm(_outside(s, images), axis=0) > tol)
+    return not np.any(np.linalg.norm(_outside(s, images), axis=0) > RESIDUAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -118,22 +116,20 @@ class NoEntryReport:
     max_residual: float
 
 
-def no_entry_check(
-    a: Mmqba, s: SubspaceBasis, symbol: str, tol: float = RESIDUAL_TOL
-) -> NoEntryReport:
+def no_entry_check(a: Mmqba, s: SubspaceBasis, symbol: str) -> NoEntryReport:
     """Check that no outside computational basis state maps into the subspace.
 
     Requires the subspace to be invariant under the symbol and spanned by
     computational basis vectors; reports ||P_s V |r>|| for every basis
     index r outside the subspace.
     """
-    if not is_sigma_cycle_subspace(a, s, symbol, tol):
+    if not is_sigma_cycle_subspace(a, s, symbol):
         raise ValueError(f"subspace is not invariant under symbol {symbol!r}")
     proj = s.projector()
     diag = np.real(np.diag(proj))
     off = proj - np.diag(np.diag(proj))
-    basis_spanned = float(np.max(np.abs(off), initial=0.0)) <= tol and bool(
-        np.all((np.abs(diag) <= tol) | (np.abs(diag - 1.0) <= tol))
+    basis_spanned = float(np.max(np.abs(off), initial=0.0)) <= RESIDUAL_TOL and bool(
+        np.all((np.abs(diag) <= RESIDUAL_TOL) | (np.abs(diag - 1.0) <= RESIDUAL_TOL))
     )
     if not basis_spanned:
         raise ValueError("subspace is not spanned by computational basis vectors")
@@ -180,6 +176,8 @@ def verify_decomposition(
     block, stepped together. Each trial derives its own generator from
     (seed, trial index), so trials are reproducible independently.
     """
+    word_len = _check_count("word_len", word_len, 0)
+    trials = _check_count("trials", trials, 0)
     symbols = sorted(a.alphabet)
     kernel = _Kernel(a)
     s1, s2 = d.s1, d.s2
@@ -213,10 +211,10 @@ def verify_decomposition(
     return DecompositionReport(
         trials=trials,
         word_len=word_len,
-        s1_trials=max(trials, 0) if s1.dim else 0,
+        s1_trials=trials if s1.dim else 0,
         s1_max_cumulative_halting=s1_halting,
         s1_max_subspace_residual=s1_residual,
-        s2_trials=max(trials, 0) if s2.dim else 0,
+        s2_trials=trials if s2.dim else 0,
         s2_norm_sq_trajectories=tuple(trajectories),
         mixed_max_increment_deviation=mixed_dev,
     )
@@ -260,9 +258,7 @@ def estimate_limit(trace: Sequence[StepRecord], period_len: int) -> LimitEstimat
     are all that is reported.
     """
     records = tuple(trace)
-    period_len = int(period_len)
-    if period_len < 1:
-        raise ValueError("period_len must be at least 1")
+    period_len = _check_count("period_len", period_len)
     if len(records) < 4 * period_len:
         raise ValueError("trace must cover at least 4 full periods")
     last = records[-1]

@@ -20,6 +20,7 @@ documents.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -56,6 +57,18 @@ def _check_cutpoint(value) -> float:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"cutpoint must lie in (0, 1], got {value!r}")
     return p
+
+
+def _check_count(name: str, value, least: int = 1) -> int:
+    """The rule of every count argument: value, taken through
+    operator.index so that no float passes, as an int no smaller than least."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return n
 
 
 class Cutpoint(float):

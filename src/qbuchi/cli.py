@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (ACCEPTED / NONEMPTY / no violations), 1 REJECTED
 or validation failure, 2 INCONCLUSIVE, 64 usage, invalid option value or
-unreadable file, 65 malformed or inconsistent input data. Machine output
+unreadable file, 65 malformed or inconsistent input data, which is
+checked before option values. Machine output
 (--json, CSV traces) prints floats with 17 significant digits and is
 byte-identical across identical invocations, except for bench, whose
 timings are inherently run-dependent. The QBA_TOL environment variable overrides
@@ -28,8 +29,6 @@ from .semantics import (
     LITERAL,
     LassoWord,
     Status,
-    _check_epsilon_below,
-    _check_test_params,
     _json_text,
     trace_to_csv,
     trace_to_json,
@@ -111,18 +110,14 @@ _STATUS_EXIT = {
 
 def cmd_run(args) -> int:
     a = _load_valid(args.file)
-    try:
-        w = LassoWord(args.prefix, args.cycle)
-        p = Cutpoint(args.cutpoint)
-        _check_test_params(args.epsilon, args.beta, args.visit_eps)
-        _check_epsilon_below(p, args.epsilon)
-    except ValueError as e:
-        raise _CliError(EX_USAGE, str(e))
+    for ch in args.prefix + args.cycle:
+        if ch not in a.alphabet:
+            raise _CliError(EX_DATAERR, f"symbol {ch!r} is not in the automaton alphabet")
     try:
         verdict = run_lasso(
             a,
-            w,
-            p,
+            LassoWord(args.prefix, args.cycle),
+            Cutpoint(args.cutpoint),
             max_periods=args.periods,
             epsilon=args.epsilon,
             beta=args.beta,
@@ -131,7 +126,7 @@ def cmd_run(args) -> int:
             record_trace=args.trace is not None,
         )
     except ValueError as e:
-        raise _CliError(EX_DATAERR, str(e))
+        raise _CliError(EX_USAGE, str(e))
     if args.trace is not None:
         text = (
             trace_to_csv(verdict.trace)
@@ -167,10 +162,9 @@ def cmd_emptiness(args) -> int:
             epsilon=args.epsilon,
             visit_eps=args.visit_eps,
         )
-        _check_epsilon_below(p, args.epsilon)
+        result = check_emptiness(a, p, budget, mode=args.mode)
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
-    result = check_emptiness(a, p, budget, mode=args.mode)
     if args.json:
         witness = None
         if result.witness is not None:

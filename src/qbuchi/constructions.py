@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automata import Mmqba, Mmqfa, RESERVED_SYMBOLS
+from .automata import END_MARKER, Mmqba, Mmqfa, RESERVED_SYMBOLS
 from .numerics import tensor
 from .semantics import LassoWord
 
@@ -33,7 +33,7 @@ def _product(m1: Mmqba, m2: Mmqba, accepting: np.ndarray, rejecting: np.ndarray)
     }
     end = None
     if m1.end_marker_unitary is not None or m2.end_marker_unitary is not None:
-        end = tensor(m1.unitary_for("#"), m2.unitary_for("#"))
+        end = tensor(m1.unitary_for(END_MARKER), m2.unitary_for(END_MARKER))
     return Mmqba(
         state_names=tuple(f"({n1},{n2})" for n1 in m1.state_names for n2 in m2.state_names),
         alphabet=tuple(m1.alphabet),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Mmqba
+from .automata import END_MARKER, Mmqba, _check_count
 from .constructions import union
 from .semantics import (
     CERTIFIED,
@@ -48,8 +48,7 @@ class SearchBudget:
     visit_eps: float = DEFAULT_VISIT_EPS
 
     def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+        object.__setattr__(self, "max_rounds", _check_count("max_rounds", self.max_rounds))
         _check_test_params(self.epsilon, self.beta, self.visit_eps)
 
 
@@ -105,17 +104,7 @@ def check_emptiness(
                     continue
                 w = LassoWord(u, v)
                 tried += 1
-                verdict = run_lasso(
-                    a,
-                    w,
-                    p,
-                    max_periods=max_periods,
-                    epsilon=budget.epsilon,
-                    beta=budget.beta,
-                    visit_eps=budget.visit_eps,
-                    mode=mode,
-                    _context=context,
-                )
+                verdict = run_lasso(a, w, p, max_periods=max_periods, _context=context)
                 if verdict.status is Status.ACCEPTED:
                     return SearchResult(SearchStatus.NONEMPTY, (w, verdict), tried, r)
                 if verdict.status is Status.REJECTED:
@@ -144,8 +133,8 @@ def _kernel_matrices(a: Mmqba) -> dict:
     for sym in a.alphabet:
         m = a.unitary_for(sym)
         mats[sym] = (m.real.tolist(), m.imag.tolist())
-    marker = a.unitary_for("#")
-    mats["#"] = (marker.real.tolist(), marker.imag.tolist())
+    marker = a.unitary_for(END_MARKER)
+    mats[END_MARKER] = (marker.real.tolist(), marker.imag.tolist())
     return mats
 
 
@@ -197,7 +186,7 @@ def reference_run(a: Mmqba, word) -> tuple[float, float, float]:
             yi[i] = 0.0
         xr, xi = yr, yi
 
-    apply("#")
+    apply(END_MARKER)
     start = time.perf_counter()
     for sym in word:
         apply(sym)
@@ -215,11 +204,9 @@ def benchmark_step_cost(a: Mmqba, lengths) -> TimingReport:
     fitted log-log growth exponent of the per-symbol time in the
     dimension; with fewer it is NaN.
     """
-    lengths = [int(n) for n in lengths]
+    lengths = [_check_count("lengths", n) for n in lengths]
     if not lengths:
         raise ValueError("lengths must be nonempty")
-    if any(n < 1 for n in lengths):
-        raise ValueError("every length must be at least 1")
     symbols = sorted(a.alphabet)
     dims = []
     per_symbol = []

@@ -14,7 +14,6 @@ import numpy as np
 
 DEFAULT_UNITARY_TOL = 1e-10
 DEFAULT_SV_TOL = 1e-9
-PROJECTOR_TOL = 1e-12
 
 
 def as_state(values) -> np.ndarray:

@@ -16,17 +16,9 @@ for the infinitely-many-visits clause; it is reported in the verdict so
 callers can audit or tighten it. Rejection certificates are sound: once
 one holds it holds forever.
 
-From state dimension 16 up, for a cycle of two symbols or more and when
-at least dim periods are left in the budget, an undecided cycle period
-from the second on is applied as one compiled map: the period's
-non-halting map and every step's halting rows, built once per run. Its
-floats may differ from stepping in the last bits. A compiled period in
-which the run would settle, accept or halt, or that leaves both sums and,
-to within rounding, the state as they were, is stepped again, so those
-outcomes, and the exact fixed point test, are decided on stepped
-arithmetic. What the compiled floats cannot show is a threshold that
-stepping would cross within those last bits: there a verdict, its period
-or its visit count can differ from a stepped run's.
+A long run at state dimension 16 and up may apply its undecided cycle
+periods as one compiled map each; _LassoContext.period says when, and
+how far its floats and verdicts may differ from a stepped run.
 """
 from __future__ import annotations
 
@@ -39,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .automata import END_MARKER, Mmqba, Mmqfa, TERMINAL, _check_cutpoint
+from .automata import END_MARKER, Mmqba, Mmqfa, TERMINAL, _check_count, _check_cutpoint
 
 DEFAULT_MAX_PERIODS = 1024
 DEFAULT_EPSILON = 1e-9
@@ -285,13 +277,6 @@ def _check_test_params(epsilon: float, beta: float, visit_eps: float):
         raise ValueError(f"visit_eps must lie in (0, 1), got {visit_eps!r}")
 
 
-def _check_epsilon_below(p: float, epsilon: float):
-    """The accept test is acc >= p - epsilon, which epsilon >= p makes vacuous."""
-    if not epsilon < p:
-        raise ValueError(f"epsilon (default {DEFAULT_EPSILON!r}) must lie below "
-                         f"the cutpoint {p!r}, got {epsilon!r}")
-
-
 class _Run(NamedTuple):
     """Run state of a lasso word after some symbols past the end marker."""
 
@@ -322,19 +307,22 @@ class _LassoContext:
     """Kernel, acceptance test and prefix table of run_lasso calls.
 
     The constructor is where the test (p, epsilon, beta, visit_eps, mode)
-    is checked, and advance is where it is applied. The prefix phase of a
-    run depends only on the automaton, the prefix and the test, so its
-    outcome is kept per prefix: a settled REJECTED verdict, or the _Run
-    after '#u'. check_emptiness shares one context between the
-    candidates of a search; a single run builds its own, whose records
-    collect the trace.
+    is checked, advance is where it is applied, and run_word runs a lasso
+    word under it. The prefix phase of a run depends only on the
+    automaton, the prefix and the test, so its outcome is kept per
+    prefix: a settled REJECTED verdict, or the _Run after '#u'.
+    check_emptiness shares one context between the candidates of a
+    search; a single run builds its own, whose records collect the trace.
     """
 
     def __init__(self, a: Mmqba, p: float, epsilon: float, beta: float,
                  visit_eps: float, mode: str, records: list | None = None):
         p = _check_cutpoint(p)
         _check_test_params(epsilon, beta, visit_eps)
-        _check_epsilon_below(p, epsilon)
+        # the accept test is acc >= p - epsilon, which epsilon >= p makes vacuous
+        if not epsilon < p:
+            raise ValueError(f"epsilon (default {DEFAULT_EPSILON!r}) must lie below "
+                             f"the cutpoint {p!r}, got {epsilon!r}")
         if mode not in (CERTIFIED, LITERAL):
             raise ValueError(f"mode must be {CERTIFIED!r} or {LITERAL!r}")
         self.kernel = _Kernel(a)
@@ -446,14 +434,22 @@ class _LassoContext:
         """Period k of cycle from run by its compiled map g, as advance
         returns it.
 
-        The period is one product. Mid-period, the non-halting mass is the
-        mass at the start less what has halted, and at the end it is the
-        norm of the new state. The period is kept only if it stays
-        undecided: if one of its steps settles the run, sets accepted or
-        halts it, or if it leaves both sums as they were and the state
-        within _FIXED_POINT_SQ of where it was, so that run_lasso's test
-        for an exact fixed point could hold, it is discarded and stepped
-        again from run, so those outcomes are decided by stepping.
+        run_word compiles g once per run, from the second period on, and
+        only at state dimension _COMPILED_MIN_DIM and up, for a cycle of
+        two symbols or more, and when at least dim periods are left after
+        the first. The period is one product, whose floats may differ from
+        stepping, and so from run_prefix, in the last bits. Mid-period,
+        the non-halting mass is the mass at the start less what has
+        halted, and at the end it is the norm of the new state. The period
+        is kept only if it stays undecided: if one of its steps settles
+        the run, sets accepted or halts it, or if it leaves both sums as
+        they were and the state within _FIXED_POINT_SQ of where it was, so
+        that run_word's test for an exact fixed point could hold, it is
+        discarded and stepped again from run, so those outcomes are
+        decided on stepped arithmetic. What the compiled floats cannot
+        show is a threshold that stepping would cross within those last
+        bits: there a verdict, its period or its visit count can differ
+        from a stepped run's.
         """
         kernel, records = self.kernel, self.records
         mark = len(records) if records is not None else 0
@@ -496,6 +492,46 @@ class _LassoContext:
             self.prefixes[u] = entry
         return entry
 
+    def run_word(self, w: LassoWord, max_periods: int) -> Verdict:
+        """The verdict of w, whose symbols the caller has checked, within
+        max_periods >= 1 cycle periods: the prefix phase from the table,
+        then the cycle until a period settles or halts the run, the cycle
+        map reaches an exact fixed point, or the budget runs out."""
+        run = self.after(w.prefix)
+        if isinstance(run, Verdict):
+            return run
+        cycle, beta = w.cycle, self.beta
+        stationary = False
+        g = None
+        for k in range(1, max_periods + 1):
+            prev = run
+            # compiling costs about (|v| - 1) * dim matrix-vector products and
+            # saves |v| - 1 of them a period; a cycle of one symbol saves none
+            if (k == 2 and len(cycle) > 1
+                    and max_periods - 1 >= self.kernel.a.dim >= _COMPILED_MIN_DIM):
+                g = self.compiled(cycle)
+            if g is None:
+                run = self.advance(prev, cycle, k, beta * k)
+            else:
+                run = self.period(prev, cycle, k, beta * k, g)
+            if isinstance(run, Verdict):
+                return run
+            if run.halted:
+                break
+            if (run.acc == prev.acc and run.rej == prev.rej
+                    and np.array_equal(run.psi, prev.psi)):
+                # exact fixed point of the cycle map: no future step can
+                # differ, so no further accepting visit is possible
+                stationary = True
+                break
+        psi, acc, rej, _, visits, _, accepted = run
+        nh = _norm_sq(psi)
+        if accepted:
+            return self.verdict(Status.ACCEPTED, REASON_CERTIFIED, acc, rej, nh, visits, k)
+        if stationary:
+            return self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, acc, rej, nh, visits, k)
+        return self.verdict(Status.INCONCLUSIVE, REASON_BUDGET, acc, rej, nh, visits, k)
+
 
 def run_lasso(
     a: Mmqba,
@@ -527,67 +563,24 @@ def run_lasso(
     accepting-side refutation, which would otherwise misfire at p = 1
     where acc + nh rounds a few ulps under 1. Verdicts never flip between
     ACCEPTED and REJECTED when the budget grows, except for limits within
-    epsilon of the cutpoint. At dimension 16 and up, for a cycle of two
-    symbols or more and when at least dim periods are left after the
-    first, the undecided periods are applied as one compiled map each,
-    whose floats may differ from run_prefix in the last bits. A period
-    that would settle, accept or halt the run, or that leaves both sums
-    and, to within rounding, the state unchanged, is stepped again, so
-    those outcomes are decided on stepped arithmetic; only where a stepped
-    value would cross a threshold by no more than those last bits can a
-    compiled run differ.
-    _context is private: check_emptiness passes one to all its candidates.
+    epsilon of the cutpoint. A long run at dimension 16 and up may apply
+    its cycle periods compiled, as _LassoContext.period describes.
+    _context is private: check_emptiness passes one context, built for a
+    and p, to all its candidates, and that context supplies the test, so
+    epsilon, beta, visit_eps and mode are not read. A context for another
+    automaton or cutpoint, or a traced run, is refused.
     """
-    if max_periods < 1:
-        raise ValueError("max_periods must be at least 1")
+    max_periods = _check_count("max_periods", max_periods)
     if _context is None:
         context = _LassoContext(a, p, epsilon, beta, visit_eps, mode,
                                 [] if record_trace else None)
-    elif (_context.kernel.a is a and not record_trace
-          and (_context.p, _context.epsilon, _context.beta,
-               _context.visit_eps, _context.mode)
-          == (p, epsilon, beta, visit_eps, mode)):
+    elif _context.kernel.a is a and _context.p == p and not record_trace:
         context = _context
     else:
-        raise ValueError("a shared lasso context needs the same automaton and test, and no trace")
+        raise ValueError("a shared lasso context needs the same automaton and cutpoint, "
+                         "and no trace")
     context.kernel.check_word(w.prefix + w.cycle)
-
-    run = context.after(w.prefix)
-    if isinstance(run, Verdict):
-        return run
-    periods = 0
-    stationary = False
-    g = None
-    for k in range(1, max_periods + 1):
-        periods = k
-        prev = run
-        # compiling costs about (|v| - 1) * dim matrix-vector products and
-        # saves |v| - 1 of them a period; a cycle of one symbol saves none
-        if k == 2 and len(w.cycle) > 1 and max_periods - 1 >= a.dim >= _COMPILED_MIN_DIM:
-            g = context.compiled(w.cycle)
-        if g is None:
-            run = context.advance(prev, w.cycle, k, beta * k)
-        else:
-            run = context.period(prev, w.cycle, k, beta * k, g)
-        if isinstance(run, Verdict):
-            return run
-        if run.halted:
-            break
-        if (run.acc == prev.acc and run.rej == prev.rej
-                and np.array_equal(run.psi, prev.psi)):
-            # exact fixed point of the cycle map: no future step can differ,
-            # so no further accepting visit is possible
-            stationary = True
-            break
-
-    verdict = context.verdict
-    psi, acc, rej, _, visits, _, accepted = run
-    nh = _norm_sq(psi)
-    if accepted:
-        return verdict(Status.ACCEPTED, REASON_CERTIFIED, acc, rej, nh, visits, periods)
-    if stationary:
-        return verdict(Status.REJECTED, REASON_BUCHI_REFUTED, acc, rej, nh, visits, periods)
-    return verdict(Status.INCONCLUSIVE, REASON_BUDGET, acc, rej, nh, visits, periods)
+    return context.run_word(w, max_periods)
 
 
 CLAUSE_CERTIFIED = "certified"

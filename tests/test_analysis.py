@@ -121,6 +121,14 @@ def test_verify_decomposition_is_seeded(fixtures):
     assert r1 == r2
 
 
+@pytest.mark.parametrize("name,bad", [("word_len", -1), ("trials", -3), ("trials", 2.5)])
+def test_verify_decomposition_validates_counts(fixtures, name, bad):
+    # 0 is a valid count of either (test_block_verify_matches_three_loops)
+    a = fixtures["lang_ab_cycle"]
+    with pytest.raises(ValueError, match=f"{name} must be an integer of at least 0"):
+        verify_decomposition(a, decompose_nonhalting(a), **{"word_len": 5, "trials": 2, name: bad})
+
+
 def test_block_step_matches_vector_steps():
     rng = np.random.default_rng(41)
     for dim in range(3, 9):
@@ -326,6 +334,8 @@ def test_estimate_limit_validation():
         estimate_limit(records, period_len=1)
     with pytest.raises(ValueError):
         estimate_limit(_geometric_records([0.1] * 8), period_len=0)
+    with pytest.raises(ValueError, match="period_len"):
+        estimate_limit(_geometric_records([0.1] * 8), period_len=2.5)
 
 
 def test_estimate_limit_a_prefix(fixtures):

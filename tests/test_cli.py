@@ -185,6 +185,17 @@ def test_symbol_outside_alphabet_exits_65():
     assert b"alphabet" in r.stderr
 
 
+@pytest.mark.parametrize("extra", [[], ["--beta", "nan"], ["--cutpoint", "2"]],
+                         ids=["alone", "bad-beta", "bad-cutpoint"])
+def test_word_symbols_are_checked_before_option_values(extra):
+    # a symbol outside the alphabet is input data (65), and the document
+    # and the word are checked before any option value (64)
+    r = qbuchi("run", fixture_path("lang_a_omega"), "--prefix", "z", "--cycle", "a",
+               "--cutpoint", "0.8", *extra)
+    assert r.returncode == 65
+    assert r.stderr == b"qbuchi: error: symbol 'z' is not in the automaton alphabet\n"
+
+
 def test_malformed_file_exits_65(tmp_path):
     bad = tmp_path / "bad.qba"
     bad.write_text("{not json")

@@ -247,16 +247,23 @@ def test_search_matches_plain_loop_on_crafted_automata(make, p, lasso, expected,
 
 def test_run_lasso_with_a_shared_context_matches_single_runs():
     p = 0.7
+    default = dict(epsilon=DEFAULT_EPSILON, beta=DEFAULT_BETA,
+                   visit_eps=DEFAULT_VISIT_EPS, mode=CERTIFIED)
+    other = dict(epsilon=1e-6, beta=0.25, visit_eps=DEFAULT_VISIT_EPS, mode=LITERAL)
+    differs = False
     for a in (_haar_automaton(4), _marker_halts(), acc_then_rej_automaton()):
-        context = _LassoContext(
-            a, p, DEFAULT_EPSILON, DEFAULT_BETA, DEFAULT_VISIT_EPS, CERTIFIED
-        )
         symbols = sorted(a.alphabet)
-        for n in range(4):
-            for u in itertools.product(symbols, repeat=n):
-                w = LassoWord("".join(u), symbols[-1])
-                shared = run_lasso(a, w, p, max_periods=16, _context=context)
-                assert shared == run_lasso(a, w, p, max_periods=16)
+        for test in (default, other):
+            context = _LassoContext(a, p, **test)
+            for n in range(4):
+                for u in itertools.product(symbols, repeat=n):
+                    w = LassoWord("".join(u), symbols[-1])
+                    # the shared context supplies the test: the call does not state it
+                    shared = run_lasso(a, w, p, max_periods=16, _context=context)
+                    assert shared == run_lasso(a, w, p, max_periods=16, **test)
+                    differs |= shared != run_lasso(a, w, p, max_periods=16)
+    # so a context whose test went unused would fail the loop above
+    assert differs
     refuted = _no_accepting_state()
     context = _LassoContext(
         refuted, p, DEFAULT_EPSILON, DEFAULT_BETA, DEFAULT_VISIT_EPS, CERTIFIED
@@ -267,11 +274,16 @@ def test_run_lasso_with_a_shared_context_matches_single_runs():
         run_lasso(refuted, LassoWord("", "a"), 0.8, _context=context)
     with pytest.raises(ValueError):
         run_lasso(refuted, LassoWord("", "a"), p, record_trace=True, _context=context)
+    with pytest.raises(ValueError):
+        run_lasso(_marker_halts(), LassoWord("", "a"), p, _context=context)
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_rounds=0)
+    for bad in (0, math.nan, 2.5):
+        with pytest.raises(ValueError, match="max_rounds"):
+            SearchBudget(max_rounds=bad)
+    # kept as the int the count rule returns, so that rounds_completed is one
+    assert type(SearchBudget(max_rounds=np.int64(2)).max_rounds) is int
     with pytest.raises(ValueError):
         SearchBudget(beta=0.0)
     with pytest.raises(ValueError):
@@ -329,3 +341,5 @@ def test_benchmark_validates_lengths(fixtures):
         benchmark_step_cost(fixtures["no_entry"], [])
     with pytest.raises(ValueError):
         benchmark_step_cost(fixtures["no_entry"], [100, 0])
+    with pytest.raises(ValueError, match="lengths"):
+        benchmark_step_cost(fixtures["no_entry"], [1.5])

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -108,22 +109,19 @@ def test_no_unused_imports(path):
     assert sorted(imported - used) == []
 
 
-def test_no_unused_private_names():
-    # a private module-level name that nothing in the package reads is a
-    # helper left behind by a refactor
+def _module_names():
+    """The names bound at module level by a def, a class or an assignment
+    in the package's source files, and the names read anywhere in them."""
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in SOURCE_FILES]
-    private = set()
+    bound = set()
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                targets = [node.name]
+                bound.add(node.name)
             elif isinstance(node, ast.Assign):
-                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                targets = [node.target.id]
-            else:
-                continue
-            private.update(n for n in targets if n.startswith("_") and not n.startswith("__"))
+                bound.add(node.target.id)
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -131,4 +129,20 @@ def test_no_unused_private_names():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return bound, read
+
+
+def test_no_unused_private_names():
+    # a private module-level name that nothing in the package reads is a
+    # helper left behind by a refactor
+    bound, read = _module_names()
+    private = {n for n in bound if n.startswith("_") and not n.startswith("__")}
     assert sorted(private - read) == []
+
+
+def test_no_unused_constants():
+    # a module-level constant that nothing in the package reads is a
+    # setting that no code applies
+    bound, read = _module_names()
+    constants = {n for n in bound if re.fullmatch(r"[A-Z][A-Z0-9_]*", n)}
+    assert sorted(constants - read) == []

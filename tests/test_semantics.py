@@ -254,8 +254,11 @@ def test_run_lasso_validation_errors(fixtures):
         run_lasso(a, w, 1.5)
     with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, mode="fast")
-    with pytest.raises(ValueError):
-        run_lasso(a, w, 0.8, max_periods=0)
+    # a count goes through operator.index, so no float passes, not even
+    # one that range() would refuse only later with a TypeError
+    for bad in (0, math.nan, math.inf, 2.5):
+        with pytest.raises(ValueError, match="max_periods must be an integer of at least 1"):
+            run_lasso(a, w, 0.8, max_periods=bad)
     with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, epsilon=-1e-9)
     with pytest.raises(ValueError):
