@@ -71,6 +71,14 @@ def _check_count(name: str, value, least: int = 1) -> int:
     return n
 
 
+def _check_word(alphabet, word) -> None:
+    """The rule of every word argument, a string or a list of symbols: each
+    of its symbols lies in alphabet."""
+    for ch in word:
+        if ch not in alphabet:
+            raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
+
+
 class Cutpoint(float):
     """Cutpoint probability in (0, 1]; values at or below 1/2 warn."""
 

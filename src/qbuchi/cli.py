@@ -81,6 +81,13 @@ def _load_valid(path: str) -> automata.Mmqba:
     return a
 
 
+def _check_symbols(a: automata.Mmqba, symbols) -> None:
+    try:
+        automata._check_word(a.alphabet, symbols)
+    except ValueError as e:
+        raise _CliError(EX_DATAERR, str(e))
+
+
 def cmd_validate(args) -> int:
     a = _load(args.file)
     violations = automata.validate(a)
@@ -110,9 +117,7 @@ _STATUS_EXIT = {
 
 def cmd_run(args) -> int:
     a = _load_valid(args.file)
-    for ch in args.prefix + args.cycle:
-        if ch not in a.alphabet:
-            raise _CliError(EX_DATAERR, f"symbol {ch!r} is not in the automaton alphabet")
+    _check_symbols(a, args.prefix + args.cycle)
     try:
         verdict = run_lasso(
             a,
@@ -236,8 +241,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_check_cycle(args) -> int:
     a = _load_valid(args.file)
-    if args.symbol not in set(a.alphabet):
-        raise _CliError(EX_DATAERR, f"symbol {args.symbol!r} is not in the alphabet")
+    _check_symbols(a, [args.symbol])
     try:
         s = SubspaceBasis.from_indices(args.subspace, a.dim)
     except ValueError as e:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automata import END_MARKER, Mmqba, Mmqfa, RESERVED_SYMBOLS
+from .automata import END_MARKER, Mmqba, Mmqfa, RESERVED_SYMBOLS, _check_word
 from .numerics import tensor
 from .semantics import LassoWord
 
@@ -171,10 +171,7 @@ def restrict_to_lasso(m: Mmqba, w: LassoWord) -> Mmqba:
     dead state so the mismatch transitions stay injective; the lasso is
     first rotated so the advance map has no target collisions.
     """
-    alphabet = set(m.alphabet)
-    for ch in w.prefix + w.cycle:
-        if ch not in alphabet:
-            raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
+    _check_word(m.alphabet, w.prefix + w.cycle)
     norm = _normalize_lasso(w)
     u, v = norm.prefix, norm.cycle
     live = len(u) + len(v)

@@ -17,8 +17,9 @@ callers can audit or tighten it. Rejection certificates are sound: once
 one holds it holds forever.
 
 A long run at state dimension 16 and up may apply its undecided cycle
-periods as one compiled map each; _LassoContext.period says when, and
-how far its floats and verdicts may differ from a stepped run.
+periods as compiled maps, eight periods or one at a time;
+_LassoContext.period says when, and how far its floats and verdicts may
+differ from a stepped run.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .automata import END_MARKER, Mmqba, Mmqfa, TERMINAL, _check_count, _check_cutpoint
+from .automata import (END_MARKER, Mmqba, Mmqfa, TERMINAL, _check_count, _check_cutpoint,
+                       _check_word)
 
 DEFAULT_MAX_PERIODS = 1024
 DEFAULT_EPSILON = 1e-9
@@ -207,11 +209,6 @@ class _Kernel:
         self.halt_idx = np.array(accepting + sorted(a.rejecting), dtype=np.intp)
         self.n_acc = len(accepting)
 
-    def check_word(self, word: str):
-        for ch in word:
-            if ch not in self.symbols:
-                raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
-
     def amplitudes(self, psi: np.ndarray, symbol: str):
         """One measured step of a vector (dim,) or a block (dim, B): the
         new state and the halting amplitudes in halt_idx order, one
@@ -253,7 +250,7 @@ def _records(kernel: _Kernel, word: str) -> tuple[StepRecord, ...]:
 def run_prefix(a: Mmqba, word: str) -> tuple[StepRecord, ...]:
     """The trace of a finite word: one step record per symbol, after the end marker."""
     kernel = _Kernel(a)
-    kernel.check_word(word)
+    _check_word(kernel.symbols, word)
     return _records(kernel, word)
 
 
@@ -262,7 +259,7 @@ def run_mmqfa(a: Mmqfa, word: str) -> tuple[float, float]:
     if not isinstance(a, Mmqfa):
         raise TypeError("run_mmqfa requires an automaton with a terminal unitary")
     kernel = _Kernel(a)
-    kernel.check_word(word)
+    _check_word(kernel.symbols, word)
     last = _records(kernel, word + TERMINAL)[-1]
     return last.acc, last.rej
 
@@ -301,6 +298,12 @@ _COMPILED_MIN_DIM = 16
 # by a few ulps times dim, far below it; a state that still drains or
 # turns moves far more.
 _FIXED_POINT_SQ = 1e-18
+
+# The undecided periods of a compiled run are taken this many at a time,
+# as one product by the compiled block. A power of two, since the block is
+# built by doubling; of 4, 8 and 16, 8 gave the fastest runs at dimensions
+# 81 and 243.
+_BLOCK = 8
 
 
 class _LassoContext:
@@ -430,34 +433,51 @@ class _LassoContext:
             g[len(cycle) * h:, cols] = block
         return g
 
-    def period(self, run: _Run, cycle: str, k: int, need: float, g: np.ndarray):
-        """Period k of cycle from run by its compiled map g, as advance
-        returns it.
+    def blocked(self, g: np.ndarray) -> np.ndarray:
+        """The compiled block G_K of _BLOCK periods, built from the map G of
+        one period.
 
-        run_word compiles g once per run, from the second period on, and
-        only at state dimension _COMPILED_MIN_DIM and up, for a cycle of
-        two symbols or more, and when at least dim periods are left after
-        the first. The period is one product, whose floats may differ from
-        stepping, and so from run_prefix, in the last bits. Mid-period,
-        the non-halting mass is the mass at the start less what has
-        halted, and at the end it is the norm of the new state. The period
-        is kept only if it stays undecided: if one of its steps settles
-        the run, sets accepted or halts it, or if it leaves both sums as
-        they were and the state within _FIXED_POINT_SQ of where it was, so
-        that run_word's test for an exact fixed point could hold, it is
-        discarded and stepped again from run, so those outcomes are
-        decided on stepped arithmetic. What the compiled floats cannot
-        show is a threshold that stepping would cross within those last
-        bits: there a verdict, its period or its visit count can differ
-        from a stepped run's.
+        Write G_n = [H_n; M_n], with H_n the halting rows of n periods and
+        M_n = M_v^n. Then G_2n = [H_n; G_n @ M_n]: the halting rows of
+        periods n+1 to 2n are H_n M_n, and M_2n = M_n M_n. The doubling
+        fills one array whose last dim rows hold M_n, in log2 _BLOCK
+        steps, each of which makes one dim x dim temporary.
+        """
+        dim = self.kernel.a.dim
+        rows = len(g) - dim
+        gk = np.empty((_BLOCK * rows + dim, dim), dtype=np.complex128)
+        gk[:rows] = g[:rows]
+        m = gk[_BLOCK * rows:]
+        m[...] = g[rows:]
+        n = rows
+        while n < _BLOCK * rows:
+            np.matmul(gk[:n], m, out=gk[n:2 * n])
+            m[...] = m @ m
+            n *= 2
+        return gk
+
+    def compiled_run(self, run: _Run, cycle: str, k: int, need: float,
+                     g: np.ndarray, periods: int):
+        """The run after the periods periods of cycle from run, the first
+        of them period k, by their compiled map g (G, or G_K from blocked),
+        or None when period's rules discard them, with their records.
+
+        The periods are one product, whose floats may differ from stepping,
+        and so from run_prefix, in the last bits. Within them the
+        non-halting mass is the mass at the start less what has halted,
+        and after the last step it is the norm of the new state. All steps
+        go through advance at need, the first period's: need only grows,
+        so periods that do not accept at it would not accept at their own,
+        larger needs.
         """
         kernel, records = self.kernel, self.records
         mark = len(records) if records is not None else 0
         out = g @ run.psi
-        n_rows = len(cycle) * len(kernel.halt_idx)
+        n_rows = len(g) - kernel.a.dim
+        steps = periods * len(cycle)
         # per step, the squares of the halting amplitudes' real and
         # imaginary parts, the accepting states' first
-        rows = np.square(out[:n_rows].view(np.float64)).reshape(len(cycle), -1).tolist()
+        rows = np.square(out[:n_rows].view(np.float64)).reshape(steps, -1).tolist()
         m = 2 * kernel.n_acc
         psi = out[n_rows:]
         nh = _norm_sq(run.psi)
@@ -467,14 +487,47 @@ class _LassoContext:
             nh -= alpha + rho
             given.append((alpha, rho, nh))
         given[-1] = (alpha, rho, _norm_sq(psi))
-        new = self.advance(_Run(psi, *run[1:]), cycle, k, need, given)
-        if (isinstance(new, _Run) and not new.halted and new.accepted == run.accepted
-                and ((new.acc, new.rej) != (run.acc, run.rej)
-                     or _norm_sq(psi - run.psi) > _FIXED_POINT_SQ * _norm_sq(run.psi))):
-            return new
+        # the run before the last period, whose sums that period must change
+        last = steps - len(cycle)
+        mid = _Run(psi, *run[1:])
+        if last:
+            mid = self.advance(mid, cycle * (periods - 1), k, need, given[:last])
+        if isinstance(mid, _Run):
+            new = self.advance(mid, cycle, k, need, given[last:])
+            if (isinstance(new, _Run) and not new.halted and new.accepted == run.accepted
+                    and ((new.acc, new.rej) != (mid.acc, mid.rej)
+                         or (periods == 1 and _norm_sq(psi - run.psi)
+                             > _FIXED_POINT_SQ * _norm_sq(run.psi)))):
+                return new
         if records is not None:
             del records[mark:]
-        return self.advance(run, cycle, k, need)
+        return None
+
+    def period(self, run: _Run, cycle: str, k: int, need: float, g: np.ndarray):
+        """Period k of cycle from run by its compiled map g, as advance
+        returns it.
+
+        run_word compiles g once per run, from the second period on, and
+        only at state dimension _COMPILED_MIN_DIM and up, for a cycle of
+        two symbols or more, and when at least dim periods are left after
+        the first. It then takes the undecided periods _BLOCK at a time,
+        by the compiled block of blocked(g), while at least _BLOCK periods
+        are left, and the rest one at a time here. A block or period is
+        one compiled_run, which says how its floats may differ from
+        stepping. A block is discarded if one of its steps settles the
+        run, sets accepted or halts it, or if its last period leaves both
+        sums as they were; its periods are then taken one at a time here.
+        A period is discarded on the same events, or if it leaves both
+        sums as they were and the state within _FIXED_POINT_SQ of where it
+        was, so that run_word's test for an exact fixed point could hold;
+        it is then stepped again from run, so those outcomes are decided
+        on stepped arithmetic. What the compiled floats cannot show is a
+        threshold that stepping would cross within those last bits: there
+        a verdict, its period or its visit count can differ from a stepped
+        run's.
+        """
+        new = self.compiled_run(run, cycle, k, need, g, 1)
+        return new if new is not None else self.advance(run, cycle, k, need)
 
     def after(self, u: str):
         """The prefix-phase outcome of u, memoized.
@@ -502,14 +555,28 @@ class _LassoContext:
             return run
         cycle, beta = w.cycle, self.beta
         stationary = False
-        g = None
-        for k in range(1, max_periods + 1):
-            prev = run
+        g = gk = None
+        k = 0
+        # periods up to this one are taken one at a time after a discarded block
+        singles_until = 0
+        while k < max_periods:
             # compiling costs about (|v| - 1) * dim matrix-vector products and
-            # saves |v| - 1 of them a period; a cycle of one symbol saves none
-            if (k == 2 and len(cycle) > 1
+            # log2 _BLOCK products of dim x dim matrices; it saves |v| - 1
+            # products a period, and a block saves _BLOCK - 1 more; a cycle
+            # of one symbol saves none a period
+            if (k == 1 and len(cycle) > 1
                     and max_periods - 1 >= self.kernel.a.dim >= _COMPILED_MIN_DIM):
                 g = self.compiled(cycle)
+                gk = self.blocked(g)
+            if gk is not None and k >= singles_until and max_periods - k >= _BLOCK:
+                new = self.compiled_run(run, cycle, k + 1, beta * (k + 1), gk, _BLOCK)
+                if new is not None:
+                    run = new
+                    k += _BLOCK
+                    continue
+                singles_until = k + _BLOCK
+            k += 1
+            prev = run
             if g is None:
                 run = self.advance(prev, cycle, k, beta * k)
             else:
@@ -579,7 +646,7 @@ def run_lasso(
     else:
         raise ValueError("a shared lasso context needs the same automaton and cutpoint, "
                          "and no trace")
-    context.kernel.check_word(w.prefix + w.cycle)
+    _check_word(context.kernel.symbols, w.prefix + w.cycle)
     return context.run_word(w, max_periods)
 
 

@@ -262,9 +262,14 @@ def test_criterion_10_emptiness_search(fixtures):
 
 
 def test_criterion_11_step_cost_scaling(fixtures):
-    rep = benchmark_step_cost(fixtures["lang_a_omega"], [10_000, 10_000, 10_000])
-    assert rep.dims == (3, 9, 27)
-    assert 1.5 <= rep.exponent <= 2.8
-    times = ", ".join(f"{t * 1e6:.1f}" for t in rep.per_symbol_seconds)
+    # each level is timed as the fastest of three calls, so that a burst of
+    # load on the host slows no level on its own
+    reps = [benchmark_step_cost(fixtures["lang_a_omega"], [10_000, 10_000, 10_000])
+            for _ in range(3)]
+    assert all(rep.dims == (3, 9, 27) for rep in reps)
+    per_symbol = np.min([rep.per_symbol_seconds for rep in reps], axis=0)
+    exponent = float(np.polyfit(np.log(reps[0].dims), np.log(per_symbol), 1)[0])
+    assert 1.5 <= exponent <= 2.8
+    times = ", ".join(f"{t * 1e6:.1f}" for t in per_symbol)
     print(f"criterion 11: PASS - per-symbol us across dims 3/9/27: {times}; "
-          f"exponent {rep.exponent:.2f}")
+          f"exponent {exponent:.2f}")

@@ -286,6 +286,11 @@ def test_check_cycle_rejects_bad_inputs():
     bad_symbol = qbuchi("check-cycle", fixture_path("no_entry"), "--symbol", "z",
                         "--subspace", "0,2")
     assert bad_symbol.returncode == 65
+    assert bad_symbol.stderr == b"qbuchi: error: symbol 'z' is not in the automaton alphabet\n"
+    two_symbols = qbuchi("check-cycle", fixture_path("no_entry"), "--symbol", "aa",
+                         "--subspace", "0,2")
+    assert two_symbols.returncode == 65
+    assert two_symbols.stderr == b"qbuchi: error: symbol 'aa' is not in the automaton alphabet\n"
     bad_index = qbuchi("check-cycle", fixture_path("no_entry"), "--symbol", "a",
                        "--subspace", "0,7")
     assert bad_index.returncode == 65

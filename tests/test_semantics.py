@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qbuchi.semantics import (
     DEFAULT_VISIT_EPS,
     LITERAL,
     REASON_BUCHI_REFUTED,
+    REASON_REJ_REFUTED,
     LassoWord,
     Status,
     StepRecord,
@@ -741,3 +743,191 @@ def test_compiled_fixed_point_is_stepped_again(monkeypatch, mode):
     _assert_same_run(got, want)
     assert (got.status, got.reason, got.periods_simulated) == (
         Status.REJECTED, REASON_BUCHI_REFUTED, 3)
+
+
+def _compiled_runs(monkeypatch):
+    """Record (first period, periods, kept) of every compiled_run call."""
+    calls = []
+    compiled_run = semantics._LassoContext.compiled_run
+
+    def recorded(self, run, cycle, k, need, g, periods):
+        new = compiled_run(self, run, cycle, k, need, g, periods)
+        calls.append((k, periods, new is not None))
+        return new
+
+    monkeypatch.setattr(semantics._LassoContext, "compiled_run", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [16, 27, 81])
+def test_compiled_blocks_match_periods_and_steps(monkeypatch, dim):
+    K = semantics._BLOCK
+    rng = np.random.default_rng(dim)
+    a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    n = dim // K + 1  # at least dim periods left at period 2
+    runs = []
+    for mode in (CERTIFIED, LITERAL):
+        # every length of the tail of single periods after the last block
+        for r in range(K):
+            w = LassoWord("".join(rng.choice(["a", "b"], 2)),
+                          "".join(rng.choice(["a", "b"], 3)))
+            for trace in (False, True):
+                runs.append(((a, w, 0.6), dict(max_periods=2 + K * n + r, mode=mode,
+                                               record_trace=trace)))
+    calls = _compiled_runs(monkeypatch)
+    blocked = [run_lasso(*args, **kw) for args, kw in runs]
+    assert {(periods, kept) for _, periods, kept in calls} == {
+        (K, True), (K, False), (1, True), (1, False)}
+    monkeypatch.setattr(semantics, "_BLOCK", 1)
+    per_period = [run_lasso(*args, **kw) for args, kw in runs]
+    _stepped_only(monkeypatch)
+    stepped = [run_lasso(*args, **kw) for args, kw in runs]
+    for got, one, want in zip(blocked, per_period, stepped):
+        _assert_same_run(got, one)
+        _assert_same_run(got, want)
+
+
+def _fixed_point_automaton():
+    """Period 3 of 'aa' is an exact fixed point: the end marker splits q0
+    between q0..q7, which 'aa' leaves as they are, and a chain q8..q11
+    whose mass has all halted by the end of period 2."""
+    u = _chain_unitary(16, [8, 9, 10, 11], [12, 13, 14], 15)
+    u[:8, :8] = np.eye(8)[[1, 0, 3, 2, 5, 4, 7, 6]]
+    marker = np.eye(16)
+    r = 1.0 / np.sqrt(2.0)
+    marker[[0, 8, 0, 8], [0, 0, 8, 8]] = [r, r, -r, r]
+    return dataclasses.replace(make_automaton({"a": u}, accepting=[15], rejecting=[12, 13, 14]),
+                               end_marker_unitary=marker)
+
+
+def _stepped_event(a, w, p, mode):
+    """The first stepped period that settles or halts the run, sets
+    accepted or reaches an exact fixed point, and which of these it does."""
+    context = semantics._LassoContext(a, p, 1e-9, 0.5, DEFAULT_VISIT_EPS, mode)
+    run = context.after(w.prefix)
+    for k in range(1, DEFAULT_MAX_PERIODS + 1):
+        prev, run = run, context.advance(run, w.cycle, k, 0.5 * k)
+        if isinstance(run, Verdict):
+            return k, run.reason
+        if run.halted or run.accepted:
+            return k, "halted" if run.halted else "accepted"
+        if (run.acc, run.rej) == (prev.acc, prev.rej) and np.array_equal(run.psi, prev.psi):
+            return k, "fixed point"
+
+
+def test_a_block_that_decides_is_taken_period_by_period(monkeypatch):
+    # each event falls inside the first block, periods 2 to K + 1, which is
+    # then discarded: its periods are the per-period path's, bit for bit
+    K = semantics._BLOCK
+    chain = _chain_unitary(16, list(range(7)), list(range(8, 14)), 14)
+    haar = {}
+    for seed in (0, 3):
+        rng = np.random.default_rng(seed)
+        haar[seed] = {s: haar_unitary(rng, 16) for s in "ab"}
+    cases = [
+        (make_automaton(haar[3], accepting=[1, 2, 3], rejecting=[4]), "ab", 0.7),
+        (make_automaton({"a": chain}, accepting=[14], rejecting=list(range(8, 14))), "aa", 0.9),
+        (make_automaton(haar[0], accepting=[1], rejecting=[2, 3]), "ab", 0.5),
+        (_fixed_point_automaton(), "aa", 0.7),
+    ]
+    calls = _compiled_runs(monkeypatch)
+    events = set()
+    for a, cycle, p in cases:
+        w = LassoWord("", cycle)
+        for mode in (CERTIFIED, LITERAL):
+            k, event = _stepped_event(a, w, p, mode)
+            assert 2 < k <= K + 1
+            events.add(event)
+            monkeypatch.setattr(semantics, "_BLOCK", K)
+            calls.clear()
+            got = run_lasso(a, w, p, max_periods=40, mode=mode, record_trace=True)
+            assert calls[0] == (2, K, False)
+            monkeypatch.setattr(semantics, "_BLOCK", 1)
+            want = run_lasso(a, w, p, max_periods=40, mode=mode, record_trace=True)
+            # a run that goes on after the event takes later blocks
+            steps = (K + 1) * len(cycle)
+            assert got.trace[:steps] == want.trace[:steps]
+            if got.periods_simulated <= K + 1:
+                assert got == want
+            else:
+                _assert_same_run(got, want)
+    assert {"accepted", "halted", REASON_REJ_REFUTED, "fixed point"} <= events
+
+
+def test_a_block_takes_the_visit_test_of_its_first_period(monkeypatch):
+    # the end marker splits q0 between q0, q1 and a chain q2..q7. 'a' swaps
+    # q0 and q1 and turns sin(0.1) of q0 onto the rejecting q14, so every
+    # period adds to rej; it moves the chain one state a step, turning some
+    # of it onto the accepting q8..q12, and at step 6 onto the accepting
+    # q13. Visits then stop at 6, and the literal run accepts at period 3
+    # by the visit test of period 3, which the block of periods 2 to 9
+    # passes at period 2's need but would fail at period 9's
+    u = _chain_unitary(16, list(range(2, 8)), list(range(8, 13)), 13)
+    c, s = np.cos(0.1), np.sin(0.1)
+    u[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    leak = np.eye(16)
+    leak[[0, 14, 0, 14], [0, 0, 14, 14]] = [c, s, -s, c]
+    marker = np.eye(16)
+    r = 1.0 / np.sqrt(2.0)
+    marker[[0, 2, 0, 2], [0, 0, 2, 2]] = [r, r, -r, r]
+    a = dataclasses.replace(make_automaton({"a": leak @ u}, accepting=range(8, 14),
+                                           rejecting=[14]),
+                            end_marker_unitary=marker)
+    args = (a, LassoWord("", "aa"), 0.45)
+    kw = dict(max_periods=40, beta=1.0, mode=LITERAL, record_trace=True)
+    calls = _compiled_runs(monkeypatch)
+    got = run_lasso(*args, **kw)
+    assert calls[0] == (2, semantics._BLOCK, False)
+    _stepped_only(monkeypatch)
+    want = run_lasso(*args, **kw)
+    _assert_same_run(got, want)
+    assert (got.status, got.periods_simulated, got.visit_count) == (Status.ACCEPTED, 3, 6)
+
+
+def test_compiled_block_is_the_compiled_map_of_its_periods():
+    K = semantics._BLOCK
+    rng = np.random.default_rng(81)
+    a = make_automaton({s: haar_unitary(rng, 81) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    context = semantics._LassoContext(a, 0.6, 1e-9, 0.5, DEFAULT_VISIT_EPS, CERTIFIED)
+    for cycle in ("ab", "abb"):
+        gk = context.blocked(context.compiled(cycle))
+        want = context.compiled(cycle * K)
+        assert gk.shape == want.shape
+        assert np.abs(gk - want).max() <= 1e-12
+
+
+def test_blocked_run_matches_the_reference_kernel(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = make_automaton({s: haar_unitary(rng, 27) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    w = LassoWord("ba", "abb")
+    calls = _compiled_runs(monkeypatch)
+    v = run_lasso(a, w, 0.6, max_periods=60, record_trace=True)
+    assert (semantics._BLOCK, True) in {(periods, kept) for _, periods, kept in calls}
+    assert v.periods_simulated == 60
+    acc, rej, _ = reference_run(a, w.expand(60))
+    assert v.trace[-1].acc == pytest.approx(acc, rel=0.0, abs=1e-9)
+    assert v.trace[-1].rej == pytest.approx(rej, rel=0.0, abs=1e-9)
+
+
+def test_compiled_run_memory_stays_near_its_matrices():
+    # the run keeps G and the block G_K, and building G_K makes one
+    # dim x dim temporary at a time
+    K, dim = semantics._BLOCK, 81
+    rng = np.random.default_rng(dim)
+    a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    w = LassoWord("ab", "abb")
+    halting_rows = len(w.cycle) * 4
+    g, gk = halting_rows + dim, K * halting_rows + dim
+    matrices = 16 * dim * (g + gk + dim)
+    tracemalloc.start()
+    try:
+        v = run_lasso(a, w, 0.6, max_periods=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.periods_simulated == 256
+    assert peak <= 1.1 * matrices
