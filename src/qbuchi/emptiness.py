@@ -2,18 +2,25 @@
 
 The search dovetails deterministically: round r enumerates every pair
 (u, v) with |u| <= r and 1 <= |v| <= r in u-major length-then-
-lexicographic order and simulates with a period budget of 2^r. Pairs
-whose earlier verdict was REJECTED are skipped, since that verdict is a
-certificate and cannot flip under a larger budget; INCONCLUSIVE pairs
-are re-simulated as the budget doubles. Every (pair, budget) point is
-therefore eventually reached and the procedure can only ever answer
-NONEMPTY or run out of rounds.
+lexicographic order and evaluates it with a period budget of 2^r.
+Pairs whose earlier verdict was REJECTED are skipped, since that verdict
+is a certificate and cannot flip under a larger budget; INCONCLUSIVE
+pairs are evaluated again as the budget doubles. Every (pair, budget)
+point is therefore eventually reached and the procedure can only ever
+answer NONEMPTY or run out of rounds.
 
 The prefix phase of a run (the end marker and u) does not depend on the
 cycle, so one search keeps a table of its outcome per prefix, each entry
 derived from the entry for u minus its last symbol in one step. Pairs
 with the same prefix start their cycles from the shared state, and a
 pair whose prefix already settles it is answered from the table.
+Prefixes whose runs reach bitwise the same state share it, and the
+cycle phase of each distinct (state, cycle) is kept too: a pair evaluated
+again under a doubled budget resumes its run where the last budget
+stopped instead of being re-simulated, and a pair whose state and cycle
+were already run is answered from that run. The verdicts are those of
+fresh runs, bit for bit; _LassoContext.run_word says when a run is
+resumed and when it is run afresh.
 """
 from __future__ import annotations
 
@@ -62,9 +69,11 @@ class SearchResult:
     """Outcome of the dovetailing search.
 
     candidates_tried counts pair evaluations, including pairs evaluated
-    again under a doubled budget in later rounds; a pair whose prefix
-    already settles it counts although it is answered from the prefix
-    table without a simulation. rounds_completed is the round
+    again under a doubled budget in later rounds, although such a pair
+    resumes its run rather than simulating it again; a pair whose prefix
+    already settles it, or whose start state and cycle were already run
+    under the budget, counts although it is answered from the search's
+    tables without a simulation. rounds_completed is the round
     in which the witness was found, or max_rounds when the search
     exhausted its budget.
     """

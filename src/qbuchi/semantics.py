@@ -307,15 +307,22 @@ _BLOCK = 8
 
 
 class _LassoContext:
-    """Kernel, acceptance test and prefix table of run_lasso calls.
+    """Kernel, acceptance test, prefix table and phase table of run_lasso
+    calls.
 
     The constructor is where the test (p, epsilon, beta, visit_eps, mode)
     is checked, advance is where it is applied, and run_word runs a lasso
     word under it. The prefix phase of a run depends only on the
     automaton, the prefix and the test, so its outcome is kept per
-    prefix: a settled REJECTED verdict, or the _Run after '#u'.
+    prefix: a settled REJECTED verdict, or the _Run after '#u'. Prefixes
+    whose runs reach bitwise the same state share one _Run, and the cycle
+    phase depends only on that state, the cycle, the test and the budget,
+    so the phase table keeps its outcome per (start state, cycle), as
+    run_word describes: each distinct cycle phase is simulated once, and
+    a larger budget resumes it where the last one stopped.
     check_emptiness shares one context between the candidates of a
-    search; a single run builds its own, whose records collect the trace.
+    search; a single run builds its own, whose records collect the trace
+    and which keeps no phase table.
     """
 
     def __init__(self, a: Mmqba, p: float, epsilon: float, beta: float,
@@ -337,7 +344,9 @@ class _LassoContext:
         if not a.accepting:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED,
                                 alpha, rho, _norm_sq(psi), 0, 0)
-        self.prefixes = {"": root}
+        self.states = {}
+        self.phases = {}
+        self.prefixes = {"": self.intern(root)}
 
     def verdict(self, status, reason, acc, rej, nh, visits, periods) -> Verdict:
         records = self.records
@@ -529,8 +538,23 @@ class _LassoContext:
         new = self.compiled_run(run, cycle, k, need, g, 1)
         return new if new is not None else self.advance(run, cycle, k, need)
 
+    def intern(self, entry):
+        """entry, or the _Run kept first for the same state when entry is a
+        _Run of a context without records.
+
+        Two runs share a state when psi has the same bytes and acc, rej,
+        visits, halted and accepted are equal; steps is left out, since it
+        only numbers trace records. The kept _Run stays in self.states, so
+        its id names the state in the phase table.
+        """
+        if isinstance(entry, Verdict) or self.records is not None:
+            return entry
+        key = (entry.psi.tobytes(), entry.acc, entry.rej, entry.visits,
+               entry.halted, entry.accepted)
+        return self.states.setdefault(key, entry)
+
     def after(self, u: str):
-        """The prefix-phase outcome of u, memoized.
+        """The prefix-phase outcome of u, memoized and interned.
 
         It is built on the entry for u[:-1] when that is known, as in a
         search, which asks for prefixes in order of length; otherwise
@@ -541,22 +565,62 @@ class _LassoContext:
             base = u[:-1] if u[:-1] in self.prefixes else ""
             entry = self.prefixes[base]
             if isinstance(entry, _Run):
-                entry = self.advance(entry, u[len(base):], 0, math.inf)
+                entry = self.intern(self.advance(entry, u[len(base):], 0, math.inf))
             self.prefixes[u] = entry
         return entry
 
     def run_word(self, w: LassoWord, max_periods: int) -> Verdict:
         """The verdict of w, whose symbols the caller has checked, within
         max_periods >= 1 cycle periods: the prefix phase from the table,
-        then the cycle until a period settles or halts the run, the cycle
-        map reaches an exact fixed point, or the budget runs out."""
-        run = self.after(w.prefix)
-        if isinstance(run, Verdict):
-            return run
-        cycle, beta = w.cycle, self.beta
+        then the cycle phase from the phase table or from cycle_phase.
+
+        Without records, the phase table keeps per (start state, cycle) the
+        verdict of the last run, the budgets low..high it answers, and the
+        (run, k) to resume from, so that no period of a stepped run is
+        simulated twice. A REJECTED verdict, or an INCONCLUSIVE one whose
+        run halted, answers every budget of at least its
+        periods_simulated; any other verdict answers its own budget only,
+        ACCEPTED too, since certified mode runs on to the budget. A larger
+        budget resumes an INCONCLUSIVE run that has not halted from its
+        last period. On the compiled path (dimension _COMPILED_MIN_DIM and
+        up, a cycle of two symbols or more), whether and where a run
+        compiles depends on its budget, so there a verdict answers its own
+        budget only and a larger budget runs afresh. Every answer is
+        bit-identical to a fresh run's.
+        """
+        start = self.after(w.prefix)
+        if isinstance(start, Verdict):
+            return start
+        cycle = w.cycle
+        if self.records is not None:
+            return self.cycle_phase(start, cycle, 0, max_periods)[0]
+        key = (id(start), cycle)
+        entry = self.phases.get(key)
+        run, k = start, 0
+        if entry is not None:
+            low, high, verdict, resume = entry
+            if low <= max_periods <= high:
+                return verdict
+            if resume is not None and max_periods > high:
+                run, k = resume
+        verdict, resume = self.cycle_phase(run, cycle, k, max_periods)
+        low = high = max_periods
+        if len(cycle) > 1 and self.kernel.a.dim >= _COMPILED_MIN_DIM:
+            resume = None
+        elif resume is None and verdict.status is not Status.ACCEPTED:
+            low, high = verdict.periods_simulated, math.inf
+        self.phases[key] = (low, high, verdict, resume)
+        return verdict
+
+    def cycle_phase(self, run: _Run, cycle: str, k: int, max_periods: int):
+        """The cycle phase from run after k periods, up to max_periods: the
+        verdict once a period settles or halts the run, the cycle map
+        reaches an exact fixed point, or the budget runs out, and the
+        (run, k) to resume it from under a larger budget when the verdict
+        is INCONCLUSIVE and the run has not halted, else None."""
+        beta = self.beta
         stationary = False
         g = gk = None
-        k = 0
         # periods up to this one are taken one at a time after a discarded block
         singles_until = 0
         while k < max_periods:
@@ -582,7 +646,7 @@ class _LassoContext:
             else:
                 run = self.period(prev, cycle, k, beta * k, g)
             if isinstance(run, Verdict):
-                return run
+                return run, None
             if run.halted:
                 break
             if (run.acc == prev.acc and run.rej == prev.rej
@@ -591,13 +655,16 @@ class _LassoContext:
                 # differ, so no further accepting visit is possible
                 stationary = True
                 break
-        psi, acc, rej, _, visits, _, accepted = run
+        psi, acc, rej, _, visits, halted, accepted = run
         nh = _norm_sq(psi)
         if accepted:
-            return self.verdict(Status.ACCEPTED, REASON_CERTIFIED, acc, rej, nh, visits, k)
+            return self.verdict(Status.ACCEPTED, REASON_CERTIFIED,
+                                acc, rej, nh, visits, k), None
         if stationary:
-            return self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, acc, rej, nh, visits, k)
-        return self.verdict(Status.INCONCLUSIVE, REASON_BUDGET, acc, rej, nh, visits, k)
+            return self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED,
+                                acc, rej, nh, visits, k), None
+        return (self.verdict(Status.INCONCLUSIVE, REASON_BUDGET, acc, rej, nh, visits, k),
+                None if halted else (run, k))
 
 
 def run_lasso(

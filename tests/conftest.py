@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qbuchi.automata import Mmqba
+from qbuchi.semantics import _Kernel
 from qbuchi.fixtures import list_fixtures, load_fixture
 
 FIXTURE_NAMES = (
@@ -90,3 +91,13 @@ def rotation_leak_automaton() -> Mmqba:
     v[0, 3], v[3, 3] = -s, c
     v[4, 4] = 1.0
     return make_automaton({"a": v}, accepting=[3], rejecting=[4])
+
+
+def counted_applies(monkeypatch) -> list:
+    """The symbols of every measured step that _Kernel.apply takes from
+    here on, in order."""
+    applies = []
+    apply = _Kernel.apply
+    monkeypatch.setattr(_Kernel, "apply",
+                        lambda self, psi, sym: applies.append(sym) or apply(self, psi, sym))
+    return applies

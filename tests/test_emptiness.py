@@ -24,12 +24,13 @@ from qbuchi.semantics import (
     REASON_BUDGET,
     LassoWord,
     Status,
+    Verdict,
     _LassoContext,
     run_lasso,
     run_prefix,
 )
 
-from conftest import acc_then_rej_automaton, haar_unitary, make_automaton
+from conftest import acc_then_rej_automaton, counted_applies, haar_unitary, make_automaton
 
 # hand-computed: round r enumerates (2^(r+1)-2) prefixes and (2^(r+1)-2)
 # cycles over two symbols plus the empty prefix, and an always-rejecting
@@ -276,6 +277,130 @@ def test_run_lasso_with_a_shared_context_matches_single_runs():
         run_lasso(refuted, LassoWord("", "a"), p, record_trace=True, _context=context)
     with pytest.raises(ValueError):
         run_lasso(_marker_halts(), LassoWord("", "a"), p, _context=context)
+
+
+def _draining_automaton(seed, dim, b, alphabet="ab"):
+    """q0 initial, q1 accepting, q2 rejecting. 'a' is a Haar unitary of the
+    non-halting states followed by rotations by 0.3 of q0 into q1 and of
+    q3 into q2, so that a run drains slowly and stays undecided for dozens
+    of periods. 'b' is another such map ("drain"), the identity
+    ("identity") or a cyclic shift of the non-halting states ("shift");
+    the last two make runs of different prefixes reach bitwise the same
+    state. alphabet "a" leaves 'b' out."""
+    rng = np.random.default_rng(seed)
+    free = [0, *range(3, dim)]
+
+    def drain():
+        u = np.eye(dim, dtype=complex)
+        u[np.ix_(free, free)] = haar_unitary(rng, dim - 2)
+        c, s = math.cos(0.3), math.sin(0.3)
+        rot = np.eye(dim)
+        for i, h in ((0, 1), (3, 2)):
+            rot[i, i] = rot[h, h] = c
+            rot[h, i], rot[i, h] = s, -s
+        return rot @ u
+
+    unitaries = {"a": drain(), "b": drain() if b == "drain" else np.eye(dim)}
+    if b == "shift":
+        unitaries["b"][:, free] = unitaries["b"][:, np.roll(free, 1)]
+    return make_automaton({s: unitaries[s] for s in alphabet}, accepting=[1], rejecting=[2])
+
+
+def _split_automaton():
+    """'a' sends 0.1 of q0's mass to the accepting q1 and 'b' to the
+    rejecting q2, so 'ab' and 'ba' leave the same state vector with
+    different sums."""
+    c, s = math.sqrt(0.9), math.sqrt(0.1)
+    a = [[c, -s, 0], [s, c, 0], [0, 0, 1]]
+    b = [[c, 0, -s], [0, 1, 0], [s, 0, c]]
+    return make_automaton({"a": a, "b": b}, accepting=[1], rejecting=[2])
+
+
+def _haar_of_dim(dim):
+    rng = np.random.default_rng(dim)
+    unitaries = {"a": haar_unitary(rng, dim), "b": haar_unitary(rng, dim)}
+    return make_automaton(unitaries, accepting=[1], rejecting=[dim - 1])
+
+
+SMALL_BUDGETS = (1, 2, 2, 3, 4, 8, 16)
+# 17 compiles at dimension 16 only, 20 and 40 at both
+COMPILED_BUDGETS = (1, 2, 8, 17, 20, 20, 40)
+SHARED_CONTEXT_CASES = [
+    # (name, automaton, cutpoint, cycles, budgets, whether prefix states collide)
+    *[(f"haar{d}", lambda d=d: _haar_of_dim(d), 0.6, ("a", "b", "ab"), SMALL_BUDGETS, False)
+      for d in range(3, 9)],
+    ("identity6", lambda: _draining_automaton(1, 6, "identity"), 0.5, ("a", "b", "ab", "bab"),
+     SMALL_BUDGETS, True),
+    ("shift5", lambda: _draining_automaton(2, 5, "shift"), 0.5, ("a", "ab", "bab"),
+     SMALL_BUDGETS, True),
+    ("marker_halts", _marker_halts, 0.9, ("a", "ab"), SMALL_BUDGETS, True),
+    ("split", _split_automaton, 0.5, ("a", "b", "ab"), SMALL_BUDGETS, False),
+    ("drain16", lambda: _draining_automaton(3, 16, "drain"), 0.5, ("ab", "aab"),
+     COMPILED_BUDGETS, False),
+    ("identity18", lambda: _draining_automaton(4, 18, "identity"), 0.5, ("ab", "aba"),
+     COMPILED_BUDGETS, True),
+]
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+@pytest.mark.parametrize(
+    "make,p,cycles,budgets,collide", [c[1:] for c in SHARED_CONTEXT_CASES],
+    ids=[c[0] for c in SHARED_CONTEXT_CASES],
+)
+def test_shared_context_answers_every_budget_order_as_fresh_runs(
+        make, p, cycles, budgets, collide, mode):
+    # each word once per listed budget, in a random order, so that the
+    # budgets of one word come increasing, repeated and decreasing
+    a = make()
+    symbols = sorted(a.alphabet)
+    words = [LassoWord("".join(u), v) for n in range(4)
+             for u in itertools.product(symbols, repeat=n) for v in cycles]
+    calls = [(w, n) for w in words for n in budgets]
+    context = _LassoContext(a, p, DEFAULT_EPSILON, DEFAULT_BETA, DEFAULT_VISIT_EPS, mode)
+    for i in np.random.default_rng(len(calls)).permutation(len(calls)):
+        w, n = calls[i]
+        shared = run_lasso(a, w, p, max_periods=n, _context=context)
+        fresh = run_lasso(a, w, p, max_periods=n, mode=mode)
+        assert repr(shared.to_dict()) == repr(fresh.to_dict()), (w, n)
+    open_prefixes = [e for e in context.prefixes.values() if not isinstance(e, Verdict)]
+    assert (len(context.states) < len(open_prefixes)) == collide
+
+
+PLAIN_LOOP_COLLISION_CASES = [
+    # (name, automaton, cutpoint, rounds); lang_inf_a's 'b' is the identity
+    ("lang_inf_a@0.9", "lang_inf_a", 0.9, 6),
+    ("lang_inf_a@1.0", "lang_inf_a", 1.0, 6),
+    ("shift5", lambda: _draining_automaton(2, 5, "shift"), 0.5, 4),
+    # round 5 runs 32 periods, so its cycles of two symbols or more compile
+    ("drain16", lambda: _draining_automaton(3, 16, "drain", alphabet="a"), 0.5, 5),
+]
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+@pytest.mark.parametrize(
+    "make,p,rounds", [c[1:] for c in PLAIN_LOOP_COLLISION_CASES],
+    ids=[c[0] for c in PLAIN_LOOP_COLLISION_CASES],
+)
+def test_search_matches_plain_loop_on_colliding_states(fixtures, make, p, rounds, mode):
+    a = fixtures[make] if isinstance(make, str) else make()
+    _assert_search_matches_plain_loop(a, p, mode, rounds)
+
+
+def test_search_simulates_each_cycle_phase_once(fixtures, monkeypatch):
+    steps = counted_applies(monkeypatch)
+    res = check_emptiness(fixtures["lang_inf_a"], 1.0)
+    word, _ = res.witness
+    assert ((word.prefix, word.cycle), res.candidates_tried, res.rounds_completed) == (
+        ("", "aaaaa"), 1153, 5)
+    # 50527 when every pair was simulated from its prefix state in every
+    # round; as 'b' is the identity, the search's 31 prefixes reach 5
+    # distinct states, and a larger budget resumes a run where it stopped
+    assert len(steps) < 10000
+    steps.clear()
+    res = check_emptiness(_marker_halts(), 0.9, SearchBudget(max_rounds=3))
+    assert res.candidates_tried == 258
+    # 273 when each of the 258 evaluations stepped its halted run again
+    assert len(steps) < 60
 
 
 def test_budget_validation():

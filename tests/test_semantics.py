@@ -41,6 +41,7 @@ from qbuchi.semantics import (
 
 from conftest import (
     acc_then_rej_automaton,
+    counted_applies,
     haar_unitary,
     make_automaton,
     rotation_leak_automaton,
@@ -687,14 +688,6 @@ def _chain_unitary(dim, chain, partners, end, theta=0.1):
     return u
 
 
-def _counted_applies(monkeypatch):
-    applies = []
-    apply = _Kernel.apply
-    monkeypatch.setattr(_Kernel, "apply",
-                        lambda self, psi, sym: applies.append(sym) or apply(self, psi, sym))
-    return applies
-
-
 @pytest.mark.parametrize("theta", [0.1, 0.0])
 @pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
 def test_compiled_period_that_halts_is_stepped_again(monkeypatch, mode, theta):
@@ -706,7 +699,7 @@ def test_compiled_period_that_halts_is_stepped_again(monkeypatch, mode, theta):
     u = _chain_unitary(16, list(range(7)), list(range(8, 14)), 14, theta)
     a = make_automaton({"a": u}, accepting=[14], rejecting=list(range(8, 14)))
     w = LassoWord("", "aa")
-    applies = _counted_applies(monkeypatch)
+    applies = counted_applies(monkeypatch)
     got = run_lasso(a, w, 0.9, max_periods=20, mode=mode, record_trace=True)
     # the end marker, period 1 and one step of period 4
     assert len(applies) == 1 + 2 + 1
@@ -733,7 +726,7 @@ def test_compiled_fixed_point_is_stepped_again(monkeypatch, mode):
     a = dataclasses.replace(make_automaton({"a": u}, accepting=[15], rejecting=[12, 13, 14]),
                             end_marker_unitary=marker)
     w = LassoWord("", "aa")
-    applies = _counted_applies(monkeypatch)
+    applies = counted_applies(monkeypatch)
     got = run_lasso(a, w, 0.7, max_periods=20, mode=mode, record_trace=True)
     # the end marker, period 1 and period 3
     assert len(applies) == 1 + 2 + 2
