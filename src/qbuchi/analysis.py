@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .automata import Mmqba, _check_count
-from .numerics import DEFAULT_SV_TOL, SubspaceBasis, null_space
+from .numerics import SubspaceBasis, null_space
 from .semantics import StepRecord, _Kernel, _norm_sq
 
 RESIDUAL_TOL = 1e-9
@@ -55,7 +55,7 @@ def _refine(a: Mmqba, w: SubspaceBasis) -> SubspaceBasis:
     if w.dim == 0:
         return w
     blocks = [_outside(w, a.unitary_for(sym) @ w.vectors.T) for sym in sorted(a.alphabet)]
-    coeff_basis = null_space(np.vstack(blocks), DEFAULT_SV_TOL)
+    coeff_basis = null_space(np.vstack(blocks))
     return SubspaceBasis(coeff_basis.vectors @ w.vectors, a.dim)
 
 
@@ -64,7 +64,7 @@ def _complement_within(whole: SubspaceBasis, part: SubspaceBasis) -> SubspaceBas
         return whole
     if part.dim == whole.dim:
         return SubspaceBasis(np.zeros((0, whole.ambient_dim), dtype=np.complex128), whole.ambient_dim)
-    return SubspaceBasis.from_spanning(_outside(part, whole.vectors.T).T, DEFAULT_SV_TOL)
+    return SubspaceBasis.from_spanning(_outside(part, whole.vectors.T).T)
 
 
 def decompose_nonhalting(a: Mmqba) -> Decomposition:

@@ -25,7 +25,6 @@ from .semantics import (
     DEFAULT_BETA,
     DEFAULT_EPSILON,
     DEFAULT_MAX_PERIODS,
-    DEFAULT_VISIT_EPS,
     LITERAL,
     LassoWord,
     Status,
@@ -126,7 +125,6 @@ def cmd_run(args) -> int:
             max_periods=args.periods,
             epsilon=args.epsilon,
             beta=args.beta,
-            visit_eps=args.visit_eps,
             mode=args.mode,
             record_trace=args.trace is not None,
         )
@@ -165,7 +163,6 @@ def cmd_emptiness(args) -> int:
             max_rounds=args.rounds,
             beta=args.beta,
             epsilon=args.epsilon,
-            visit_eps=args.visit_eps,
         )
         result = check_emptiness(a, p, budget, mode=args.mode)
     except ValueError as e:
@@ -285,13 +282,6 @@ def cmd_bench(args) -> int:
     return EX_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
 def _int_list(text: str) -> list:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
@@ -320,8 +310,6 @@ def _add_budget_flags(p: argparse.ArgumentParser):
                    help="required accepting-visit frequency per period")
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="slack below the cutpoint for the acceptance sum")
-    p.add_argument("--visit-eps", type=float, default=DEFAULT_VISIT_EPS,
-                   help="threshold below which visits and norms count as zero")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default="", help="finite prefix u (default empty)")
     p.add_argument("--cycle", required=True, help="repeated cycle v (nonempty)")
     p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--periods", type=_positive_int, default=DEFAULT_MAX_PERIODS,
+    p.add_argument("--periods", type=int, default=DEFAULT_MAX_PERIODS,
                    help="maximum cycle repetitions to simulate")
     p.add_argument("--trace", metavar="PATH", help="write the step trace to PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -357,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emptiness", help="search for an accepted lasso word")
     p.add_argument("file")
     p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--rounds", type=_positive_int, default=6)
+    p.add_argument("--rounds", type=int, default=6)
     _add_mode_flags(p)
     _add_budget_flags(p)
     p.add_argument("--json", action="store_true")

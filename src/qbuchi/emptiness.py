@@ -37,7 +37,6 @@ from .semantics import (
     CERTIFIED,
     DEFAULT_BETA,
     DEFAULT_EPSILON,
-    DEFAULT_VISIT_EPS,
     LassoWord,
     Status,
     Verdict,
@@ -52,11 +51,10 @@ class SearchBudget:
     max_rounds: int = 6
     beta: float = DEFAULT_BETA
     epsilon: float = DEFAULT_EPSILON
-    visit_eps: float = DEFAULT_VISIT_EPS
 
     def __post_init__(self):
         object.__setattr__(self, "max_rounds", _check_count("max_rounds", self.max_rounds))
-        _check_test_params(self.epsilon, self.beta, self.visit_eps)
+        _check_test_params(self.epsilon, self.beta)
 
 
 class SearchStatus(enum.Enum):
@@ -102,7 +100,7 @@ def check_emptiness(
     if budget is None:
         budget = SearchBudget()
     symbols = sorted(a.alphabet)
-    context = _LassoContext(a, p, budget.epsilon, budget.beta, budget.visit_eps, mode)
+    context = _LassoContext(a, p, budget.epsilon, budget.beta, mode)
     tried = 0
     rejected: set[tuple[str, str]] = set()
     for r in range(1, budget.max_rounds + 1):

@@ -32,16 +32,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def norm_sq(v) -> float:
-    v = as_state(v)
-    return float(np.real(np.vdot(v, v)))
-
-
-def inner(a, b) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    return complex(np.vdot(as_state(a), as_state(b)))
-
-
 def is_unitary(m, tol: float = DEFAULT_UNITARY_TOL) -> bool:
     """True when max-abs entry of (M†M - I) does not exceed tol."""
     m = as_matrix(m)
@@ -89,13 +79,14 @@ class SubspaceBasis:
         return cls(rows, dim)
 
     @classmethod
-    def from_spanning(cls, vectors, sv_tol: float = DEFAULT_SV_TOL) -> "SubspaceBasis":
-        """Orthonormal basis for the span of possibly dependent row vectors."""
+    def from_spanning(cls, vectors) -> "SubspaceBasis":
+        """Orthonormal basis for the span of possibly dependent row vectors;
+        singular values <= DEFAULT_SV_TOL count as zero."""
         m = as_matrix(vectors)
         if m.shape[0] == 0:
             return cls(m, m.shape[1])
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        rank = int(np.sum(s > sv_tol))
+        rank = int(np.sum(s > DEFAULT_SV_TOL))
         return cls(vh[:rank], m.shape[1])
 
     def project(self, v) -> np.ndarray:
@@ -105,17 +96,13 @@ class SubspaceBasis:
         coeffs = self.vectors.conj() @ v
         return coeffs @ self.vectors
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        v = as_state(v)
-        return bool(np.linalg.norm(v - self.project(v)) <= tol)
-
     def projector(self) -> np.ndarray:
         """Dense projector matrix onto the subspace."""
         return self.vectors.T @ self.vectors.conj()
 
 
-def null_space(m, sv_tol: float = DEFAULT_SV_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the kernel; singular values <= sv_tol count as zero."""
+def null_space(m) -> SubspaceBasis:
+    """Orthonormal basis of the kernel; singular values <= DEFAULT_SV_TOL count as zero."""
     m = as_matrix(m)
     cols = m.shape[1]
     if cols == 0 or m.shape[0] == 0:
@@ -124,5 +111,5 @@ def null_space(m, sv_tol: float = DEFAULT_SV_TOL) -> SubspaceBasis:
         )
         return SubspaceBasis(rows, cols)
     _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > sv_tol))
+    rank = int(np.sum(s > DEFAULT_SV_TOL))
     return SubspaceBasis(vh[rank:].conj(), cols)

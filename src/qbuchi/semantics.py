@@ -38,7 +38,11 @@ from .automata import (END_MARKER, Mmqba, Mmqfa, TERMINAL, _check_count, _check_
 DEFAULT_MAX_PERIODS = 1024
 DEFAULT_EPSILON = 1e-9
 DEFAULT_BETA = 0.5
+# A step is an accepting visit when its accepting probability exceeds
+# DEFAULT_VISIT_EPS, and a run has halted once its non-halting mass is at
+# most _HALTED_SQ.
 DEFAULT_VISIT_EPS = 1e-12
+_HALTED_SQ = DEFAULT_VISIT_EPS * DEFAULT_VISIT_EPS
 
 CERTIFIED = "certified"
 LITERAL = "literal"
@@ -264,14 +268,12 @@ def run_mmqfa(a: Mmqfa, word: str) -> tuple[float, float]:
     return last.acc, last.rej
 
 
-def _check_test_params(epsilon: float, beta: float, visit_eps: float):
+def _check_test_params(epsilon: float, beta: float):
     """The rules of the visit test's parameters; NaN fails every comparison."""
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-    if not 0.0 < visit_eps < 1.0:
-        raise ValueError(f"visit_eps must lie in (0, 1), got {visit_eps!r}")
 
 
 class _Run(NamedTuple):
@@ -280,7 +282,6 @@ class _Run(NamedTuple):
     psi: np.ndarray
     acc: float
     rej: float
-    steps: int
     visits: int
     halted: bool = False
     accepted: bool = False
@@ -310,8 +311,8 @@ class _LassoContext:
     """Kernel, acceptance test, prefix table and phase table of run_lasso
     calls.
 
-    The constructor is where the test (p, epsilon, beta, visit_eps, mode)
-    is checked, advance is where it is applied, and run_word runs a lasso
+    The constructor is where the test (p, epsilon, beta, mode) is
+    checked, advance is where it is applied, and run_word runs a lasso
     word under it. The prefix phase of a run depends only on the
     automaton, the prefix and the test, so its outcome is kept per
     prefix: a settled REJECTED verdict, or the _Run after '#u'. Prefixes
@@ -321,14 +322,15 @@ class _LassoContext:
     run_word describes: each distinct cycle phase is simulated once, and
     a larger budget resumes it where the last one stopped.
     check_emptiness shares one context between the candidates of a
-    search; a single run builds its own, whose records collect the trace
-    and which keeps no phase table.
+    search; a single run builds its own, whose records collect the trace.
+    The root, the run after the end marker, has halted when the marker
+    leaves no non-halting mass, by the same rule as every later state.
     """
 
     def __init__(self, a: Mmqba, p: float, epsilon: float, beta: float,
-                 visit_eps: float, mode: str, records: list | None = None):
+                 mode: str, records: list | None = None):
         p = _check_cutpoint(p)
-        _check_test_params(epsilon, beta, visit_eps)
+        _check_test_params(epsilon, beta)
         # the accept test is acc >= p - epsilon, which epsilon >= p makes vacuous
         if not epsilon < p:
             raise ValueError(f"epsilon (default {DEFAULT_EPSILON!r}) must lie below "
@@ -336,14 +338,13 @@ class _LassoContext:
         if mode not in (CERTIFIED, LITERAL):
             raise ValueError(f"mode must be {CERTIFIED!r} or {LITERAL!r}")
         self.kernel = _Kernel(a)
-        self.p, self.epsilon, self.beta, self.visit_eps, self.mode = (
-            p, epsilon, beta, visit_eps, mode)
+        self.p, self.epsilon, self.beta, self.mode = p, epsilon, beta, mode
         self.records = records
         psi, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
-        root = _Run(psi, alpha, rho, 0, 0)
+        nh = _norm_sq(psi)
+        root = _Run(psi, alpha, rho, 0, nh <= _HALTED_SQ)
         if not a.accepting:
-            root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED,
-                                alpha, rho, _norm_sq(psi), 0, 0)
+            root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, alpha, rho, nh, 0, 0)
         self.states = {}
         self.phases = {}
         self.prefixes = {"": self.intern(root)}
@@ -374,16 +375,17 @@ class _LassoContext:
         is stepped to its end, since the cycle starts from the state after
         the whole prefix. The accept test needs visits >= need; the prefix
         phase passes math.inf, so a prefix never accepts. A verdict reports
-        periods as its periods_simulated. given, when passed, holds the
+        periods as its periods_simulated, and a trace record its place in
+        records as its step number. given, when passed, holds the
         (alpha, rho, nh) of every step of word, which are then not stepped:
         the run keeps the psi it is given.
         """
         apply = self.kernel.apply
         records = self.records
-        p, visit_eps, mode = self.p, self.visit_eps, self.mode
+        p, mode = self.p, self.mode
         low = p - self.epsilon
-        halt_sq = visit_eps * visit_eps
-        psi, acc, rej, steps, visits, halted, accepted = run
+        visit_eps, halt_sq = DEFAULT_VISIT_EPS, _HALTED_SQ
+        psi, acc, rej, visits, halted, accepted = run
         if given is not None:
             given = iter(given)
         for sym in word:
@@ -394,9 +396,8 @@ class _LassoContext:
                 alpha, rho, nh = next(given)
             acc += alpha
             rej += rho
-            steps += 1
             if records is not None:
-                records.append(StepRecord(steps, sym, alpha, rho, acc, rej, nh))
+                records.append(StepRecord(len(records) + 1, sym, alpha, rho, acc, rej, nh))
             if alpha > visit_eps:
                 visits += 1
             if rej >= p:
@@ -418,7 +419,7 @@ class _LassoContext:
                 halted = True
                 if periods:
                     break
-        return _Run(psi, acc, rej, steps, visits, halted, accepted)
+        return _Run(psi, acc, rej, visits, halted, accepted)
 
     def compiled(self, cycle: str) -> np.ndarray:
         """The compiled map G of one period of cycle.
@@ -540,18 +541,15 @@ class _LassoContext:
 
     def intern(self, entry):
         """entry, or the _Run kept first for the same state when entry is a
-        _Run of a context without records.
+        _Run.
 
         Two runs share a state when psi has the same bytes and acc, rej,
-        visits, halted and accepted are equal; steps is left out, since it
-        only numbers trace records. The kept _Run stays in self.states, so
-        its id names the state in the phase table.
+        visits, halted and accepted are equal. The kept _Run stays in
+        self.states, so its id names the state in the phase table.
         """
-        if isinstance(entry, Verdict) or self.records is not None:
+        if isinstance(entry, Verdict):
             return entry
-        key = (entry.psi.tobytes(), entry.acc, entry.rej, entry.visits,
-               entry.halted, entry.accepted)
-        return self.states.setdefault(key, entry)
+        return self.states.setdefault((entry.psi.tobytes(), *entry[1:]), entry)
 
     def after(self, u: str):
         """The prefix-phase outcome of u, memoized and interned.
@@ -574,10 +572,10 @@ class _LassoContext:
         max_periods >= 1 cycle periods: the prefix phase from the table,
         then the cycle phase from the phase table or from cycle_phase.
 
-        Without records, the phase table keeps per (start state, cycle) the
-        verdict of the last run, the budgets low..high it answers, and the
-        (run, k) to resume from, so that no period of a stepped run is
-        simulated twice. A REJECTED verdict, or an INCONCLUSIVE one whose
+        The phase table keeps per (start state, cycle) the verdict of the
+        last run, the budgets low..high it answers, and the (run, k) to
+        resume from, so that no period of a stepped run is simulated
+        twice. A REJECTED verdict, or an INCONCLUSIVE one whose
         run halted, answers every budget of at least its
         periods_simulated; any other verdict answers its own budget only,
         ACCEPTED too, since certified mode runs on to the budget. A larger
@@ -592,8 +590,6 @@ class _LassoContext:
         if isinstance(start, Verdict):
             return start
         cycle = w.cycle
-        if self.records is not None:
-            return self.cycle_phase(start, cycle, 0, max_periods)[0]
         key = (id(start), cycle)
         entry = self.phases.get(key)
         run, k = start, 0
@@ -655,7 +651,7 @@ class _LassoContext:
                 # differ, so no further accepting visit is possible
                 stationary = True
                 break
-        psi, acc, rej, _, visits, halted, accepted = run
+        psi, acc, rej, visits, halted, accepted = run
         nh = _norm_sq(psi)
         if accepted:
             return self.verdict(Status.ACCEPTED, REASON_CERTIFIED,
@@ -675,7 +671,6 @@ def run_lasso(
     max_periods: int = DEFAULT_MAX_PERIODS,
     epsilon: float = DEFAULT_EPSILON,
     beta: float = DEFAULT_BETA,
-    visit_eps: float = DEFAULT_VISIT_EPS,
     mode: str = CERTIFIED,
     record_trace: bool = False,
     _context: _LassoContext | None = None,
@@ -686,11 +681,14 @@ def run_lasso(
     mass can never reach p (acc + nh < p - epsilon, reported as
     halted-below-cutpoint once the run has halted), or no accepting
     visit can ever happen again (no accepting states at all, or the cycle
-    map reached an exact fixed point with zero halting flow). ACCEPTED
-    combines two sound limit certificates with the heuristic
-    visit-frequency test; in literal mode the rejecting clause is checked
-    as rej < p without the non-halting tail and the function returns at
-    the first success, which reproduces the search algorithm's behavior.
+    map reached an exact fixed point with zero halting flow). A run has
+    halted once its non-halting mass nh is at most DEFAULT_VISIT_EPS**2,
+    and an accepting visit is a step whose accepting probability exceeds
+    DEFAULT_VISIT_EPS; both thresholds are fixed. ACCEPTED combines two
+    sound limit certificates with the heuristic visit-frequency test; in
+    literal mode the rejecting clause is checked as rej < p without the
+    non-halting tail and the function returns at the first success,
+    which reproduces the search algorithm's behavior.
     In certified mode the simulation continues to the budget so the
     reported bounds are tight. epsilon pads the accept test (acc may sit
     epsilon below p, so epsilon must lie below p) and equally guards the
@@ -701,13 +699,12 @@ def run_lasso(
     its cycle periods compiled, as _LassoContext.period describes.
     _context is private: check_emptiness passes one context, built for a
     and p, to all its candidates, and that context supplies the test, so
-    epsilon, beta, visit_eps and mode are not read. A context for another
+    epsilon, beta and mode are not read. A context for another
     automaton or cutpoint, or a traced run, is refused.
     """
     max_periods = _check_count("max_periods", max_periods)
     if _context is None:
-        context = _LassoContext(a, p, epsilon, beta, visit_eps, mode,
-                                [] if record_trace else None)
+        context = _LassoContext(a, p, epsilon, beta, mode, [] if record_trace else None)
     elif _context.kernel.a is a and _context.p == p and not record_trace:
         context = _context
     else:
@@ -732,27 +729,21 @@ class ClauseReport:
     rej_limit: str
 
 
-def check_acceptance_clauses(
-    trace: Sequence[StepRecord],
-    p: float,
-    visit_eps: float = DEFAULT_VISIT_EPS,
-) -> ClauseReport:
+def check_acceptance_clauses(trace: Sequence[StepRecord], p: float) -> ClauseReport:
     """Classify each acceptance clause as certified, possible, or refuted.
 
     trace is a sequence of step records, as run_prefix returns and
-    Verdict.trace holds. The visit count and the halting test use
-    visit_eps, which must lie in [0, 1); pass 0 to count every strictly
-    positive accepting amplitude as a visit.
+    Verdict.trace holds. A visit is a step whose accepting probability
+    exceeds DEFAULT_VISIT_EPS, and the infinitely-often clause is refuted
+    once the last step leaves the run halted, as run_lasso counts both.
     """
     records = tuple(trace)
     if not records:
         raise ValueError("trace must contain at least one step")
     p = _check_cutpoint(p)
-    if not 0.0 <= visit_eps < 1.0:
-        raise ValueError(f"visit_eps must lie in [0, 1), got {visit_eps!r}")
-    visits = sum(1 for r in records if r.alpha > visit_eps)
+    visits = sum(1 for r in records if r.alpha > DEFAULT_VISIT_EPS)
     last = records[-1]
-    if last.nonhalt_norm_sq <= visit_eps * visit_eps:
+    if last.nonhalt_norm_sq <= _HALTED_SQ:
         buchi = CLAUSE_REFUTED
     else:
         buchi = CLAUSE_POSSIBLE

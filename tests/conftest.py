@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,17 @@ def rotation_leak_automaton() -> Mmqba:
     v[0, 3], v[3, 3] = -s, c
     v[4, 4] = 1.0
     return make_automaton({"a": v}, accepting=[3], rejecting=[4])
+
+
+def marker_split_automaton() -> Mmqba:
+    """The end marker halts all mass: 0.6 of it on the accepting q1 and
+    0.4 on the rejecting q2, so every run has halted before its first
+    symbol with accepting limit 0.6 and no accepting visit."""
+    c, s = np.sqrt(0.6), np.sqrt(0.4)
+    marker = np.array([[0.0, 1.0, 0.0], [c, 0.0, -s], [s, 0.0, c]])
+    a = make_automaton({"a": np.eye(3), "b": np.eye(3)[[0, 2, 1]]},
+                       accepting=[1], rejecting=[2])
+    return dataclasses.replace(a, end_marker_unitary=marker)
 
 
 def counted_applies(monkeypatch) -> list:

@@ -1,0 +1,129 @@
+"""A digest of qbuchi's outputs on a seeded corpus, to show that a change
+moves no verdict, trace, clause report or search result.
+
+    python3 tests/oracle.py --src <tree>/src
+
+imports qbuchi from <tree>/src (by default the src of this repository)
+and prints the number of outputs and a sha256 over their deterministic
+JSON text. Two trees that print the same line give bit-identical outputs
+on the corpus.
+
+The corpus is every bundled fixture's search at cutpoints 0.6, 0.9 and
+1.0 in both modes, and runs: on every bundled fixture of every lasso
+word with a prefix of at most two symbols and a cycle of one or two, and
+on Haar automata of dimension 3 to 8, 16 and 27 of random lasso words.
+Each word is run at cutpoints 0.55, 0.8 and 1.0, in both modes, with
+budgets 1, 7 and 64, once untraced and once traced with the trace's
+clause report. At dimensions 16 and 27 the runs of 64 periods with a
+cycle of two symbols or more take the compiled path.
+tests/test_oracle.py checks a slice of it against each verdict's own
+inequalities.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEARCH_CUTPOINTS = (0.6, 0.9, 1.0)
+RUN_CUTPOINTS = (0.55, 0.8, 1.0)
+MODES = ("certified", "literal")
+BUDGETS = (1, 7, 64)
+DIMS = (3, 4, 5, 6, 7, 8, 16, 27)
+WORDS_PER_AUTOMATON = 24
+
+
+def _search(a, p, mode) -> dict:
+    import qbuchi
+
+    r = qbuchi.check_emptiness(a, p, mode=mode)
+    witness = None
+    if r.witness is not None:
+        w, verdict = r.witness
+        witness = [w.prefix, w.cycle, verdict.to_dict()]
+    return {"p": p, "status": r.status.value, "witness": witness,
+            "candidates_tried": r.candidates_tried, "rounds_completed": r.rounds_completed}
+
+
+def _run(a, w, p, mode, budget) -> dict:
+    import qbuchi
+
+    plain = qbuchi.run_lasso(a, w, p, max_periods=budget, mode=mode)
+    traced = qbuchi.run_lasso(a, w, p, max_periods=budget, mode=mode, record_trace=True)
+    clauses = qbuchi.check_acceptance_clauses(traced.trace, p) if traced.trace else None
+    return {"p": p, "max_periods": budget, "verdict": plain.to_dict(),
+            "traced": traced.to_dict(), "trace": [vars(r) for r in traced.trace],
+            "clauses": None if clauses is None else vars(clauses)}
+
+
+def _word(rng, least: int, most: int) -> str:
+    return "".join(rng.choice(["a", "b"], size=int(rng.integers(least, most + 1))))
+
+
+def _words(symbols, least: int, most: int):
+    for n in range(least, most + 1):
+        for t in itertools.product(symbols, repeat=n):
+            yield "".join(t)
+
+
+def _runs(name, a, words) -> list:
+    return [(f"{name} {w.prefix}({w.cycle}) p={p} {mode} n={budget}",
+             lambda w=w, p=p, mode=mode, budget=budget: _run(a, w, p, mode, budget))
+            for w in words for p in RUN_CUTPOINTS for mode in MODES for budget in BUDGETS]
+
+
+def jobs() -> list:
+    """The corpus as (label, job) pairs in a fixed order; job() returns
+    one output as a dict of plain values."""
+    import qbuchi
+    from qbuchi.fixtures import list_fixtures, load_fixture
+
+    from conftest import haar_unitary, make_automaton
+
+    out = []
+    for name in list_fixtures():
+        a = load_fixture(name)
+        for p in SEARCH_CUTPOINTS:
+            for mode in MODES:
+                out.append((f"search {name} p={p} {mode}",
+                            lambda a=a, p=p, mode=mode: _search(a, p, mode)))
+    for name in list_fixtures():
+        a = load_fixture(name)
+        symbols = sorted(a.alphabet)
+        out += _runs(name, a, [qbuchi.LassoWord(u, v) for u in _words(symbols, 0, 2)
+                               for v in _words(symbols, 1, 2)])
+    for dim in DIMS:
+        rng = np.random.default_rng(dim)
+        a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                           accepting=[1], rejecting=[2])
+        out += _runs(f"haar{dim}", a, [qbuchi.LassoWord(_word(rng, 0, 3), _word(rng, 1, 3))
+                                       for _ in range(WORDS_PER_AUTOMATON)])
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="the src directory to import qbuchi from")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import qbuchi
+    from qbuchi.semantics import _json_text
+
+    if Path(qbuchi.__file__).resolve().parent != (args.src / "qbuchi").resolve():
+        raise SystemExit(f"error: imported qbuchi from {qbuchi.__file__}, not from {args.src}")
+    digest = hashlib.sha256()
+    n = 0
+    for label, job in jobs():
+        digest.update(f"{label}\t{_json_text(job())}\n".encode())
+        n += 1
+    print(f"{n} outputs sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,7 @@ import pytest
 from qbuchi import automata
 from qbuchi.fixtures import fixture_path, golden_path
 
-from conftest import acc_then_rej_automaton
+from conftest import acc_then_rej_automaton, marker_split_automaton
 
 
 def qbuchi(*argv, env=None):
@@ -111,7 +111,8 @@ BAD_TEST_FLAGS = [
     for value in (low, "nan", "inf")
 ] + [
     ("--epsilon", "0.8"), ("--epsilon", "1"),  # at or above the cutpoint 0.8
-    ("--visit-eps", "1"), ("--visit-eps", "2"),  # no step could count as a visit
+    # the visit threshold is fixed, so the flag is refused whatever its value
+    ("--visit-eps", "0.5"), ("--visit-eps", "1"), ("--visit-eps", "2"),
 ]
 
 
@@ -146,7 +147,7 @@ def test_usage_errors_exit_64(argv):
     assert r.stdout == b""
 
 
-@pytest.mark.parametrize("flag", ["--beta", "--epsilon", "--visit-eps"])
+@pytest.mark.parametrize("flag", ["--beta", "--epsilon"])
 def test_bad_test_flag_has_one_message(flag):
     run = qbuchi(*RUN_ARGV, flag, "nan")
     emptiness = qbuchi(*EMPTINESS_ARGV, flag, "nan")
@@ -168,14 +169,22 @@ def test_tiny_cutpoint_names_the_default_epsilon():
                              b"the cutpoint 1e-10, got 1e-09\n")
 
 
-def test_run_halted_with_reachable_cutpoint_is_inconclusive():
-    # visit_eps 0.5 counts the run as halted after one step while 0.2 of
-    # the mass has not halted: acc + nh = 0.8 reaches p, so no certificate
-    # refutes the accepting limit and the run must not be REJECTED
-    r = qbuchi(*RUN_ARGV, "--visit-eps", "0.5", "--json")
-    assert r.returncode == 2, r.stderr.decode()
-    doc = json.loads(r.stdout)
+def test_run_halted_with_reachable_cutpoint_is_inconclusive(tmp_path):
+    # the end marker halts all mass with acc 0.6: at p 0.6 the accepting
+    # limit reaches p, so no certificate refutes it and the run, halted
+    # before its first symbol, must not be REJECTED; at p 0.7 it is
+    path = tmp_path / "marker_split.qba"
+    automata.save(marker_split_automaton(), str(path))
+    reached = qbuchi("run", path, "--prefix", "ab", "--cycle", "a",
+                     "--cutpoint", "0.6", "--json")
+    assert reached.returncode == 2, reached.stderr.decode()
+    doc = json.loads(reached.stdout)
     assert (doc["status"], doc["reason"]) == ("INCONCLUSIVE", "budget-exhausted")
+    below = qbuchi("run", path, "--prefix", "ab", "--cycle", "a",
+                   "--cutpoint", "0.7", "--json")
+    assert below.returncode == 1, below.stderr.decode()
+    doc = json.loads(below.stdout)
+    assert (doc["status"], doc["reason"]) == ("REJECTED", "halted-below-cutpoint")
 
 
 def test_symbol_outside_alphabet_exits_65():
@@ -194,6 +203,24 @@ def test_word_symbols_are_checked_before_option_values(extra):
                "--cutpoint", "0.8", *extra)
     assert r.returncode == 65
     assert r.stderr == b"qbuchi: error: symbol 'z' is not in the automaton alphabet\n"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["run", "--cycle", "a", "--cutpoint", "0.8", "--periods", "0"], "max_periods"),
+    (["emptiness", "--cutpoint", "0.8", "--rounds", "0"], "max_rounds"),
+], ids=["periods", "rounds"])
+def test_counts_are_checked_after_the_document(tmp_path, argv, name):
+    # a count is an option value: a malformed document is reported first
+    # (65), and on a valid one the count rule of the library (64)
+    bad = tmp_path / "bad.qba"
+    bad.write_text("{not json")
+    command, *options = argv
+    malformed = qbuchi(command, bad, *options)
+    assert malformed.returncode == 65
+    valid = qbuchi(command, fixture_path("lang_a_omega"), *options)
+    assert valid.returncode == 64
+    assert valid.stderr == (
+        f"qbuchi: error: {name} must be an integer of at least 1, got 0\n".encode())
 
 
 def test_malformed_file_exits_65(tmp_path):

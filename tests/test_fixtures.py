@@ -140,6 +140,16 @@ def test_no_unused_private_names():
     assert sorted(private - read) == []
 
 
+def test_no_unused_public_functions():
+    # a public module-level function that nothing in the package reads and
+    # that the package does not export is a helper left behind by a refactor
+    _, read = _module_names()
+    functions = {node.name for p in SOURCE_FILES
+                 for node in ast.parse(p.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert sorted(functions - read - set(qbuchi.__all__)) == []
+
+
 def test_no_unused_constants():
     # a module-level constant that nothing in the package reads is a
     # setting that no code applies

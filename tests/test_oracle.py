@@ -1,0 +1,68 @@
+"""Every other output of the oracle corpus (tests/oracle.py), each checked
+against the inequalities its verdict claims."""
+import pytest
+
+import oracle
+from qbuchi.semantics import DEFAULT_VISIT_EPS
+
+SLICE = oracle.jobs()[::2]
+
+
+def _check_verdict(v, p, budget):
+    acc, rej, upper, eps = v["acc_lower"], v["rej_lower"], v["rej_upper"], v["epsilon"]
+    # norm conservation: acc + rej + nh = 1
+    assert acc + upper == pytest.approx(1.0, abs=1e-9)
+    assert 0 <= v["periods_simulated"] <= budget
+    if v["status"] == "ACCEPTED":
+        assert v["reason"] == "all-clauses-certified"
+        assert acc >= p - eps
+        assert (upper if v["mode"] == "certified" else rej) < p
+    elif v["status"] == "REJECTED":
+        nh = upper - rej
+        holds = {
+            "rej-limit-refuted": rej >= p,
+            "acc-limit-refuted": acc + nh < p - eps,
+            "halted-below-cutpoint": acc + nh < p - eps,
+            "buchi-refuted": True,
+        }
+        assert holds[v["reason"]]
+    else:
+        assert v["reason"] == "budget-exhausted"
+
+
+def _check_run(out):
+    v, p, trace = out["verdict"], out["p"], out["trace"]
+    _check_verdict(v, p, out["max_periods"])
+    # a traced run is the same run, recorded
+    assert out["traced"] == v
+    if not trace:
+        # only a run refuted before its first step records nothing
+        assert (v["status"], v["periods_simulated"]) == ("REJECTED", 0)
+        return
+    assert [r["j"] for r in trace] == list(range(1, len(trace) + 1))
+    last = trace[-1]
+    assert (last["acc"], last["rej"]) == (v["acc_lower"], v["rej_lower"])
+    assert last["rej"] + last["nonhalt_norm_sq"] == v["rej_upper"]
+    halted = last["nonhalt_norm_sq"] <= DEFAULT_VISIT_EPS * DEFAULT_VISIT_EPS
+    if v["reason"] == "halted-below-cutpoint":
+        assert halted
+    assert out["clauses"]["buchi_visits"] == v["visit_count"]
+    assert (out["clauses"]["buchi"] == "refuted") == halted
+
+
+def _check_search(out):
+    assert out["candidates_tried"] >= 1
+    assert (out["status"] == "NONEMPTY") == (out["witness"] is not None)
+    if out["witness"] is not None:
+        _, _, verdict = out["witness"]
+        assert verdict["status"] == "ACCEPTED"
+        _check_verdict(verdict, out["p"], 2 ** out["rounds_completed"])
+
+
+def test_oracle_slice_keeps_each_verdicts_inequalities():
+    for label, job in SLICE:
+        out = job()
+        try:
+            (_check_search if "witness" in out else _check_run)(out)
+        except AssertionError as e:
+            raise AssertionError(f"{label}: {e}") from e

@@ -44,6 +44,7 @@ from conftest import (
     counted_applies,
     haar_unitary,
     make_automaton,
+    marker_split_automaton,
     rotation_leak_automaton,
     two_block_automaton,
 )
@@ -126,7 +127,7 @@ def test_run_lasso_accepts_at_cutpoint_one(fixtures):
     assert vd.status is Status.ACCEPTED
     assert vd.acc_lower >= 1.0 - 1e-9
     assert vd.rej_lower == 0.0
-    # visits stop counting once the increments drop below visit_eps, but
+    # visits stop counting once the increments drop below DEFAULT_VISIT_EPS, but
     # plenty accumulate before the acceptance threshold is reached
     assert vd.visit_count >= 50
 
@@ -162,16 +163,27 @@ def test_run_lasso_rejects_halted_below(fixtures):
 
 @pytest.mark.parametrize("prefix", ["ab", "abbb"])
 @pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
-def test_prefix_is_simulated_to_its_end_after_the_run_halts(fixtures, prefix, mode):
-    # visit_eps 0.5 counts the run as halted after 'a' (acc 0.6, 0.2 not
-    # halted); 'b' then sends that 0.2 to the rejecting state, so the
-    # accepting limit is 0.6 < 0.7. Applying the cycle to the state after
-    # 'a' instead of after the whole prefix would report acc_lower 0.72
-    a = fixtures["lang_a_omega"]
-    vd = run_lasso(a, LassoWord(prefix, "a"), 0.7, visit_eps=0.5, max_periods=8, mode=mode)
-    assert (vd.status, vd.reason) == (Status.REJECTED, "halted-below-cutpoint")
-    assert vd.acc_lower == pytest.approx(0.6)
-    assert vd.rej_upper == pytest.approx(0.4)
+def test_prefix_is_simulated_to_its_end_after_the_run_halts(prefix, mode):
+    # the end marker halts all mass, 0.6 of it accepting, so every run has
+    # halted before its first symbol. At p 0.55 the accepting limit 0.6
+    # reaches p: nothing refutes it, the whole prefix is stepped and
+    # recorded, and the cycle's first step ends the run. At p 0.7 the
+    # first step refutes it, and only there is the run halted below p
+    a = marker_split_automaton()
+    w = LassoWord(prefix, "a")
+    reached = run_lasso(a, w, 0.55, max_periods=8, mode=mode, record_trace=True)
+    assert (reached.status, reached.reason) == (Status.INCONCLUSIVE, "budget-exhausted")
+    assert "".join(r.symbol for r in reached.trace) == prefix + "a"
+    assert [r.j for r in reached.trace] == list(range(1, len(prefix) + 2))
+    assert reached.acc_lower + reached.rej_upper - reached.rej_lower >= 0.55 - reached.epsilon
+    below = run_lasso(a, w, 0.7, max_periods=8, mode=mode, record_trace=True)
+    assert (below.status, below.reason) == (Status.REJECTED, "halted-below-cutpoint")
+    assert len(below.trace) == 1 and below.periods_simulated == 0
+    last = below.trace[-1]
+    assert last.nonhalt_norm_sq == 0.0
+    assert last.acc + last.nonhalt_norm_sq < 0.7 - below.epsilon
+    assert below.acc_lower == pytest.approx(0.6)
+    assert below.rej_upper == pytest.approx(0.4)
 
 
 def test_run_lasso_buchi_refuted_without_accepting_states(fixtures):
@@ -268,13 +280,6 @@ def test_run_lasso_validation_errors(fixtures):
         run_lasso(a, w, 0.8, beta=0.0)
     with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, beta=1.1)
-    with pytest.raises(ValueError):
-        run_lasso(a, w, 0.8, visit_eps=0.0)
-    # a step halts with probability at most 1, so from visit_eps 1 up no
-    # step counts as a visit and no word could be ACCEPTED
-    for visit_eps in (1.0, 2.0):
-        with pytest.raises(ValueError, match=r"visit_eps must lie in \(0, 1\)"):
-            run_lasso(a, w, 0.8, visit_eps=visit_eps)
     for epsilon in (0.8, 1.0):
         with pytest.raises(ValueError, match="must lie below the cutpoint"):
             run_lasso(a, w, 0.8, epsilon=epsilon)
@@ -282,7 +287,7 @@ def test_run_lasso_validation_errors(fixtures):
         run_lasso(a, LassoWord("", "az"), 0.8)
 
 
-@pytest.mark.parametrize("name", ["epsilon", "beta", "visit_eps"])
+@pytest.mark.parametrize("name", ["epsilon", "beta"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_run_lasso_rejects_non_finite_test_params(fixtures, name, bad):
     # NaN fails every comparison, so a rule written as "reject if x < 0"
@@ -465,19 +470,6 @@ def test_check_acceptance_clauses_checks_the_cutpoint(fixtures, p):
         check_acceptance_clauses(tr, p)
 
 
-@pytest.mark.parametrize("visit_eps", [math.nan, math.inf, -math.inf, -1.0, 1.0, 2.0])
-def test_check_acceptance_clauses_checks_visit_eps(fixtures, visit_eps):
-    # unchecked, 2.0 refutes buchi with 0 visits, NaN leaves it possible
-    # with 0 visits and -1.0 refutes it with 30 visits
-    vd = run_lasso(fixtures["lang_a_omega"], LassoWord("", "a"), 0.6,
-                   max_periods=30, record_trace=True)
-    with pytest.raises(ValueError, match="visit_eps"):
-        check_acceptance_clauses(vd.trace, 0.6, visit_eps)
-    rep = check_acceptance_clauses(vd.trace, 0.6, 0.0)
-    assert rep.buchi == CLAUSE_POSSIBLE
-    assert rep.buchi_visits == 30
-
-
 def test_certified_rejections_are_stable_under_budget(fixtures):
     cases = [
         ("lang_a_prefix", LassoWord("b", "a"), 0.8),
@@ -650,7 +642,7 @@ def test_a_period_that_decides_is_the_stepped_period():
     events = set()
     for p, mode, cycle in [(0.3, CERTIFIED, "ab"), (0.6, CERTIFIED, "abb"),
                            (0.6, LITERAL, "b"), (0.75, CERTIFIED, "b")]:
-        context = semantics._LassoContext(a, p, 1e-9, 0.5, DEFAULT_VISIT_EPS, mode)
+        context = semantics._LassoContext(a, p, 1e-9, 0.5, mode)
         g = context.compiled(cycle)
         run = context.after("")
         for k in range(1, DEFAULT_MAX_PERIODS + 1):
@@ -797,7 +789,7 @@ def _fixed_point_automaton():
 def _stepped_event(a, w, p, mode):
     """The first stepped period that settles or halts the run, sets
     accepted or reaches an exact fixed point, and which of these it does."""
-    context = semantics._LassoContext(a, p, 1e-9, 0.5, DEFAULT_VISIT_EPS, mode)
+    context = semantics._LassoContext(a, p, 1e-9, 0.5, mode)
     run = context.after(w.prefix)
     for k in range(1, DEFAULT_MAX_PERIODS + 1):
         prev, run = run, context.advance(run, w.cycle, k, 0.5 * k)
@@ -883,7 +875,7 @@ def test_compiled_block_is_the_compiled_map_of_its_periods():
     rng = np.random.default_rng(81)
     a = make_automaton({s: haar_unitary(rng, 81) for s in "ab"},
                        accepting=[1, 2, 3], rejecting=[4])
-    context = semantics._LassoContext(a, 0.6, 1e-9, 0.5, DEFAULT_VISIT_EPS, CERTIFIED)
+    context = semantics._LassoContext(a, 0.6, 1e-9, 0.5, CERTIFIED)
     for cycle in ("ab", "abb"):
         gk = context.blocked(context.compiled(cycle))
         want = context.compiled(cycle * K)
