@@ -23,7 +23,7 @@ import numpy as np
 
 from .automata import Mmqba, _check_count
 from .numerics import SubspaceBasis, null_space
-from .semantics import StepRecord, _Kernel, _norm_sq
+from .semantics import StepRecord, _Kernel
 
 RESIDUAL_TOL = 1e-9
 RATIO_TOL = 1e-6
@@ -172,42 +172,50 @@ def verify_decomposition(
     and must stay inside the subspace at every step. Vectors from the
     complement get their norm trajectory reported. For combined vectors,
     the per-step halting increments must equal those of the complement
-    component alone. The three vectors of a trial are the columns of one
-    block, stepped together. Each trial derives its own generator from
-    (seed, trial index), so trials are reproducible independently.
+    component alone. Each trial derives its own generator from (seed,
+    trial index), so trials are reproducible independently: the first k
+    trials of a report agree with a k-trial report to the last bits of
+    a product. Every trial's three vectors are columns of one block,
+    stepped together, each column by its own trial's symbol.
     """
     word_len = _check_count("word_len", word_len, 0)
     trials = _check_count("trials", trials, 0)
-    symbols = sorted(a.alphabet)
+    n_symbols = len(a.alphabet)
     kernel = _Kernel(a)
     s1, s2 = d.s1, d.s2
-    zero = np.zeros(a.dim, dtype=np.complex128)
-    s1_halting = s1_residual = mixed_dev = 0.0
-    trajectories = []
+    # the columns: every trial's S1 member, then its S2 member v2, then
+    # v1 + v2 for a second S1 member v1; a zero column stands for a
+    # trivial part
+    psi = np.zeros((a.dim, 3, trials), dtype=np.complex128)
+    words = np.empty((trials, word_len), dtype=np.intp)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        word = [symbols[i] for i in rng.integers(0, len(symbols), size=word_len)]
-        # one block: an S1 member, an S2 member v2, and v1 + v2 for a
-        # second S1 member v1; a zero column stands for a trivial part
-        member = _random_member(s1, rng) if s1.dim else zero
-        v2 = _random_member(s2, rng) if s2.dim else zero
-        v1 = _random_member(s1, rng) if s1.dim and s2.dim else zero
-        psi = np.stack([member, v2, v1 + v2], axis=1)
-        increments = np.empty((word_len, 3))
-        norms_sq = np.empty(word_len)
-        residuals = np.empty(word_len)
-        for j, sym in enumerate(word):
-            psi, probs = kernel.measure(psi, sym)
-            increments[j] = np.add.reduce(probs, axis=0)
-            norms_sq[j] = _norm_sq(psi[:, 1])
-            residuals[j] = np.linalg.norm(_outside(s1, psi[:, 0]))
+        words[t] = rng.integers(0, n_symbols, size=word_len)
         if s1.dim:
-            s1_halting = max(s1_halting, float(np.add.reduce(increments[:, 0])))
-            s1_residual = max(s1_residual, float(np.max(residuals, initial=0.0)))
+            psi[:, 0, t] = _random_member(s1, rng)
         if s2.dim:
-            trajectories.append(tuple(norms_sq.tolist()))
-            dev = np.abs(increments[:, 2] - increments[:, 1])
-            mixed_dev = max(mixed_dev, float(np.max(dev, initial=0.0)))
+            psi[:, 1, t] = psi[:, 2, t] = _random_member(s2, rng)
+            if s1.dim:
+                psi[:, 2, t] += _random_member(s1, rng)
+    psi = psi.reshape(a.dim, 3 * trials)
+    which = np.tile(words.T, 3)
+    increments = np.empty((word_len, 3 * trials))
+    norms_sq = np.empty((word_len, trials))
+    residuals = np.zeros((word_len, trials))
+    for j in range(word_len):
+        psi, amps = kernel.amplitudes_each(psi, which[j])
+        increments[j] = np.add.reduce(amps.real * amps.real + amps.imag * amps.imag, axis=0)
+        v2 = psi[:, trials:2 * trials]
+        norms_sq[j] = np.add.reduce(v2.real * v2.real + v2.imag * v2.imag, axis=0)
+        if s1.dim:
+            residuals[j] = np.linalg.norm(_outside(s1, psi[:, :trials]), axis=0)
+    s1_increments, v2_increments, mixed_increments = np.split(increments, 3, axis=1)
+    s1_halting = s1_residual = mixed_dev = 0.0
+    if s1.dim:
+        s1_halting = float(np.max(np.add.reduce(s1_increments, axis=0), initial=0.0))
+        s1_residual = float(np.max(residuals, initial=0.0))
+    if s2.dim:
+        mixed_dev = float(np.max(np.abs(mixed_increments - v2_increments), initial=0.0))
     return DecompositionReport(
         trials=trials,
         word_len=word_len,
@@ -215,7 +223,7 @@ def verify_decomposition(
         s1_max_cumulative_halting=s1_halting,
         s1_max_subspace_residual=s1_residual,
         s2_trials=trials if s2.dim else 0,
-        s2_norm_sq_trajectories=tuple(trajectories),
+        s2_norm_sq_trajectories=tuple(map(tuple, norms_sq.T.tolist())) if s2.dim else (),
         mixed_max_increment_deviation=mixed_dev,
     )
 

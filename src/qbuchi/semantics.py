@@ -197,14 +197,15 @@ class _Kernel:
 
     The halting indices sit in one array, the accepting states first and
     then the rejecting ones, each in sorted order, so a step measures with
-    one gather and one scatter. amplitudes steps a vector (dim,) or a
-    block (dim, B) whose columns are stepped together; measure squares its
-    halting amplitudes into probabilities, and apply sums a vector's
-    accepting and its rejecting probabilities. None writes to the state
-    it is given, so run states can be shared without copying.
+    one gather and one scatter, in halting. amplitudes steps a vector
+    (dim,) or a block (dim, B) whose columns are stepped together, and
+    amplitudes_each a block whose columns take symbols of their own;
+    measure squares the halting amplitudes into probabilities, and apply
+    sums a vector's accepting and its rejecting probabilities. None writes
+    to the state it is given, so run states can be shared without copying.
     """
 
-    __slots__ = ("a", "symbols", "halt_idx", "n_acc")
+    __slots__ = ("a", "symbols", "halt_idx", "n_acc", "stacked")
 
     def __init__(self, a: Mmqba):
         accepting = sorted(a.accepting)
@@ -212,15 +213,35 @@ class _Kernel:
         self.symbols = set(a.alphabet)
         self.halt_idx = np.array(accepting + sorted(a.rejecting), dtype=np.intp)
         self.n_acc = len(accepting)
+        self.stacked = None
+
+    def halting(self, psi: np.ndarray):
+        """psi, a state the caller owns, with its halting amplitudes zeroed,
+        and those amplitudes in halt_idx order."""
+        amps = psi[self.halt_idx]
+        psi[self.halt_idx] = 0.0
+        return psi, amps
 
     def amplitudes(self, psi: np.ndarray, symbol: str):
         """One measured step of a vector (dim,) or a block (dim, B): the
         new state and the halting amplitudes in halt_idx order, one
         column per column of psi."""
-        psi = self.a.unitary_for(symbol) @ psi
-        amps = psi[self.halt_idx]
-        psi[self.halt_idx] = 0.0
-        return psi, amps
+        return self.halting(self.a.unitary_for(symbol) @ psi)
+
+    def amplitudes_each(self, psi: np.ndarray, which: np.ndarray):
+        """amplitudes of a block (dim, B) whose column c takes the symbol
+        sorted(a.alphabet)[which[c]].
+
+        The unitaries are stacked once, in that order, into one
+        (|alphabet| dim, dim) matrix, so a step is one product with the
+        stack and one gather of each column's own image; that was faster
+        than one product per symbol over that symbol's columns.
+        """
+        if self.stacked is None:
+            self.stacked = np.concatenate([self.a.unitary_for(s) for s in sorted(self.symbols)])
+        dim, b = psi.shape
+        images = (self.stacked @ psi).reshape(len(self.symbols), dim, b)
+        return self.halting(images[which, :, np.arange(b)].T)
 
     def measure(self, psi: np.ndarray, symbol: str):
         """amplitudes, with the halting probabilities in place of the
@@ -232,7 +253,7 @@ class _Kernel:
         """measure on a vector: the new state and the accepting and
         rejecting probabilities of the step as Python floats. It squares
         the amplitudes itself, which saves a call per step of a search."""
-        psi, amps = self.amplitudes(psi, symbol)
+        psi, amps = self.halting(self.a.unitary_for(symbol) @ psi)
         probs = amps.real * amps.real + amps.imag * amps.imag
         n = self.n_acc
         return psi, float(np.add.reduce(probs[:n])), float(np.add.reduce(probs[n:]))
@@ -424,23 +445,24 @@ class _LassoContext:
     def compiled(self, cycle: str) -> np.ndarray:
         """The compiled map G of one period of cycle.
 
-        Stepping the identity block through the cycle gives it: after step
-        j the block is M_j, the non-halting map of the first j steps, and
-        the amplitudes the step zeroes are the halting rows of
+        After step j of a period, the non-halting map of its first j steps
+        is M_j, and the amplitudes the step zeroes are the halting rows of
         U_{v_j} M_{j-1}. G stacks these rows in step order over M_|v|, so
         G @ psi holds the halting amplitudes of every step of a period
-        that starts at psi, followed by the state after the period.
+        that starts at psi, followed by the state after the period. M_1 is
+        U_{v_1} with its halting rows zeroed, so M is built in G's last dim
+        rows from a copy of U_{v_1}, and each later step is one product
+        U_{v_j} M, which makes one dim x dim temporary.
         """
-        dim, h = self.kernel.a.dim, len(self.kernel.halt_idx)
+        kernel = self.kernel
+        dim, h = kernel.a.dim, len(kernel.halt_idx)
         g = np.empty((len(cycle) * h + dim, dim), dtype=np.complex128)
-        # 64 columns at a time, so that no dim x dim temporary is made
-        for c in range(0, dim, 64):
-            cols = slice(c, c + 64)
-            block = np.eye(dim, min(64, dim - c), -c, dtype=np.complex128)
-            for j, sym in enumerate(cycle):
-                block, amps = self.kernel.amplitudes(block, sym)
-                g[j * h:(j + 1) * h, cols] = amps
-            g[len(cycle) * h:, cols] = block
+        m = g[len(cycle) * h:]
+        m[...] = kernel.a.unitary_for(cycle[0])
+        for j, sym in enumerate(cycle):
+            if j:
+                m[...] = kernel.a.unitary_for(sym) @ m
+            g[j * h:(j + 1) * h] = kernel.halting(m)[1]
         return g
 
     def blocked(self, g: np.ndarray) -> np.ndarray:

@@ -106,6 +106,22 @@ def marker_split_automaton() -> Mmqba:
     return dataclasses.replace(a, end_marker_unitary=marker)
 
 
+def marker_halts_automaton() -> Mmqba:
+    """The end marker moves all mass onto the accepting q1, so every prefix
+    halts above the cutpoint at its first step without an accepting visit,
+    and each run falls through into the cycle and exhausts its budget."""
+    rng = np.random.default_rng(8)
+    return Mmqba(
+        state_names=("q0", "q1", "q2"),
+        alphabet=("a", "b"),
+        unitaries={"a": haar_unitary(rng, 3), "b": haar_unitary(rng, 3)},
+        initial=0,
+        accepting=frozenset([1]),
+        rejecting=frozenset([2]),
+        end_marker_unitary=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+    )
+
+
 def counted_applies(monkeypatch) -> list:
     """The symbols of every measured step that _Kernel.apply takes from
     here on, in order."""

@@ -1,23 +1,27 @@
 """A digest of qbuchi's outputs on a seeded corpus, to show that a change
 moves no verdict, trace, clause report or search result.
 
-    python3 tests/oracle.py --src <tree>/src
+    python3 tests/oracle.py --src <tree>/src [--expect <sha256>]
 
 imports qbuchi from <tree>/src (by default the src of this repository)
 and prints the number of outputs and a sha256 over their deterministic
 JSON text. Two trees that print the same line give bit-identical outputs
-on the corpus.
+on the corpus. With --expect, a digest other than the one given is an
+error: both digests are printed and the exit status is 1.
 
-The corpus is every bundled fixture's search at cutpoints 0.6, 0.9 and
-1.0 in both modes, and runs: on every bundled fixture of every lasso
-word with a prefix of at most two symbols and a cycle of one or two, and
-on Haar automata of dimension 3 to 8, 16 and 27 of random lasso words.
-Each word is run at cutpoints 0.55, 0.8 and 1.0, in both modes, with
-budgets 1, 7 and 64, once untraced and once traced with the trace's
-clause report. At dimensions 16 and 27 the runs of 64 periods with a
-cycle of two symbols or more take the compiled path.
-tests/test_oracle.py checks a slice of it against each verdict's own
-inequalities.
+The corpus is the search at cutpoints 0.6, 0.9 and 1.0 in both modes of
+every bundled fixture and of two crafted automata from conftest
+(rotation_leak, marker_halts), and runs: on each of those automata of
+every lasso word with a prefix of at most two symbols and a cycle of one
+or two, and on Haar automata of dimension 3 to 8, 16 and 27 of random
+lasso words. Each word is run at cutpoints 0.55, 0.8 and 1.0, in both
+modes, with budgets 1, 7 and 64, once untraced and once traced with the
+trace's clause report. At dimensions 16 and 27 the runs of 64 periods
+with a cycle of two symbols or more take the compiled path. Last come
+runs of random words with a cycle of three symbols on a Haar automaton
+of dimension 81, with a budget of 128 periods only, all on the compiled
+path. tests/test_oracle.py checks a slice of it against each verdict's
+own inequalities.
 """
 from __future__ import annotations
 
@@ -35,6 +39,8 @@ MODES = ("certified", "literal")
 BUDGETS = (1, 7, 64)
 DIMS = (3, 4, 5, 6, 7, 8, 16, 27)
 WORDS_PER_AUTOMATON = 24
+# (dimension, words, budget) of the Haar automaton whose cycles have three symbols
+LARGE = (81, 6, 128)
 
 
 def _search(a, p, mode) -> dict:
@@ -70,10 +76,17 @@ def _words(symbols, least: int, most: int):
             yield "".join(t)
 
 
-def _runs(name, a, words) -> list:
+def _runs(name, a, words, budgets=BUDGETS) -> list:
     return [(f"{name} {w.prefix}({w.cycle}) p={p} {mode} n={budget}",
              lambda w=w, p=p, mode=mode, budget=budget: _run(a, w, p, mode, budget))
-            for w in words for p in RUN_CUTPOINTS for mode in MODES for budget in BUDGETS]
+            for w in words for p in RUN_CUTPOINTS for mode in MODES for budget in budgets]
+
+
+def _haar(rng, dim):
+    from conftest import haar_unitary, make_automaton
+
+    return make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                          accepting=[1], rejecting=[2])
 
 
 def jobs() -> list:
@@ -82,26 +95,31 @@ def jobs() -> list:
     import qbuchi
     from qbuchi.fixtures import list_fixtures, load_fixture
 
-    from conftest import haar_unitary, make_automaton
+    from conftest import marker_halts_automaton, rotation_leak_automaton
 
+    automata = [(name, load_fixture(name)) for name in list_fixtures()]
+    automata += [("rotation_leak", rotation_leak_automaton()),
+                 ("marker_halts", marker_halts_automaton())]
     out = []
-    for name in list_fixtures():
-        a = load_fixture(name)
+    for name, a in automata:
         for p in SEARCH_CUTPOINTS:
             for mode in MODES:
                 out.append((f"search {name} p={p} {mode}",
                             lambda a=a, p=p, mode=mode: _search(a, p, mode)))
-    for name in list_fixtures():
-        a = load_fixture(name)
+    for name, a in automata:
         symbols = sorted(a.alphabet)
         out += _runs(name, a, [qbuchi.LassoWord(u, v) for u in _words(symbols, 0, 2)
                                for v in _words(symbols, 1, 2)])
     for dim in DIMS:
         rng = np.random.default_rng(dim)
-        a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
-                           accepting=[1], rejecting=[2])
+        a = _haar(rng, dim)
         out += _runs(f"haar{dim}", a, [qbuchi.LassoWord(_word(rng, 0, 3), _word(rng, 1, 3))
                                        for _ in range(WORDS_PER_AUTOMATON)])
+    dim, n_words, budget = LARGE
+    rng = np.random.default_rng(dim)
+    a = _haar(rng, dim)
+    out += _runs(f"haar{dim}", a, [qbuchi.LassoWord(_word(rng, 0, 3), _word(rng, 3, 3))
+                                   for _ in range(n_words)], (budget,))
     return out
 
 
@@ -109,6 +127,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="the src directory to import qbuchi from")
+    parser.add_argument("--expect", metavar="SHA256",
+                        help="exit 1 unless the corpus digest is this one")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import qbuchi
@@ -122,6 +142,9 @@ def main(argv=None) -> int:
         digest.update(f"{label}\t{_json_text(job())}\n".encode())
         n += 1
     print(f"{n} outputs sha256 {digest.hexdigest()}")
+    if args.expect is not None and args.expect != digest.hexdigest():
+        print(f"error: expected sha256 {args.expect}, got {digest.hexdigest()}", file=sys.stderr)
+        return 1
     return 0
 
 

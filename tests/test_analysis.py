@@ -198,12 +198,12 @@ def _three_loop_verify(a, d, word_len, trials, seed):
                                s2_trials, tuple(trajectories), mixed_dev)
 
 
-def _planted_automaton(rng, dim, invariant):
+def _planted_automaton(rng, dim, invariant, symbols="ab"):
     """Block-diagonal: a Haar block on the first states with no halting
     state in it, and a Haar block holding one accepting and one rejecting
     state at its end."""
     unitaries = {}
-    for sym in "ab":
+    for sym in symbols:
         u = np.zeros((dim, dim), dtype=complex)
         u[:invariant, :invariant] = haar_unitary(rng, invariant)
         u[invariant:, invariant:] = haar_unitary(rng, dim - invariant)
@@ -212,28 +212,60 @@ def _planted_automaton(rng, dim, invariant):
                           initial=invariant)
 
 
-@pytest.mark.parametrize("which", ["two_block", "planted", "s1_only", "s2_only"])
+def _three_symbol_automaton():
+    return _planted_automaton(np.random.default_rng(6), 9, 4, "abc")
+
+
+def _assert_reports_agree(new, old, trials=None):
+    """new and old agree field by field within 1e-12; with trials given,
+    only new's first trials trajectories are compared, and new's maxima
+    bound old's."""
+    assert (new.word_len, new.s1_trials > 0, new.s2_trials > 0) == (
+        old.word_len, old.s1_trials > 0, old.s2_trials > 0)
+    for field in ("s1_max_cumulative_halting", "s1_max_subspace_residual",
+                  "mixed_max_increment_deviation"):
+        if trials is None:
+            assert getattr(new, field) == pytest.approx(getattr(old, field), abs=1e-12)
+        else:
+            assert getattr(old, field) <= getattr(new, field) + 1e-12
+    trajectories = new.s2_norm_sq_trajectories[:trials]
+    assert len(trajectories) == len(old.s2_norm_sq_trajectories)
+    for x, y in zip(trajectories, old.s2_norm_sq_trajectories):
+        assert len(x) == len(y) == new.word_len
+        assert np.allclose(x, y, rtol=0.0, atol=1e-12)
+        assert all(type(v) is float for v in x)
+
+
+@pytest.mark.parametrize("which", ["two_block", "planted", "s1_only", "s2_only",
+                                   "three_symbols"])
 def test_block_verify_matches_three_loops(fixtures, which):
     a = {
         "two_block": lambda: two_block_automaton(),
         "planted": lambda: _planted_automaton(np.random.default_rng(5), 8, 3),
         "s1_only": lambda: fixtures["no_entry"],
         "s2_only": lambda: fixtures["lang_ab_cycle"],
+        "three_symbols": _three_symbol_automaton,
     }[which]()
     d = decompose_nonhalting(a)
-    for word_len, trials, seed in ((120, 6, 4), (0, 2, 1)):
+    # a single trial steps every column by one symbol, so at most steps
+    # some symbol has no column; no trial leaves the block without columns
+    for word_len, trials, seed in ((120, 6, 4), (0, 2, 1), (90, 1, 2), (5, 0, 3)):
         new = verify_decomposition(a, d, word_len=word_len, trials=trials, seed=seed)
         old = _three_loop_verify(a, d, word_len, trials, seed)
-        assert (new.trials, new.word_len, new.s1_trials, new.s2_trials) == (
-            old.trials, old.word_len, old.s1_trials, old.s2_trials)
-        for field in ("s1_max_cumulative_halting", "s1_max_subspace_residual",
-                      "mixed_max_increment_deviation"):
-            assert getattr(new, field) == pytest.approx(getattr(old, field), abs=1e-12)
-        assert len(new.s2_norm_sq_trajectories) == len(old.s2_norm_sq_trajectories)
-        for x, y in zip(new.s2_norm_sq_trajectories, old.s2_norm_sq_trajectories):
-            assert len(x) == len(y) == word_len
-            assert np.allclose(x, y, rtol=0.0, atol=1e-12)
-            assert all(type(v) is float for v in x)
+        assert (new.trials, new.s1_trials, new.s2_trials) == (
+            old.trials, old.s1_trials, old.s2_trials)
+        _assert_reports_agree(new, old)
+
+
+@pytest.mark.parametrize("make", [two_block_automaton, _three_symbol_automaton],
+                         ids=["two_block", "three_symbols"])
+def test_verify_trials_are_independent(make):
+    a = make()
+    d = decompose_nonhalting(a)
+    assert d.s1.dim and d.s2.dim
+    n = verify_decomposition(a, d, word_len=80, trials=7, seed=11)
+    for k in (1, 3):
+        _assert_reports_agree(n, verify_decomposition(a, d, word_len=80, trials=k, seed=11), k)
 
 
 def test_is_sigma_cycle_subspace(fixtures):

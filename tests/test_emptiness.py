@@ -12,7 +12,6 @@ from qbuchi.emptiness import (
     check_emptiness,
     reference_run,
 )
-from qbuchi.automata import Mmqba
 from qbuchi.semantics import (
     CERTIFIED,
     DEFAULT_BETA,
@@ -29,7 +28,8 @@ from qbuchi.semantics import (
     run_prefix,
 )
 
-from conftest import acc_then_rej_automaton, counted_applies, haar_unitary, make_automaton
+from conftest import (acc_then_rej_automaton, counted_applies, haar_unitary, make_automaton,
+                      marker_halts_automaton)
 
 # hand-computed: round r enumerates (2^(r+1)-2) prefixes and (2^(r+1)-2)
 # cycles over two symbols plus the empty prefix, and an always-rejecting
@@ -194,22 +194,6 @@ def _no_accepting_state():
     return make_automaton(unitaries, accepting=[], rejecting=[2])
 
 
-def _marker_halts():
-    """The end marker moves all mass onto the accepting q1, so every prefix
-    halts above the cutpoint at its first step without an accepting visit,
-    and each run falls through into the cycle and exhausts its budget."""
-    rng = np.random.default_rng(8)
-    return Mmqba(
-        state_names=("q0", "q1", "q2"),
-        alphabet=("a", "b"),
-        unitaries={"a": haar_unitary(rng, 3), "b": haar_unitary(rng, 3)},
-        initial=0,
-        accepting=frozenset([1]),
-        rejecting=frozenset([2]),
-        end_marker_unitary=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-    )
-
-
 def _prefix_refutes():
     """'a' sends 0.3 of q0's mass to the rejecting q2, so at cutpoint 0.9
     any prefix with an 'a' refutes the accepting limit; 'b' is the identity."""
@@ -225,7 +209,7 @@ CRAFTED = [
     # pair is inconclusive and each round tries all of its pairs: 6 + 42 + 210
     ("no_accepting_state", _no_accepting_state, 0.7, ("ab", "a"),
      (Status.REJECTED, REASON_BUCHI_REFUTED, 0), 210),
-    ("marker_halts", _marker_halts, 0.9, ("ab", "a"),
+    ("marker_halts", marker_halts_automaton, 0.9, ("ab", "a"),
      (Status.INCONCLUSIVE, REASON_BUDGET, 1), 258),
     ("prefix_refutes", _prefix_refutes, 0.9, ("ba", "b"),
      (Status.REJECTED, REASON_ACC_REFUTED, 0), 210),
@@ -250,7 +234,7 @@ def test_run_lasso_with_a_shared_context_matches_single_runs():
     default = dict(epsilon=DEFAULT_EPSILON, beta=DEFAULT_BETA, mode=CERTIFIED)
     other = dict(epsilon=1e-6, beta=0.25, mode=LITERAL)
     differs = False
-    for a in (_haar_automaton(4), _marker_halts(), acc_then_rej_automaton()):
+    for a in (_haar_automaton(4), marker_halts_automaton(), acc_then_rej_automaton()):
         symbols = sorted(a.alphabet)
         for test in (default, other):
             context = _LassoContext(a, p, **test)
@@ -272,7 +256,7 @@ def test_run_lasso_with_a_shared_context_matches_single_runs():
     with pytest.raises(ValueError):
         run_lasso(refuted, LassoWord("", "a"), p, record_trace=True, _context=context)
     with pytest.raises(ValueError):
-        run_lasso(_marker_halts(), LassoWord("", "a"), p, _context=context)
+        run_lasso(marker_halts_automaton(), LassoWord("", "a"), p, _context=context)
 
 
 def _draining_automaton(seed, dim, b, alphabet="ab"):
@@ -329,7 +313,7 @@ SHARED_CONTEXT_CASES = [
      SMALL_BUDGETS, True),
     ("shift5", lambda: _draining_automaton(2, 5, "shift"), 0.5, ("a", "ab", "bab"),
      SMALL_BUDGETS, True),
-    ("marker_halts", _marker_halts, 0.9, ("a", "ab"), SMALL_BUDGETS, True),
+    ("marker_halts", marker_halts_automaton, 0.9, ("a", "ab"), SMALL_BUDGETS, True),
     ("split", _split_automaton, 0.5, ("a", "b", "ab"), SMALL_BUDGETS, False),
     ("drain16", lambda: _draining_automaton(3, 16, "drain"), 0.5, ("ab", "aab"),
      COMPILED_BUDGETS, False),
@@ -393,7 +377,7 @@ def test_search_simulates_each_cycle_phase_once(fixtures, monkeypatch):
     # distinct states, and a larger budget resumes a run where it stopped
     assert len(steps) < 10000
     steps.clear()
-    res = check_emptiness(_marker_halts(), 0.9, SearchBudget(max_rounds=3))
+    res = check_emptiness(marker_halts_automaton(), 0.9, SearchBudget(max_rounds=3))
     assert res.candidates_tried == 258
     # 273 when each of the 258 evaluations stepped its halted run again,
     # and 43 while the root, halted by the end marker, was not marked so

@@ -66,3 +66,15 @@ def test_oracle_slice_keeps_each_verdicts_inequalities():
             (_check_search if "witness" in out else _check_run)(out)
         except AssertionError as e:
             raise AssertionError(f"{label}: {e}") from e
+
+
+def test_expect_fails_on_another_digest(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "jobs", lambda: [("one", lambda: {"p": 0.5})])
+    assert oracle.main([]) == 0
+    line = capsys.readouterr().out
+    digest = line.split()[-1]
+    assert line == f"1 outputs sha256 {digest}\n"
+    assert oracle.main(["--expect", digest]) == 0
+    assert oracle.main(["--expect", "0" * 64]) == 1
+    err = capsys.readouterr().err
+    assert "0" * 64 in err and digest in err

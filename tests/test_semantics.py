@@ -883,6 +883,32 @@ def test_compiled_block_is_the_compiled_map_of_its_periods():
         assert np.abs(gk - want).max() <= 1e-12
 
 
+def _identity_stepped_map(context, cycle):
+    """The compiled map G of one period of cycle, built by stepping 64
+    columns of the identity at a time through the cycle."""
+    kernel = context.kernel
+    dim, h = kernel.a.dim, len(kernel.halt_idx)
+    g = np.empty((len(cycle) * h + dim, dim), dtype=np.complex128)
+    for c in range(0, dim, 64):
+        cols = slice(c, c + 64)
+        block = np.eye(dim, min(64, dim - c), -c, dtype=np.complex128)
+        for j, sym in enumerate(cycle):
+            block, amps = kernel.amplitudes(block, sym)
+            g[j * h:(j + 1) * h, cols] = amps
+        g[len(cycle) * h:, cols] = block
+    return g
+
+
+@pytest.mark.parametrize("dim", [16, 27, 81])
+def test_compiled_map_is_the_identity_stepped_through_the_cycle(dim):
+    rng = np.random.default_rng(dim)
+    a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    context = semantics._LassoContext(a, 0.6, 1e-9, 0.5, CERTIFIED)
+    for cycle in ("a", "ab", "abb", "abab", "bba"):
+        assert np.array_equal(context.compiled(cycle), _identity_stepped_map(context, cycle))
+
+
 def test_blocked_run_matches_the_reference_kernel(monkeypatch):
     rng = np.random.default_rng(5)
     a = make_automaton({s: haar_unitary(rng, 27) for s in "ab"},
