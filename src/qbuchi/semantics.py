@@ -197,15 +197,15 @@ class _Kernel:
 
     The halting indices sit in one array, the accepting states first and
     then the rejecting ones, each in sorted order, so a step measures with
-    one gather and one scatter, in halting. amplitudes steps a vector
-    (dim,) or a block (dim, B) whose columns are stepped together, and
-    amplitudes_each a block whose columns take symbols of their own;
-    measure squares the halting amplitudes into probabilities, and apply
-    sums a vector's accepting and its rejecting probabilities. None writes
-    to the state it is given, so run states can be shared without copying.
+    one gather and one scatter, in halting. halting is the one method that
+    writes to the state it is given, which must be the caller's own, such
+    as a fresh product. amplitudes_each steps a block whose columns take
+    symbols of their own, and apply steps a vector and sums its accepting
+    and its rejecting probabilities; neither writes to its input, so run
+    states can be shared without copying.
     """
 
-    __slots__ = ("a", "symbols", "halt_idx", "n_acc", "stacked")
+    __slots__ = ("a", "symbols", "halt_idx", "n_acc")
 
     def __init__(self, a: Mmqba):
         accepting = sorted(a.accepting)
@@ -213,46 +213,31 @@ class _Kernel:
         self.symbols = set(a.alphabet)
         self.halt_idx = np.array(accepting + sorted(a.rejecting), dtype=np.intp)
         self.n_acc = len(accepting)
-        self.stacked = None
 
     def halting(self, psi: np.ndarray):
-        """psi, a state the caller owns, with its halting amplitudes zeroed,
-        and those amplitudes in halt_idx order."""
+        """psi, a state the caller owns, with its halting amplitudes zeroed
+        in place, and those amplitudes in halt_idx order."""
         amps = psi[self.halt_idx]
         psi[self.halt_idx] = 0.0
         return psi, amps
 
-    def amplitudes(self, psi: np.ndarray, symbol: str):
-        """One measured step of a vector (dim,) or a block (dim, B): the
-        new state and the halting amplitudes in halt_idx order, one
-        column per column of psi."""
-        return self.halting(self.a.unitary_for(symbol) @ psi)
-
     def amplitudes_each(self, psi: np.ndarray, which: np.ndarray):
-        """amplitudes of a block (dim, B) whose column c takes the symbol
-        sorted(a.alphabet)[which[c]].
+        """One measured step of a block (dim, B) whose column c takes the
+        symbol sorted(a.alphabet)[which[c]]: the new block and the halting
+        amplitudes in halt_idx order, one column per column of psi.
 
-        The unitaries are stacked once, in that order, into one
-        (|alphabet| dim, dim) matrix, so a step is one product with the
-        stack and one gather of each column's own image; that was faster
-        than one product per symbol over that symbol's columns.
+        Each symbol's unitary multiplies the columns that take it, in one
+        product; a symbol that no column takes costs an empty product.
         """
-        if self.stacked is None:
-            self.stacked = np.concatenate([self.a.unitary_for(s) for s in sorted(self.symbols)])
-        dim, b = psi.shape
-        images = (self.stacked @ psi).reshape(len(self.symbols), dim, b)
-        return self.halting(images[which, :, np.arange(b)].T)
-
-    def measure(self, psi: np.ndarray, symbol: str):
-        """amplitudes, with the halting probabilities in place of the
-        amplitudes."""
-        psi, amps = self.amplitudes(psi, symbol)
-        return psi, amps.real * amps.real + amps.imag * amps.imag
+        out = np.empty_like(psi)
+        for k, symbol in enumerate(sorted(self.symbols)):
+            cols = np.flatnonzero(which == k)
+            out[:, cols] = self.a.unitary_for(symbol) @ psi[:, cols]
+        return self.halting(out)
 
     def apply(self, psi: np.ndarray, symbol: str):
-        """measure on a vector: the new state and the accepting and
-        rejecting probabilities of the step as Python floats. It squares
-        the amplitudes itself, which saves a call per step of a search."""
+        """One measured step of a vector: the new state and the accepting
+        and rejecting probabilities of the step as Python floats."""
         psi, amps = self.halting(self.a.unitary_for(symbol) @ psi)
         probs = amps.real * amps.real + amps.imag * amps.imag
         n = self.n_acc

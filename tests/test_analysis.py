@@ -132,24 +132,26 @@ def test_verify_decomposition_validates_counts(fixtures, name, bad):
 def test_block_step_matches_vector_steps():
     rng = np.random.default_rng(41)
     for dim in range(3, 9):
-        for n_cols in range(1, 5):
+        for n_cols in range(0, 6):
             halting = rng.permutation(dim)[: int(rng.integers(1, dim))]
             n_acc = int(rng.integers(0, len(halting) + 1))
-            a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+            alphabet = "abc"[: int(rng.integers(1, 4))]
+            a = make_automaton({s: haar_unitary(rng, dim) for s in alphabet},
                                accepting=halting[:n_acc].tolist(),
                                rejecting=halting[n_acc:].tolist())
             kernel = _Kernel(a)
             block = rng.normal(size=(dim, n_cols)) + 1j * rng.normal(size=(dim, n_cols))
-            for sym in "abba":
+            for _ in range(4):
+                which = rng.integers(0, len(alphabet), size=n_cols)
                 given = block.copy()
-                new, probs = kernel.measure(block, sym)
+                new, amps = kernel.amplitudes_each(block, which)
                 assert np.array_equal(block, given)  # the input is not written
+                assert new.shape == block.shape and amps.shape == (len(halting), n_cols)
+                probs = amps.real * amps.real + amps.imag * amps.imag
+                n = kernel.n_acc
                 for c in range(n_cols):
-                    v_new, v_probs = kernel.measure(block[:, c], sym)
-                    _, alpha, rho = kernel.apply(block[:, c], sym)
+                    v_new, alpha, rho = kernel.apply(block[:, c], alphabet[which[c]])
                     assert np.allclose(new[:, c], v_new, rtol=0.0, atol=1e-12)
-                    assert np.allclose(probs[:, c], v_probs, rtol=0.0, atol=1e-12)
-                    n = kernel.n_acc
                     assert alpha == pytest.approx(probs[:n, c].sum(), abs=1e-12)
                     assert rho == pytest.approx(probs[n:, c].sum(), abs=1e-12)
                     assert type(alpha) is float and type(rho) is float

@@ -893,7 +893,7 @@ def _identity_stepped_map(context, cycle):
         cols = slice(c, c + 64)
         block = np.eye(dim, min(64, dim - c), -c, dtype=np.complex128)
         for j, sym in enumerate(cycle):
-            block, amps = kernel.amplitudes(block, sym)
+            block, amps = kernel.halting(kernel.a.unitary_for(sym) @ block)
             g[j * h:(j + 1) * h, cols] = amps
         g[len(cycle) * h:, cols] = block
     return g
