@@ -12,8 +12,9 @@ answer NONEMPTY or run out of rounds.
 The prefix phase of a run (the end marker and u) does not depend on the
 cycle, so one search keeps a table of its outcome per prefix, each entry
 derived from the entry for u minus its last symbol in one step. Pairs
-with the same prefix start their cycles from the shared state, and a
-pair whose prefix already settles it is answered from the table.
+with the same prefix start their cycles from the shared state. A settled
+prefix is always REJECTED, since a prefix never accepts, so the pairs of
+its row that are new in a round are counted in one step, without a run.
 Prefixes whose runs reach bitwise the same state share it, and the
 cycle phase of each distinct (state, cycle) is kept too: a pair evaluated
 again under a doubled budget resumes its run where the last budget
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import END_MARKER, Mmqba, _check_count
+from .automata import END_MARKER, Mmqba, _check_count, _check_word
 from .constructions import union
 from .semantics import (
     CERTIFIED,
@@ -69,9 +70,9 @@ class SearchResult:
     candidates_tried counts pair evaluations, including pairs evaluated
     again under a doubled budget in later rounds, although such a pair
     resumes its run rather than simulating it again; a pair whose prefix
-    already settles it, or whose start state and cycle were already run
-    under the budget, counts although it is answered from the search's
-    tables without a simulation. rounds_completed is the round
+    already settles it counts without a run, and a pair whose start state
+    and cycle were already run under the budget counts although it is
+    answered from the search's tables. rounds_completed is the round
     in which the witness was found, or max_rounds when the search
     exhausted its budget.
     """
@@ -101,11 +102,19 @@ def check_emptiness(
         budget = SearchBudget()
     symbols = sorted(a.alphabet)
     context = _LassoContext(a, p, budget.epsilon, budget.beta, mode)
+    # a settled row below makes no run_lasso call, so its word check is made here
+    _check_word(context.kernel.symbols, "".join(symbols))
     tried = 0
     rejected: set[tuple[str, str]] = set()
     for r in range(1, budget.max_rounds + 1):
         max_periods = 2 ** r
         for u in _words(symbols, 0, r):
+            if isinstance(context.after(u), Verdict):
+                # a settled prefix is REJECTED, so every pair of its row is too:
+                # count the cycles new in this round, all of 1..r in u's first
+                first = 1 if r == max(len(u), 1) else r
+                tried += sum(len(symbols) ** n for n in range(first, r + 1))
+                continue
             for v in _words(symbols, 1, r):
                 if (u, v) in rejected:
                     continue

@@ -122,6 +122,21 @@ def marker_halts_automaton() -> Mmqba:
     )
 
 
+def three_symbol_automaton() -> Mmqba:
+    """Four states, q1 accepting, q2 rejecting. 'a' sends 0.3 of q0's mass
+    to q2, so at cutpoint 0.9 any prefix with an 'a' refutes the accepting
+    limit; 'b' is the identity; 'c' rotates q0 by 0.7 into the free q3 and
+    then q3 by 0.3 into q1, so that c-cycles accept."""
+    c, s = np.sqrt(0.7), np.sqrt(0.3)
+    a = np.eye(4)
+    a[0, 0], a[0, 2], a[2, 0], a[2, 2] = c, -s, s, c
+    rotate, leak = np.eye(4), np.eye(4)
+    for m, i, j, t in ((rotate, 0, 3, 0.7), (leak, 3, 1, 0.3)):
+        m[i, i], m[i, j], m[j, i], m[j, j] = np.cos(t), -np.sin(t), np.sin(t), np.cos(t)
+    return make_automaton({"a": a, "b": np.eye(4), "c": leak @ rotate},
+                          accepting=[1], rejecting=[2])
+
+
 def counted_applies(monkeypatch) -> list:
     """The symbols of every measured step that _Kernel.apply takes from
     here on, in order."""

@@ -1,7 +1,7 @@
 """A digest of qbuchi's outputs on a seeded corpus, to show that a change
 moves no verdict, trace, clause report or search result.
 
-    python3 tests/oracle.py --src <tree>/src [--expect <sha256>]
+    python3 tests/oracle.py --src <tree>/src [--extended] [--expect <sha256>]
 
 imports qbuchi from <tree>/src (by default the src of this repository)
 and prints the number of outputs and a sha256 over their deterministic
@@ -22,6 +22,11 @@ runs of random words with a cycle of three symbols on a Haar automaton
 of dimension 81, with a budget of 128 periods only, all on the compiled
 path. tests/test_oracle.py checks a slice of it against each verdict's
 own inequalities.
+
+--extended adds searches at cutpoints 0.6, 0.75 and 0.85, in both modes,
+on the Haar automata of dimension 3 to 8 (5 rounds) and 16 (6 rounds)
+and on the three-symbol automaton from conftest (4 rounds). Most of
+their rows have a prefix that already settles every pair.
 """
 from __future__ import annotations
 
@@ -41,12 +46,15 @@ DIMS = (3, 4, 5, 6, 7, 8, 16, 27)
 WORDS_PER_AUTOMATON = 24
 # (dimension, words, budget) of the Haar automaton whose cycles have three symbols
 LARGE = (81, 6, 128)
+EXTENDED_CUTPOINTS = (0.6, 0.75, 0.85)
+# (dimension, rounds) of the Haar automata of the extended searches
+EXTENDED_SEARCHES = (*((dim, 5) for dim in range(3, 9)), (16, 6))
 
 
-def _search(a, p, mode) -> dict:
+def _search(a, p, mode, rounds=6) -> dict:
     import qbuchi
 
-    r = qbuchi.check_emptiness(a, p, mode=mode)
+    r = qbuchi.check_emptiness(a, p, qbuchi.SearchBudget(max_rounds=rounds), mode=mode)
     witness = None
     if r.witness is not None:
         w, verdict = r.witness
@@ -89,6 +97,14 @@ def _haar(rng, dim):
                           accepting=[1], rejecting=[2])
 
 
+def _searches(name, a, rounds, cutpoints=SEARCH_CUTPOINTS) -> list:
+    # the labels of the 6-round searches name no rounds, as they did before
+    # --extended, so that the default corpus keeps its digest
+    return [(f"search {name} p={p} {mode}" + ("" if rounds == 6 else f" rounds={rounds}"),
+             lambda p=p, mode=mode: _search(a, p, mode, rounds))
+            for p in cutpoints for mode in MODES]
+
+
 def jobs() -> list:
     """The corpus as (label, job) pairs in a fixed order; job() returns
     one output as a dict of plain values."""
@@ -102,10 +118,7 @@ def jobs() -> list:
                  ("marker_halts", marker_halts_automaton())]
     out = []
     for name, a in automata:
-        for p in SEARCH_CUTPOINTS:
-            for mode in MODES:
-                out.append((f"search {name} p={p} {mode}",
-                            lambda a=a, p=p, mode=mode: _search(a, p, mode)))
+        out += _searches(name, a, 6)
     for name, a in automata:
         symbols = sorted(a.alphabet)
         out += _runs(name, a, [qbuchi.LassoWord(u, v) for u in _words(symbols, 0, 2)
@@ -123,10 +136,24 @@ def jobs() -> list:
     return out
 
 
+def extended_jobs() -> list:
+    """The searches that --extended appends to the corpus, as jobs() gives
+    its own."""
+    from conftest import three_symbol_automaton
+
+    out = []
+    for dim, rounds in EXTENDED_SEARCHES:
+        out += _searches(f"haar{dim}", _haar(np.random.default_rng(dim), dim), rounds,
+                         EXTENDED_CUTPOINTS)
+    return out + _searches("three_symbol", three_symbol_automaton(), 4, EXTENDED_CUTPOINTS)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="the src directory to import qbuchi from")
+    parser.add_argument("--extended", action="store_true",
+                        help="add the searches on Haar and three-symbol automata")
     parser.add_argument("--expect", metavar="SHA256",
                         help="exit 1 unless the corpus digest is this one")
     args = parser.parse_args(argv)
@@ -138,7 +165,7 @@ def main(argv=None) -> int:
         raise SystemExit(f"error: imported qbuchi from {qbuchi.__file__}, not from {args.src}")
     digest = hashlib.sha256()
     n = 0
-    for label, job in jobs():
+    for label, job in jobs() + (extended_jobs() if args.extended else []):
         digest.update(f"{label}\t{_json_text(job())}\n".encode())
         n += 1
     print(f"{n} outputs sha256 {digest.hexdigest()}")

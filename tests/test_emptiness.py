@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qbuchi import emptiness
 from qbuchi.emptiness import (
     SearchBudget,
     SearchResult,
@@ -29,7 +31,7 @@ from qbuchi.semantics import (
 )
 
 from conftest import (acc_then_rej_automaton, counted_applies, haar_unitary, make_automaton,
-                      marker_halts_automaton)
+                      marker_halts_automaton, three_symbol_automaton)
 
 # hand-computed: round r enumerates (2^(r+1)-2) prefixes and (2^(r+1)-2)
 # cycles over two symbols plus the empty prefix, and an always-rejecting
@@ -364,6 +366,75 @@ PLAIN_LOOP_COLLISION_CASES = [
 def test_search_matches_plain_loop_on_colliding_states(fixtures, make, p, rounds, mode):
     a = fixtures[make] if isinstance(make, str) else make()
     _assert_search_matches_plain_loop(a, p, mode, rounds)
+
+
+SETTLED_ROW_CASES = [
+    # (name, automaton, cutpoint, rounds); a settled row is counted in its
+    # first round and again, for its longest cycles only, in every later one
+    ("three_symbol@0.6", three_symbol_automaton, 0.6, 4),
+    ("three_symbol@0.9", three_symbol_automaton, 0.9, 4),
+    ("no_entry", "no_entry", 0.5, 6),
+    *[(f"prefix_refutes-r{r}", _prefix_refutes, 0.9, r) for r in range(1, 7)],
+    *[(f"no_accepting_state-r{r}", _no_accepting_state, 0.7, r) for r in range(1, 7)],
+    # round 5 runs 32 periods, so the open pairs with cycles of two symbols
+    # or more compile; the witness comes in round 5
+    ("haar16", lambda: _haar_of_dim(16), 0.7, 5),
+]
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+@pytest.mark.parametrize(
+    "make,p,rounds", [c[1:] for c in SETTLED_ROW_CASES], ids=[c[0] for c in SETTLED_ROW_CASES],
+)
+def test_search_matches_plain_loop_on_settled_rows(fixtures, make, p, rounds, mode):
+    a = fixtures[make] if isinstance(make, str) else make()
+    _assert_search_matches_plain_loop(a, p, mode, rounds)
+
+
+def _counted_runs(monkeypatch) -> list:
+    """The (prefix, cycle) of every run_lasso call that check_emptiness
+    makes from here on."""
+    pairs = []
+    run = emptiness.run_lasso
+    monkeypatch.setattr(emptiness, "run_lasso", lambda a, w, p, **kw: (
+        pairs.append((w.prefix, w.cycle)) or run(a, w, p, **kw)))
+    return pairs
+
+
+def test_search_runs_only_the_pairs_of_open_prefixes(fixtures, monkeypatch):
+    pairs = _counted_runs(monkeypatch)
+    res = check_emptiness(fixtures["reject_all"], 0.9)
+    assert (res.candidates_tried, pairs) == (16002, [])
+    res = check_emptiness(_prefix_refutes(), 0.9, SearchBudget(max_rounds=4))
+    # every pair is rejected at first sight, so it is counted once, and
+    # only a prefix without an 'a' leaves its pairs open
+    words = ["".join(t) for n in range(5) for t in itertools.product("ab", repeat=n)]
+    assert res.candidates_tried == len(words) * (len(words) - 1)
+    assert sorted(pairs) == sorted((u, v) for u in words if "a" not in u for v in words if v)
+
+
+def test_search_checks_the_alphabet_before_round_one():
+    # without an accepting state the root settles every row, so no pair
+    # is run and no run checks the multi-character symbol
+    rng = np.random.default_rng(7)
+    a = make_automaton({"a": haar_unitary(rng, 3), "bc": haar_unitary(rng, 3)},
+                       accepting=[], rejecting=[2])
+    with pytest.raises(ValueError, match="symbol 'b' is not in the automaton alphabet"):
+        check_emptiness(a, 0.7)
+
+
+def test_search_enumerates_one_round_at_a_time(fixtures):
+    a = fixtures["lang_a_prefix"]
+    tracemalloc.start()
+    try:
+        res = check_emptiness(a, 0.8, SearchBudget(max_rounds=16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.candidates_tried, res.rounds_completed) == (
+        SearchStatus.NONEMPTY, 1, 1)
+    # a list of the 2^17 - 1 words of 16 rounds would take several MB
+    assert peak < 1_000_000
 
 
 def test_search_simulates_each_cycle_phase_once(fixtures, monkeypatch):
