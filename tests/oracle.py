@@ -1,7 +1,7 @@
 """A digest of qbuchi's outputs on a seeded corpus, to show that a change
 moves no verdict, trace, clause report or search result.
 
-    python3 tests/oracle.py --src <tree>/src [--extended] [--expect <sha256>]
+    python3 tests/oracle.py --src <tree>/src [--expect <sha256>]
 
 imports qbuchi from <tree>/src (by default the src of this repository)
 and prints the number of outputs and a sha256 over their deterministic
@@ -20,13 +20,11 @@ trace's clause report. At dimensions 16 and 27 the runs of 64 periods
 with a cycle of two symbols or more take the compiled path. Last come
 runs of random words with a cycle of three symbols on a Haar automaton
 of dimension 81, with a budget of 128 periods only, all on the compiled
-path. tests/test_oracle.py checks a slice of it against each verdict's
-own inequalities.
-
---extended adds searches at cutpoints 0.6, 0.75 and 0.85, in both modes,
-on the Haar automata of dimension 3 to 8 (5 rounds) and 16 (6 rounds)
-and on the three-symbol automaton from conftest (4 rounds). Most of
-their rows have a prefix that already settles every pair.
+path, and searches at cutpoints 0.6, 0.75 and 0.85, in both modes, on
+the Haar automata of dimension 3 to 8 (5 rounds) and 16 (6 rounds) and
+on the three-symbol automaton from conftest (4 rounds); most of their
+rows have a prefix that already settles every pair. tests/test_oracle.py
+checks a slice of it against each verdict's own inequalities.
 """
 from __future__ import annotations
 
@@ -46,9 +44,9 @@ DIMS = (3, 4, 5, 6, 7, 8, 16, 27)
 WORDS_PER_AUTOMATON = 24
 # (dimension, words, budget) of the Haar automaton whose cycles have three symbols
 LARGE = (81, 6, 128)
-EXTENDED_CUTPOINTS = (0.6, 0.75, 0.85)
-# (dimension, rounds) of the Haar automata of the extended searches
-EXTENDED_SEARCHES = (*((dim, 5) for dim in range(3, 9)), (16, 6))
+HAAR_SEARCH_CUTPOINTS = (0.6, 0.75, 0.85)
+# (dimension, rounds) of the searched Haar automata
+HAAR_SEARCHES = (*((dim, 5) for dim in range(3, 9)), (16, 6))
 
 
 def _search(a, p, mode, rounds=6) -> dict:
@@ -98,9 +96,7 @@ def _haar(rng, dim):
 
 
 def _searches(name, a, rounds, cutpoints=SEARCH_CUTPOINTS) -> list:
-    # the labels of the 6-round searches name no rounds, as they did before
-    # --extended, so that the default corpus keeps its digest
-    return [(f"search {name} p={p} {mode}" + ("" if rounds == 6 else f" rounds={rounds}"),
+    return [(f"search {name} p={p} {mode} rounds={rounds}",
              lambda p=p, mode=mode: _search(a, p, mode, rounds))
             for p in cutpoints for mode in MODES]
 
@@ -111,7 +107,7 @@ def jobs() -> list:
     import qbuchi
     from qbuchi.fixtures import list_fixtures, load_fixture
 
-    from conftest import marker_halts_automaton, rotation_leak_automaton
+    from conftest import marker_halts_automaton, rotation_leak_automaton, three_symbol_automaton
 
     automata = [(name, load_fixture(name)) for name in list_fixtures()]
     automata += [("rotation_leak", rotation_leak_automaton()),
@@ -133,27 +129,16 @@ def jobs() -> list:
     a = _haar(rng, dim)
     out += _runs(f"haar{dim}", a, [qbuchi.LassoWord(_word(rng, 0, 3), _word(rng, 3, 3))
                                    for _ in range(n_words)], (budget,))
-    return out
-
-
-def extended_jobs() -> list:
-    """The searches that --extended appends to the corpus, as jobs() gives
-    its own."""
-    from conftest import three_symbol_automaton
-
-    out = []
-    for dim, rounds in EXTENDED_SEARCHES:
+    for dim, rounds in HAAR_SEARCHES:
         out += _searches(f"haar{dim}", _haar(np.random.default_rng(dim), dim), rounds,
-                         EXTENDED_CUTPOINTS)
-    return out + _searches("three_symbol", three_symbol_automaton(), 4, EXTENDED_CUTPOINTS)
+                         HAAR_SEARCH_CUTPOINTS)
+    return out + _searches("three_symbol", three_symbol_automaton(), 4, HAAR_SEARCH_CUTPOINTS)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="the src directory to import qbuchi from")
-    parser.add_argument("--extended", action="store_true",
-                        help="add the searches on Haar and three-symbol automata")
     parser.add_argument("--expect", metavar="SHA256",
                         help="exit 1 unless the corpus digest is this one")
     args = parser.parse_args(argv)
@@ -165,7 +150,7 @@ def main(argv=None) -> int:
         raise SystemExit(f"error: imported qbuchi from {qbuchi.__file__}, not from {args.src}")
     digest = hashlib.sha256()
     n = 0
-    for label, job in jobs() + (extended_jobs() if args.extended else []):
+    for label, job in jobs():
         digest.update(f"{label}\t{_json_text(job())}\n".encode())
         n += 1
     print(f"{n} outputs sha256 {digest.hexdigest()}")

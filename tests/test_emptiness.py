@@ -348,29 +348,15 @@ def test_shared_context_answers_every_budget_order_as_fresh_runs(
     assert (len(context.states) < len(open_prefixes)) == collide
 
 
-PLAIN_LOOP_COLLISION_CASES = [
+PLAIN_LOOP_CASES = [
     # (name, automaton, cutpoint, rounds); lang_inf_a's 'b' is the identity
     ("lang_inf_a@0.9", "lang_inf_a", 0.9, 6),
     ("lang_inf_a@1.0", "lang_inf_a", 1.0, 6),
     ("shift5", lambda: _draining_automaton(2, 5, "shift"), 0.5, 4),
     # round 5 runs 32 periods, so its cycles of two symbols or more compile
     ("drain16", lambda: _draining_automaton(3, 16, "drain", alphabet="a"), 0.5, 5),
-]
-
-
-@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
-@pytest.mark.parametrize(
-    "make,p,rounds", [c[1:] for c in PLAIN_LOOP_COLLISION_CASES],
-    ids=[c[0] for c in PLAIN_LOOP_COLLISION_CASES],
-)
-def test_search_matches_plain_loop_on_colliding_states(fixtures, make, p, rounds, mode):
-    a = fixtures[make] if isinstance(make, str) else make()
-    _assert_search_matches_plain_loop(a, p, mode, rounds)
-
-
-SETTLED_ROW_CASES = [
-    # (name, automaton, cutpoint, rounds); a settled row is counted in its
-    # first round and again, for its longest cycles only, in every later one
+    # a settled row is counted in its first round and again, for its
+    # longest cycles only, in every later one
     ("three_symbol@0.6", three_symbol_automaton, 0.6, 4),
     ("three_symbol@0.9", three_symbol_automaton, 0.9, 4),
     ("no_entry", "no_entry", 0.5, 6),
@@ -384,9 +370,9 @@ SETTLED_ROW_CASES = [
 
 @pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
 @pytest.mark.parametrize(
-    "make,p,rounds", [c[1:] for c in SETTLED_ROW_CASES], ids=[c[0] for c in SETTLED_ROW_CASES],
+    "make,p,rounds", [c[1:] for c in PLAIN_LOOP_CASES], ids=[c[0] for c in PLAIN_LOOP_CASES],
 )
-def test_search_matches_plain_loop_on_settled_rows(fixtures, make, p, rounds, mode):
+def test_search_matches_plain_loop_on_colliding_states(fixtures, make, p, rounds, mode):
     a = fixtures[make] if isinstance(make, str) else make()
     _assert_search_matches_plain_loop(a, p, mode, rounds)
 
