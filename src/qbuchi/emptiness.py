@@ -72,7 +72,9 @@ class SearchResult:
     resumes its run rather than simulating it again; a pair whose prefix
     already settles it counts without a run, and a pair whose start state
     and cycle were already run under the budget counts although it is
-    answered from the search's tables. rounds_completed is the round
+    answered from the search's tables. It does not count steps either:
+    a step from a state and symbol that another pair already stepped is
+    taken from the search's transition table. rounds_completed is the round
     in which the witness was found, or max_rounds when the search
     exhausted its budget.
     """

@@ -23,8 +23,12 @@ of dimension 81, with a budget of 128 periods only, all on the compiled
 path, and searches at cutpoints 0.6, 0.75 and 0.85, in both modes, on
 the Haar automata of dimension 3 to 8 (5 rounds) and 16 (6 rounds) and
 on the three-symbol automaton from conftest (4 rounds); most of their
-rows have a prefix that already settles every pair. tests/test_oracle.py
-checks a slice of it against each verdict's own inequalities.
+rows have a prefix that already settles every pair. The corpus ends with
+three more crafted automata from conftest (two_block, acc_then_rej,
+marker_split): for each, the searches of the fixtures, then the runs of
+every lasso word with a prefix of at most two symbols and a cycle of one
+or two. tests/test_oracle.py checks a slice of it against each verdict's
+own inequalities.
 """
 from __future__ import annotations
 
@@ -107,7 +111,14 @@ def jobs() -> list:
     import qbuchi
     from qbuchi.fixtures import list_fixtures, load_fixture
 
-    from conftest import marker_halts_automaton, rotation_leak_automaton, three_symbol_automaton
+    from conftest import (acc_then_rej_automaton, marker_halts_automaton,
+                          marker_split_automaton, rotation_leak_automaton,
+                          three_symbol_automaton, two_block_automaton)
+
+    def short_runs(name, a):
+        symbols = sorted(a.alphabet)
+        return _runs(name, a, [qbuchi.LassoWord(u, v) for u in _words(symbols, 0, 2)
+                               for v in _words(symbols, 1, 2)])
 
     automata = [(name, load_fixture(name)) for name in list_fixtures()]
     automata += [("rotation_leak", rotation_leak_automaton()),
@@ -116,9 +127,7 @@ def jobs() -> list:
     for name, a in automata:
         out += _searches(name, a, 6)
     for name, a in automata:
-        symbols = sorted(a.alphabet)
-        out += _runs(name, a, [qbuchi.LassoWord(u, v) for u in _words(symbols, 0, 2)
-                               for v in _words(symbols, 1, 2)])
+        out += short_runs(name, a)
     for dim in DIMS:
         rng = np.random.default_rng(dim)
         a = _haar(rng, dim)
@@ -132,7 +141,12 @@ def jobs() -> list:
     for dim, rounds in HAAR_SEARCHES:
         out += _searches(f"haar{dim}", _haar(np.random.default_rng(dim), dim), rounds,
                          HAAR_SEARCH_CUTPOINTS)
-    return out + _searches("three_symbol", three_symbol_automaton(), 4, HAAR_SEARCH_CUTPOINTS)
+    out += _searches("three_symbol", three_symbol_automaton(), 4, HAAR_SEARCH_CUTPOINTS)
+    crafted = [("two_block", two_block_automaton()), ("acc_then_rej", acc_then_rej_automaton()),
+               ("marker_split", marker_split_automaton())]
+    for name, a in crafted:
+        out += _searches(name, a, 6) + short_runs(name, a)
+    return out
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbuchi import emptiness
+from qbuchi import emptiness, semantics
 from qbuchi.emptiness import (
     SearchBudget,
     SearchResult,
@@ -31,7 +31,7 @@ from qbuchi.semantics import (
 )
 
 from conftest import (acc_then_rej_automaton, counted_applies, haar_unitary, make_automaton,
-                      marker_halts_automaton, three_symbol_automaton)
+                      marker_halts_automaton, rotation_leak_automaton, three_symbol_automaton)
 
 # hand-computed: round r enumerates (2^(r+1)-2) prefixes and (2^(r+1)-2)
 # cycles over two symbols plus the empty prefix, and an always-rejecting
@@ -304,6 +304,23 @@ def _haar_of_dim(dim):
     return make_automaton(unitaries, accepting=[1], rejecting=[dim - 1])
 
 
+def _open_run_automaton(dim=8, invariant=4):
+    """Each symbol is a Haar unitary of the first invariant states, which
+    hold the initial q0, and another of the rest, which hold the accepting
+    q{invariant} and the rejecting q{dim-1}. No mass ever halts, so every
+    run stays open to its budget, and the states of different words differ."""
+    rng = np.random.default_rng(dim)
+
+    def blocks():
+        u = np.zeros((dim, dim), dtype=complex)
+        u[:invariant, :invariant] = haar_unitary(rng, invariant)
+        u[invariant:, invariant:] = haar_unitary(rng, dim - invariant)
+        return u
+
+    return make_automaton({"a": blocks(), "b": blocks()},
+                          accepting=[invariant], rejecting=[dim - 1])
+
+
 SMALL_BUDGETS = (1, 2, 2, 3, 4, 8, 16)
 # 17 compiles at dimension 16 only, 20 and 40 at both
 COMPILED_BUDGETS = (1, 2, 8, 17, 20, 20, 40)
@@ -349,32 +366,68 @@ def test_shared_context_answers_every_budget_order_as_fresh_runs(
 
 
 PLAIN_LOOP_CASES = [
-    # (name, automaton, cutpoint, rounds); lang_inf_a's 'b' is the identity
-    ("lang_inf_a@0.9", "lang_inf_a", 0.9, 6),
-    ("lang_inf_a@1.0", "lang_inf_a", 1.0, 6),
-    ("shift5", lambda: _draining_automaton(2, 5, "shift"), 0.5, 4),
+    # (name, automaton, cutpoint, rounds, entries the transition table is
+    # capped at, or None for the default cap); lang_inf_a's 'b' is the identity
+    ("lang_inf_a@0.9", "lang_inf_a", 0.9, 6, None),
+    ("lang_inf_a@1.0", "lang_inf_a", 1.0, 6, None),
+    # the table is cleared every three entries, so steps are taken afresh
+    # from states it held before
+    ("lang_inf_a@1.0-cap3", "lang_inf_a", 1.0, 6, 3),
+    # a unary rotation: the runs of a^k are powers and rotations of one run
+    ("rotation_leak@0.8", rotation_leak_automaton, 0.8, 5, None),
+    # the end marker halts every run, so every pair starts from one state
+    ("marker_halts@0.9", marker_halts_automaton, 0.9, 4, None),
+    # every pair stays open and is stepped again from where it stopped
+    ("open_runs", _open_run_automaton, 0.5, 4, None),
+    ("shift5", lambda: _draining_automaton(2, 5, "shift"), 0.5, 4, None),
     # round 5 runs 32 periods, so its cycles of two symbols or more compile
-    ("drain16", lambda: _draining_automaton(3, 16, "drain", alphabet="a"), 0.5, 5),
+    ("drain16", lambda: _draining_automaton(3, 16, "drain", alphabet="a"), 0.5, 5, None),
     # a settled row is counted in its first round and again, for its
     # longest cycles only, in every later one
-    ("three_symbol@0.6", three_symbol_automaton, 0.6, 4),
-    ("three_symbol@0.9", three_symbol_automaton, 0.9, 4),
-    ("no_entry", "no_entry", 0.5, 6),
-    *[(f"prefix_refutes-r{r}", _prefix_refutes, 0.9, r) for r in range(1, 7)],
-    *[(f"no_accepting_state-r{r}", _no_accepting_state, 0.7, r) for r in range(1, 7)],
+    ("three_symbol@0.6", three_symbol_automaton, 0.6, 4, None),
+    ("three_symbol@0.9", three_symbol_automaton, 0.9, 4, None),
+    ("no_entry", "no_entry", 0.5, 6, None),
+    *[(f"prefix_refutes-r{r}", _prefix_refutes, 0.9, r, None) for r in range(1, 7)],
+    *[(f"no_accepting_state-r{r}", _no_accepting_state, 0.7, r, None) for r in range(1, 7)],
     # round 5 runs 32 periods, so the open pairs with cycles of two symbols
     # or more compile; the witness comes in round 5
-    ("haar16", lambda: _haar_of_dim(16), 0.7, 5),
+    ("haar16", lambda: _haar_of_dim(16), 0.7, 5, None),
 ]
+
+
+def _table_sizes(monkeypatch) -> list:
+    """The (size, cap) of the transition table of the lasso context after
+    every advance from here on."""
+    sizes = []
+    advance = _LassoContext.advance
+
+    def counted(self, *args):
+        out = advance(self, *args)
+        sizes.append((len(self.transitions), self.max_transitions))
+        return out
+
+    monkeypatch.setattr(_LassoContext, "advance", counted)
+    return sizes
 
 
 @pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
 @pytest.mark.parametrize(
-    "make,p,rounds", [c[1:] for c in PLAIN_LOOP_CASES], ids=[c[0] for c in PLAIN_LOOP_CASES],
+    "make,p,rounds,entries", [c[1:] for c in PLAIN_LOOP_CASES],
+    ids=[c[0] for c in PLAIN_LOOP_CASES],
 )
-def test_search_matches_plain_loop_on_colliding_states(fixtures, make, p, rounds, mode):
+def test_search_matches_plain_loop_on_colliding_states(
+        fixtures, monkeypatch, make, p, rounds, entries, mode):
     a = fixtures[make] if isinstance(make, str) else make()
+    if entries is not None:
+        monkeypatch.setattr(semantics, "_TRANSITION_BYTES", entries * (32 * a.dim + 512))
+    sizes = _table_sizes(monkeypatch)
     _assert_search_matches_plain_loop(a, p, mode, rounds)
+    assert all(size <= cap for size, cap in sizes)
+    if entries is not None:
+        # every context held the cap, and the search's table filled to it;
+        # the search steps 258 distinct transitions, so it was cleared
+        assert {cap for _, cap in sizes} == {entries}
+        assert max(sizes)[0] == entries
 
 
 def _counted_runs(monkeypatch) -> list:
@@ -431,15 +484,66 @@ def test_search_simulates_each_cycle_phase_once(fixtures, monkeypatch):
         ("", "aaaaa"), 1153, 5)
     # 50527 when every pair was simulated from its prefix state in every
     # round; as 'b' is the identity, the search's 31 prefixes reach 5
-    # distinct states, and a larger budget resumes a run where it stopped
-    assert len(steps) < 10000
+    # distinct states, and a larger budget resumes a run where it stopped.
+    # That took 8689 while each run stepped its own transitions; now each
+    # distinct (state, symbol) is stepped once, the end marker's included
+    assert len(steps) == 258
     steps.clear()
     res = check_emptiness(marker_halts_automaton(), 0.9, SearchBudget(max_rounds=3))
     assert res.candidates_tried == 258
     # 273 when each of the 258 evaluations stepped its halted run again,
-    # and 43 while the root, halted by the end marker, was not marked so
-    # and kept a phase table entry of its own per cycle
-    assert len(steps) <= 29
+    # 43 while the root, halted by the end marker, was not marked so and
+    # kept a phase table entry of its own per cycle, and 29 while each
+    # cycle phase from the root stepped its own first symbol: now the end
+    # marker, 'a' and 'b' are the only steps
+    assert steps == ["#", "a", "b"]
+
+
+def test_search_never_writes_a_shared_state(monkeypatch):
+    contexts = []
+    context = emptiness._LassoContext
+    monkeypatch.setattr(emptiness, "_LassoContext",
+                        lambda *args: contexts.append(context(*args)) or contexts[-1])
+    # every state the kernel steps to, kept alive so that ids stay unique,
+    # with a copy taken as it was stored
+    stepped = {}
+    apply = semantics._Kernel.apply
+
+    def copied(self, psi, sym):
+        out = apply(self, psi, sym)
+        stepped[id(out[0])] = out[0], out[0].copy()
+        return out
+
+    monkeypatch.setattr(semantics._Kernel, "apply", copied)
+    res = check_emptiness(_open_run_automaton(), 0.5, SearchBudget(max_rounds=3))
+    assert res.candidates_tried == 258
+    (context,) = contexts
+    table = [psi for psi, *_ in context.transitions.values()]
+    assert len(table) > 1000
+    runs = [run.psi for run in context.states.values()]
+    for psi in table + runs:
+        kept, copy = stepped[id(psi)]
+        assert kept is psi and not psi.flags.writeable
+        assert psi.tobytes() == copy.tobytes()
+
+
+def test_search_transition_table_stays_within_its_budget(monkeypatch):
+    # every run stays open and the states of different words differ, so
+    # the search steps to 1679 distinct states, and an unbounded table
+    # keeps them all: a peak of ~1.22 MB, against ~0.19 MB before the
+    # search had a transition table. A budget of 1000 entries at dimension
+    # 8 clears the table once, and its peak (~0.80 MB) must stay below the
+    # budget plus that earlier peak, rounded up.
+    budget = 1000 * (32 * 8 + 512)
+    monkeypatch.setattr(semantics, "_TRANSITION_BYTES", budget)
+    tracemalloc.start()
+    try:
+        res = check_emptiness(_open_run_automaton(), 0.5, SearchBudget(max_rounds=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.candidates_tried) == (SearchStatus.INCONCLUSIVE, 258)
+    assert peak < budget + 250_000
 
 
 def test_budget_validation():
