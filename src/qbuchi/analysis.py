@@ -51,12 +51,21 @@ def _outside(w: SubspaceBasis, x: np.ndarray) -> np.ndarray:
     return x - w.vectors.T @ (w.vectors.conj() @ x)
 
 
-def _refine(a: Mmqba, w: SubspaceBasis) -> SubspaceBasis:
-    if w.dim == 0:
-        return w
-    blocks = [_outside(w, a.unitary_for(sym) @ w.vectors.T) for sym in sorted(a.alphabet)]
-    coeff_basis = null_space(np.vstack(blocks))
-    return SubspaceBasis(coeff_basis.vectors @ w.vectors, a.dim)
+def _invariant_part(start: SubspaceBasis, maps) -> tuple[SubspaceBasis, tuple[int, ...]]:
+    """The largest subspace of start that each of maps sends into itself,
+    and the dimensions of the descending chain that finds it: start's, then
+    one per refinement, the last of which confirms that the chain is stable."""
+    w, dims = start, [start.dim]
+    while True:
+        refined = w
+        if w.dim:
+            blocks = [_outside(w, m @ w.vectors.T) for m in maps]
+            coeff_basis = null_space(np.vstack(blocks))
+            refined = SubspaceBasis(coeff_basis.vectors @ w.vectors, start.ambient_dim)
+        dims.append(refined.dim)
+        if refined.dim == w.dim:
+            return refined, tuple(dims)
+        w = refined
 
 
 def _complement_within(whole: SubspaceBasis, part: SubspaceBasis) -> SubspaceBasis:
@@ -70,20 +79,8 @@ def _complement_within(whole: SubspaceBasis, part: SubspaceBasis) -> SubspaceBas
 def decompose_nonhalting(a: Mmqba) -> Decomposition:
     """Split the non-halting span into its maximal invariant part and the rest."""
     s_non = SubspaceBasis.from_indices(a.nonhalting, a.dim)
-    w = s_non
-    dims = [w.dim]
-    iterations = 0
-    while True:
-        iterations += 1
-        refined = _refine(a, w)
-        dims.append(refined.dim)
-        stable = refined.dim == w.dim
-        w = refined
-        if stable:
-            break
-    s1 = w
-    s2 = _complement_within(s_non, s1)
-    return Decomposition(s1, s2, iterations, tuple(dims))
+    s1, dims = _invariant_part(s_non, [a.unitary_for(sym) for sym in sorted(a.alphabet)])
+    return Decomposition(s1, _complement_within(s_non, s1), len(dims) - 1, dims)
 
 
 def _require_within_nonhalting(a: Mmqba, s: SubspaceBasis):

@@ -18,8 +18,8 @@ one holds it holds forever.
 
 A long run at state dimension 16 and up may apply its undecided cycle
 periods as compiled maps, eight periods or one at a time;
-_LassoContext.period says when, and how far its floats and verdicts may
-differ from a stepped run.
+_LassoContext.compiled_run says which it keeps, and how far their floats
+and verdicts may differ from a stepped run.
 """
 from __future__ import annotations
 
@@ -299,11 +299,10 @@ class _Run(NamedTuple):
 # on one, on the stepped arithmetic they were written with.
 _COMPILED_MIN_DIM = 16
 
-# A compiled period that moves the state by a squared distance of at most
-# this share of its squared norm is stepped again, since stepping could
-# leave that state exactly where it was. Compiled and stepped states differ
-# by a few ulps times dim, far below it; a state that still drains or
-# turns moves far more.
+# compiled_run's bound on the squared move of a fixed point, as a share of
+# the state's squared norm: stepping could leave such a state exactly where
+# it was. Compiled and stepped states differ by a few ulps times dim, far
+# below it; a state that still drains or turns moves far more.
 _FIXED_POINT_SQ = 1e-18
 
 # The undecided periods of a compiled run are taken this many at a time,
@@ -334,8 +333,7 @@ class _LassoContext:
     whose runs reach bitwise the same state share one _Run, and the cycle
     phase depends only on that state, the cycle, the test and the budget,
     so the phase table keeps its outcome per (start state, cycle), as
-    run_word describes: each distinct cycle phase is simulated once, and
-    a larger budget resumes it where the last one stopped.
+    run_word describes.
     A measured step depends only on the bytes of its state and on its
     symbol, so the transition table keeps, per (psi.tobytes(), symbol),
     the new state, read-only, and the step's (alpha, rho, nh): runs that
@@ -508,7 +506,7 @@ class _LassoContext:
                      g: np.ndarray, periods: int):
         """The run after the periods periods of cycle from run, the first
         of them period k, by their compiled map g (G, or G_K from blocked),
-        or None when period's rules discard them, with their records.
+        or None when they are discarded, with their records.
 
         The periods are one product, whose floats may differ from stepping,
         and so from run_prefix, in the last bits. Within them the
@@ -516,7 +514,13 @@ class _LassoContext:
         and after the last step it is the norm of the new state. All steps
         go through advance at need, the first period's: need only grows,
         so periods that do not accept at it would not accept at their own,
-        larger needs.
+        larger needs. They are discarded if a step settles the run, sets
+        accepted or halts it, or if the last period leaves both sums as
+        they were, unless it is the only one and moves the state by more
+        than _FIXED_POINT_SQ of its squared norm. So these events and any
+        exact fixed point are left to stepping; only a threshold that
+        stepping would cross within the last bits can give a verdict,
+        period or visit count other than a stepped run's.
         """
         kernel, records = self.kernel, self.records
         mark = len(records) if records is not None else 0
@@ -550,32 +554,6 @@ class _LassoContext:
         if records is not None:
             del records[mark:]
         return None
-
-    def period(self, run: _Run, cycle: str, k: int, need: float, g: np.ndarray):
-        """Period k of cycle from run by its compiled map g, as advance
-        returns it.
-
-        run_word compiles g once per run, from the second period on, and
-        only at state dimension _COMPILED_MIN_DIM and up, for a cycle of
-        two symbols or more, and when at least dim periods are left after
-        the first. It then takes the undecided periods _BLOCK at a time,
-        by the compiled block of blocked(g), while at least _BLOCK periods
-        are left, and the rest one at a time here. A block or period is
-        one compiled_run, which says how its floats may differ from
-        stepping. A block is discarded if one of its steps settles the
-        run, sets accepted or halts it, or if its last period leaves both
-        sums as they were; its periods are then taken one at a time here.
-        A period is discarded on the same events, or if it leaves both
-        sums as they were and the state within _FIXED_POINT_SQ of where it
-        was, so that run_word's test for an exact fixed point could hold;
-        it is then stepped again from run, so those outcomes are decided
-        on stepped arithmetic. What the compiled floats cannot show is a
-        threshold that stepping would cross within those last bits: there
-        a verdict, its period or its visit count can differ from a stepped
-        run's.
-        """
-        new = self.compiled_run(run, cycle, k, need, g, 1)
-        return new if new is not None else self.advance(run, cycle, k, need)
 
     def intern(self, entry):
         """entry, or the _Run kept first for the same state when entry is a
@@ -618,11 +596,11 @@ class _LassoContext:
         periods_simulated; any other verdict answers its own budget only,
         ACCEPTED too, since certified mode runs on to the budget. A larger
         budget resumes an INCONCLUSIVE run that has not halted from its
-        last period. On the compiled path (dimension _COMPILED_MIN_DIM and
-        up, a cycle of two symbols or more), whether and where a run
-        compiles depends on its budget, so there a verdict answers its own
-        budget only and a larger budget runs afresh. Every answer is
-        bit-identical to a fresh run's.
+        last period. A cycle of two symbols or more, at state dimension
+        _COMPILED_MIN_DIM and up, compiles: whether and where its run
+        takes compiled periods depends on the budget, so there a verdict
+        answers its own budget only and a larger budget runs afresh. Every
+        answer is bit-identical to a fresh run's.
         """
         start = self.after(w.prefix)
         if isinstance(start, Verdict):
@@ -637,48 +615,52 @@ class _LassoContext:
                 return verdict
             if resume is not None and max_periods > high:
                 run, k = resume
-        verdict, resume = self.cycle_phase(run, cycle, k, max_periods)
+        # a cycle of one symbol saves no product a period by compiling
+        compiles = len(cycle) > 1 and self.kernel.a.dim >= _COMPILED_MIN_DIM
+        verdict, resume = self.cycle_phase(run, cycle, k, max_periods, compiles)
         low = high = max_periods
-        if len(cycle) > 1 and self.kernel.a.dim >= _COMPILED_MIN_DIM:
+        if compiles:
             resume = None
         elif resume is None and verdict.status is not Status.ACCEPTED:
             low, high = verdict.periods_simulated, math.inf
         self.phases[key] = (low, high, verdict, resume)
         return verdict
 
-    def cycle_phase(self, run: _Run, cycle: str, k: int, max_periods: int):
+    def cycle_phase(self, run: _Run, cycle: str, k: int, max_periods: int, compiles: bool):
         """The cycle phase from run after k periods, up to max_periods: the
         verdict once a period settles or halts the run, the cycle map
         reaches an exact fixed point, or the budget runs out, and the
         (run, k) to resume it from under a larger budget when the verdict
-        is INCONCLUSIVE and the run has not halted, else None."""
+        is INCONCLUSIVE and the run has not halted, else None.
+
+        When compiles and at least dim periods are left after the first,
+        G and G_K are built after the first period. Each later period is
+        then tried by compiled_run, _BLOCK at a time while that many are
+        left outside a discarded block, else alone, and stepped if it is
+        discarded; only stepped periods need the checks.
+        """
         beta = self.beta
-        stationary = False
         g = gk = None
-        # periods up to this one are taken one at a time after a discarded block
+        # periods up to this one are tried one at a time after a discarded block
         singles_until = 0
         while k < max_periods:
             # compiling costs about (|v| - 1) * dim matrix-vector products and
             # log2 _BLOCK products of dim x dim matrices; it saves |v| - 1
-            # products a period, and a block saves _BLOCK - 1 more; a cycle
-            # of one symbol saves none a period
-            if (k == 1 and len(cycle) > 1
-                    and max_periods - 1 >= self.kernel.a.dim >= _COMPILED_MIN_DIM):
+            # products a period, and a block saves _BLOCK - 1 more
+            if k == 1 and g is None and compiles and max_periods - 1 >= self.kernel.a.dim:
                 g = self.compiled(cycle)
                 gk = self.blocked(g)
-            if gk is not None and k >= singles_until and max_periods - k >= _BLOCK:
-                new = self.compiled_run(run, cycle, k + 1, beta * (k + 1), gk, _BLOCK)
+            if g is not None:
+                n = _BLOCK if k >= singles_until and max_periods - k >= _BLOCK else 1
+                new = self.compiled_run(run, cycle, k + 1, beta * (k + 1), gk if n > 1 else g, n)
                 if new is not None:
-                    run = new
-                    k += _BLOCK
+                    run, k = new, k + n
                     continue
-                singles_until = k + _BLOCK
+                if n > 1:
+                    singles_until = k + _BLOCK
+                    continue
             k += 1
-            prev = run
-            if g is None:
-                run = self.advance(prev, cycle, k, beta * k)
-            else:
-                run = self.period(prev, cycle, k, beta * k, g)
+            prev, run = run, self.advance(run, cycle, k, beta * k)
             if isinstance(run, Verdict):
                 return run, None
             if run.halted:
@@ -687,15 +669,14 @@ class _LassoContext:
                     and np.array_equal(run.psi, prev.psi)):
                 # exact fixed point of the cycle map: no future step can
                 # differ, so no further accepting visit is possible
-                stationary = True
+                if not run.accepted:
+                    return self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, run.acc,
+                                        run.rej, _norm_sq(run.psi), run.visits, k), None
                 break
         psi, acc, rej, visits, halted, accepted = run
         nh = _norm_sq(psi)
         if accepted:
             return self.verdict(Status.ACCEPTED, REASON_CERTIFIED,
-                                acc, rej, nh, visits, k), None
-        if stationary:
-            return self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED,
                                 acc, rej, nh, visits, k), None
         return (self.verdict(Status.INCONCLUSIVE, REASON_BUDGET, acc, rej, nh, visits, k),
                 None if halted else (run, k))
@@ -734,7 +715,7 @@ def run_lasso(
     where acc + nh rounds a few ulps under 1. Verdicts never flip between
     ACCEPTED and REJECTED when the budget grows, except for limits within
     epsilon of the cutpoint. A long run at dimension 16 and up may apply
-    its cycle periods compiled, as _LassoContext.period describes.
+    its cycle periods compiled, as _LassoContext.compiled_run describes.
     _context is private: check_emptiness passes one context, built for a
     and p, to all its candidates, and that context supplies the test, so
     epsilon, beta and mode are not read. A context for another

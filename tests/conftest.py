@@ -137,6 +137,71 @@ def three_symbol_automaton() -> Mmqba:
                           accepting=[1], rejecting=[2])
 
 
+def accepted_fixed_point_automaton() -> Mmqba:
+    """Three states, q1 accepting and q2 rejecting. 'a' turns q0 by pi/4
+    onto q1, so the prefix 'aa' sends 3/4 of the mass to q1 with two
+    accepting visits; 'b' is the identity, so a b-cycle after it is an
+    exact fixed point at which a cutpoint below 3/4 has already accepted."""
+    r = 1.0 / np.sqrt(2.0)
+    v = np.array([[r, -r, 0.0], [r, r, 0.0], [0.0, 0.0, 1.0]])
+    return make_automaton({"a": v, "b": np.eye(3)}, accepting=[1], rejecting=[2])
+
+
+def chain_unitary(dim, chain, partners, end, theta=0.1):
+    """'a' moves amplitude one state per step along chain and from its last
+    state onto end; each move onto chain[i] (i >= 1) then turns sin(theta)
+    of it onto partners[i - 1]. Every other state stays where it is."""
+    succ = list(range(dim))
+    for i, j in zip(chain, chain[1:] + [end]):
+        succ[i] = j
+    succ[end] = chain[0]
+    u = np.zeros((dim, dim))
+    u[succ, range(dim)] = 1.0
+    c, s = np.cos(theta), np.sin(theta)
+    for i, j in zip(chain[1:], partners):
+        rot = np.eye(dim)
+        rot[[i, j, i, j], [i, i, j, j]] = [c, s, -s, c]
+        u = rot @ u
+    return u
+
+
+def chain_halt_automaton(theta=0.1) -> Mmqba:
+    """Dimension 16: the chain q0..q6 leaks to the rejecting q8..q13 at
+    every step (at theta 0, not at all), and all the mass left halts on
+    the accepting q14 at step 7."""
+    u = chain_unitary(16, list(range(7)), list(range(8, 14)), 14, theta)
+    return make_automaton({"a": u}, accepting=[14], rejecting=list(range(8, 14)))
+
+
+def fixed_point_automaton() -> Mmqba:
+    """Dimension 16: period 3 of 'aa' is an exact fixed point. The end
+    marker splits q0 between q0..q7, which 'aa' leaves as they are, and a
+    chain q8..q11 whose mass has all halted by the end of period 2."""
+    u = chain_unitary(16, [8, 9, 10, 11], [12, 13, 14], 15)
+    u[:8, :8] = np.eye(8)[[1, 0, 3, 2, 5, 4, 7, 6]]
+    marker = np.eye(16)
+    r = 1.0 / np.sqrt(2.0)
+    marker[[0, 8, 0, 8], [0, 0, 8, 8]] = [r, r, -r, r]
+    return dataclasses.replace(make_automaton({"a": u}, accepting=[15], rejecting=[12, 13, 14]),
+                               end_marker_unitary=marker)
+
+
+def draining_half_automaton() -> Mmqba:
+    """Dimension 16: the end marker splits q0 between q0..q7, which 'aa'
+    leaves exactly as they are, and q8..q15, on which 'a' is a Haar
+    unitary with q14 rejecting and q15 accepting. That half drains, so a
+    long run of 'aa' comes to within rounding of a fixed point that
+    stepping does not reach exactly."""
+    u = np.zeros((16, 16), dtype=complex)
+    u[:8, :8] = np.eye(8)[[1, 0, 3, 2, 5, 4, 7, 6]]
+    u[8:, 8:] = haar_unitary(np.random.default_rng(2), 8)
+    marker = np.eye(16)
+    r = 1.0 / np.sqrt(2.0)
+    marker[[0, 8, 0, 8], [0, 0, 8, 8]] = [r, r, -r, r]
+    return dataclasses.replace(make_automaton({"a": u}, accepting=[15], rejecting=[14]),
+                               end_marker_unitary=marker)
+
+
 def counted_applies(monkeypatch) -> list:
     """The symbols of every measured step that _Kernel.apply takes from
     here on, in order."""

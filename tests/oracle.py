@@ -27,8 +27,15 @@ rows have a prefix that already settles every pair. The corpus ends with
 three more crafted automata from conftest (two_block, acc_then_rej,
 marker_split): for each, the searches of the fixtures, then the runs of
 every lasso word with a prefix of at most two symbols and a cycle of one
-or two. tests/test_oracle.py checks a slice of it against each verdict's
-own inequalities.
+or two. Last come the jobs of the compiled path, which follow each of
+its rules for keeping a compiled block or period and for resuming a
+cycle phase: the same runs on four crafted automata from conftest
+(accepted_fixed_point, fixed_point, draining_half, chain_halt), runs of
+1024 periods on the Haar automaton of dimension 27 that halt on the
+compiled path, and on that automaton a ladder of budgets 16, 32 and 64
+through one shared context, each verdict beside a fresh run's.
+tests/test_oracle.py checks a slice of the corpus, with every job of the
+compiled path, against each verdict's own inequalities.
 """
 from __future__ import annotations
 
@@ -51,6 +58,13 @@ LARGE = (81, 6, 128)
 HAAR_SEARCH_CUTPOINTS = (0.6, 0.75, 0.85)
 # (dimension, rounds) of the searched Haar automata
 HAAR_SEARCHES = (*((dim, 5) for dim in range(3, 9)), (16, 6))
+# (dimension, budget) of the Haar automaton whose long runs halt on the compiled path
+LONG = (27, 1024)
+LONG_WORDS = (("a", "ab"), ("a", "abb"), ("b", "aab"))
+# the budgets, cutpoints and words of the runs that share one lasso context
+LADDER = (16, 32, 64)
+LADDER_CUTPOINTS = (0.4, 0.55, 0.6)
+LADDER_WORDS = tuple((u, v) for u in ("", "a", "b") for v in ("ab", "aab", "abb"))
 
 
 def _search(a, p, mode, rounds=6) -> dict:
@@ -76,6 +90,22 @@ def _run(a, w, p, mode, budget) -> dict:
             "clauses": None if clauses is None else vars(clauses)}
 
 
+def _ladder(a, words, p, mode) -> dict:
+    """Every word at each budget of LADDER in turn, through one shared
+    context as a search runs them, each with a fresh run's verdict."""
+    import qbuchi
+    from qbuchi.semantics import DEFAULT_BETA, DEFAULT_EPSILON, _LassoContext
+
+    context = _LassoContext(a, p, DEFAULT_EPSILON, DEFAULT_BETA, mode)
+    runs = []
+    for budget in LADDER:
+        for w in words:
+            shared = qbuchi.run_lasso(a, w, p, max_periods=budget, _context=context)
+            fresh = qbuchi.run_lasso(a, w, p, max_periods=budget, mode=mode)
+            runs.append([w.prefix, w.cycle, budget, shared.to_dict(), fresh.to_dict()])
+    return {"p": p, "ladder": runs}
+
+
 def _word(rng, least: int, most: int) -> str:
     return "".join(rng.choice(["a", "b"], size=int(rng.integers(least, most + 1))))
 
@@ -90,6 +120,16 @@ def _runs(name, a, words, budgets=BUDGETS) -> list:
     return [(f"{name} {w.prefix}({w.cycle}) p={p} {mode} n={budget}",
              lambda w=w, p=p, mode=mode, budget=budget: _run(a, w, p, mode, budget))
             for w in words for p in RUN_CUTPOINTS for mode in MODES for budget in budgets]
+
+
+def _short_runs(name, a) -> list:
+    """The runs of every lasso word with a prefix of at most two symbols
+    and a cycle of one or two."""
+    import qbuchi
+
+    symbols = sorted(a.alphabet)
+    return _runs(name, a, [qbuchi.LassoWord(u, v) for u in _words(symbols, 0, 2)
+                           for v in _words(symbols, 1, 2)])
 
 
 def _haar(rng, dim):
@@ -115,11 +155,6 @@ def jobs() -> list:
                           marker_split_automaton, rotation_leak_automaton,
                           three_symbol_automaton, two_block_automaton)
 
-    def short_runs(name, a):
-        symbols = sorted(a.alphabet)
-        return _runs(name, a, [qbuchi.LassoWord(u, v) for u in _words(symbols, 0, 2)
-                               for v in _words(symbols, 1, 2)])
-
     automata = [(name, load_fixture(name)) for name in list_fixtures()]
     automata += [("rotation_leak", rotation_leak_automaton()),
                  ("marker_halts", marker_halts_automaton())]
@@ -127,7 +162,7 @@ def jobs() -> list:
     for name, a in automata:
         out += _searches(name, a, 6)
     for name, a in automata:
-        out += short_runs(name, a)
+        out += _short_runs(name, a)
     for dim in DIMS:
         rng = np.random.default_rng(dim)
         a = _haar(rng, dim)
@@ -145,7 +180,31 @@ def jobs() -> list:
     crafted = [("two_block", two_block_automaton()), ("acc_then_rej", acc_then_rej_automaton()),
                ("marker_split", marker_split_automaton())]
     for name, a in crafted:
-        out += _searches(name, a, 6) + short_runs(name, a)
+        out += _searches(name, a, 6) + _short_runs(name, a)
+    return out + compiled_path_jobs()
+
+
+def compiled_path_jobs() -> list:
+    """The jobs that follow each rule of the compiled path: when a compiled
+    period or block is kept or stepped again, and when run_word resumes a
+    cycle phase. They close the corpus."""
+    import qbuchi
+
+    from conftest import (accepted_fixed_point_automaton, chain_halt_automaton,
+                          draining_half_automaton, fixed_point_automaton)
+
+    out = []
+    for name, a in [("accepted_fixed_point", accepted_fixed_point_automaton()),
+                    ("fixed_point", fixed_point_automaton()),
+                    ("draining_half", draining_half_automaton()),
+                    ("chain_halt", chain_halt_automaton())]:
+        out += _short_runs(name, a)
+    dim, budget = LONG
+    a = _haar(np.random.default_rng(dim), dim)
+    out += _runs(f"haar{dim} long", a, [qbuchi.LassoWord(*w) for w in LONG_WORDS], (budget,))
+    words = [qbuchi.LassoWord(*w) for w in LADDER_WORDS]
+    out += [(f"ladder haar{dim} p={p} {mode}", lambda p=p, mode=mode: _ladder(a, words, p, mode))
+            for p in LADDER_CUTPOINTS for mode in MODES]
     return out
 
 

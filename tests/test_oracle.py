@@ -5,7 +5,10 @@ import pytest
 import oracle
 from qbuchi.semantics import DEFAULT_VISIT_EPS
 
-SLICE = oracle.jobs()[::2]
+JOBS = oracle.jobs()
+N_COMPILED_PATH = len(oracle.compiled_path_jobs())
+# every other job of the corpus, and every job of the compiled path, which closes it
+SLICE = JOBS[:-N_COMPILED_PATH:2] + JOBS[-N_COMPILED_PATH:]
 
 
 def _check_verdict(v, p, budget):
@@ -59,11 +62,20 @@ def _check_search(out):
         _check_verdict(verdict, out["p"], 2 ** out["rounds_completed"])
 
 
+def _check_ladder(out):
+    for _, _, budget, shared, fresh in out["ladder"]:
+        _check_verdict(shared, out["p"], budget)
+        # a context shared across budgets answers as a fresh run does
+        assert shared == fresh
+
+
 def test_oracle_slice_keeps_each_verdicts_inequalities():
     for label, job in SLICE:
         out = job()
+        check = (_check_search if "witness" in out
+                 else _check_ladder if "ladder" in out else _check_run)
         try:
-            (_check_search if "witness" in out else _check_run)(out)
+            check(out)
         except AssertionError as e:
             raise AssertionError(f"{label}: {e}") from e
 

@@ -41,7 +41,11 @@ from qbuchi.semantics import (
 
 from conftest import (
     acc_then_rej_automaton,
+    accepted_fixed_point_automaton,
+    chain_halt_automaton,
+    chain_unitary,
     counted_applies,
+    fixed_point_automaton,
     haar_unitary,
     make_automaton,
     marker_split_automaton,
@@ -219,10 +223,7 @@ def test_run_lasso_accepts_after_prefix_halt(fixtures):
 def test_run_lasso_accepted_before_fixed_point():
     # prefix pushes 3/4 of the mass onto the accepting axis, the cycle is
     # the identity; acceptance must win over the fixed-point refutation
-    r = 1.0 / np.sqrt(2.0)
-    v = np.array([[r, -r, 0.0], [r, r, 0.0], [0.0, 0.0, 1.0]])
-    a = make_automaton({"a": v, "b": np.eye(3)}, accepting=[1], rejecting=[2])
-    vd = run_lasso(a, LassoWord("aa", "b"), 0.4)
+    vd = run_lasso(accepted_fixed_point_automaton(), LassoWord("aa", "b"), 0.4)
     assert vd.status is Status.ACCEPTED
     assert vd.periods_simulated == 1
     assert vd.visit_count == 2
@@ -647,37 +648,23 @@ def test_a_period_that_decides_is_the_stepped_period():
         run = context.after("")
         for k in range(1, DEFAULT_MAX_PERIODS + 1):
             stepped = context.advance(run, cycle, k, 0.5 * k)
-            got = context.period(run, cycle, k, 0.5 * k, g)
+            # one compiled period, stepped again when it is discarded
+            compiled = context.compiled_run(run, cycle, k, 0.5 * k, g, 1)
+            got = compiled if compiled is not None else context.advance(run, cycle, k, 0.5 * k)
             if isinstance(stepped, Verdict):
                 events.add(stepped.status)
+                assert compiled is None
                 assert got == stepped
                 break
             if stepped.halted or stepped.accepted != run.accepted:
                 events.add("halted" if stepped.halted else "accepted")
+                assert compiled is None
                 assert got[1:] == stepped[1:]
                 assert np.array_equal(got.psi, stepped.psi)
             if stepped.halted:
                 break
             run = got
     assert events == {Status.ACCEPTED, Status.REJECTED, "accepted", "halted"}
-
-
-def _chain_unitary(dim, chain, partners, end, theta=0.1):
-    """'a' moves amplitude one state per step along chain and from its last
-    state onto end; each move onto chain[i] (i >= 1) then turns sin(theta)
-    of it onto partners[i - 1]. Every other state stays where it is."""
-    succ = list(range(dim))
-    for i, j in zip(chain, chain[1:] + [end]):
-        succ[i] = j
-    succ[end] = chain[0]
-    u = np.zeros((dim, dim))
-    u[succ, range(dim)] = 1.0
-    c, s = np.cos(theta), np.sin(theta)
-    for i, j in zip(chain[1:], partners):
-        rot = np.eye(dim)
-        rot[[i, j, i, j], [i, i, j, j]] = [c, s, -s, c]
-        u = rot @ u
-    return u
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.0])
@@ -688,8 +675,7 @@ def test_compiled_period_that_halts_is_stepped_again(monkeypatch, mode, theta):
     # accepting q14 at step 7, the first step of period 4: periods 2 and 3
     # are compiled and kept, since they move the state even where they
     # leave both sums unchanged, and period 4 is discarded and stepped again
-    u = _chain_unitary(16, list(range(7)), list(range(8, 14)), 14, theta)
-    a = make_automaton({"a": u}, accepting=[14], rejecting=list(range(8, 14)))
+    a = chain_halt_automaton(theta)
     w = LassoWord("", "aa")
     applies = counted_applies(monkeypatch)
     got = run_lasso(a, w, 0.9, max_periods=20, mode=mode, record_trace=True)
@@ -710,13 +696,7 @@ def test_compiled_fixed_point_is_stepped_again(monkeypatch, mode):
     # mass has all halted at the end of period 2. Period 3 then leaves
     # both sums and the state unchanged, so it is stepped again, and
     # stepping finds the exact fixed point
-    u = _chain_unitary(16, [8, 9, 10, 11], [12, 13, 14], 15)
-    u[:8, :8] = np.eye(8)[[1, 0, 3, 2, 5, 4, 7, 6]]
-    marker = np.eye(16)
-    r = 1.0 / np.sqrt(2.0)
-    marker[[0, 8, 0, 8], [0, 0, 8, 8]] = [r, r, -r, r]
-    a = dataclasses.replace(make_automaton({"a": u}, accepting=[15], rejecting=[12, 13, 14]),
-                            end_marker_unitary=marker)
+    a = fixed_point_automaton()
     w = LassoWord("", "aa")
     applies = counted_applies(monkeypatch)
     got = run_lasso(a, w, 0.7, max_periods=20, mode=mode, record_trace=True)
@@ -773,19 +753,6 @@ def test_compiled_blocks_match_periods_and_steps(monkeypatch, dim):
         _assert_same_run(got, want)
 
 
-def _fixed_point_automaton():
-    """Period 3 of 'aa' is an exact fixed point: the end marker splits q0
-    between q0..q7, which 'aa' leaves as they are, and a chain q8..q11
-    whose mass has all halted by the end of period 2."""
-    u = _chain_unitary(16, [8, 9, 10, 11], [12, 13, 14], 15)
-    u[:8, :8] = np.eye(8)[[1, 0, 3, 2, 5, 4, 7, 6]]
-    marker = np.eye(16)
-    r = 1.0 / np.sqrt(2.0)
-    marker[[0, 8, 0, 8], [0, 0, 8, 8]] = [r, r, -r, r]
-    return dataclasses.replace(make_automaton({"a": u}, accepting=[15], rejecting=[12, 13, 14]),
-                               end_marker_unitary=marker)
-
-
 def _stepped_event(a, w, p, mode):
     """The first stepped period that settles or halts the run, sets
     accepted or reaches an exact fixed point, and which of these it does."""
@@ -805,16 +772,15 @@ def test_a_block_that_decides_is_taken_period_by_period(monkeypatch):
     # each event falls inside the first block, periods 2 to K + 1, which is
     # then discarded: its periods are the per-period path's, bit for bit
     K = semantics._BLOCK
-    chain = _chain_unitary(16, list(range(7)), list(range(8, 14)), 14)
     haar = {}
     for seed in (0, 3):
         rng = np.random.default_rng(seed)
         haar[seed] = {s: haar_unitary(rng, 16) for s in "ab"}
     cases = [
         (make_automaton(haar[3], accepting=[1, 2, 3], rejecting=[4]), "ab", 0.7),
-        (make_automaton({"a": chain}, accepting=[14], rejecting=list(range(8, 14))), "aa", 0.9),
+        (chain_halt_automaton(), "aa", 0.9),
         (make_automaton(haar[0], accepting=[1], rejecting=[2, 3]), "ab", 0.5),
-        (_fixed_point_automaton(), "aa", 0.7),
+        (fixed_point_automaton(), "aa", 0.7),
     ]
     calls = _compiled_runs(monkeypatch)
     events = set()
@@ -848,7 +814,7 @@ def test_a_block_takes_the_visit_test_of_its_first_period(monkeypatch):
     # q13. Visits then stop at 6, and the literal run accepts at period 3
     # by the visit test of period 3, which the block of periods 2 to 9
     # passes at period 2's need but would fail at period 9's
-    u = _chain_unitary(16, list(range(2, 8)), list(range(8, 13)), 13)
+    u = chain_unitary(16, list(range(2, 8)), list(range(8, 13)), 13)
     c, s = np.cos(0.1), np.sin(0.1)
     u[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
     leak = np.eye(16)
