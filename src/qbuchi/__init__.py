@@ -4,129 +4,55 @@ The package covers finite-word runs between end markers, infinite runs
 on ultimately periodic (lasso) words with finite-step acceptance and
 rejection certificates, structural decomposition of the non-halting
 space, product constructions, and a dovetailing nonemptiness search.
+
+``import qbuchi`` loads no submodule: each public name, and each
+submodule named below, is imported on first access (PEP 562), so a
+command-line call compiles only the modules it runs.
 """
-from .automata import (
-    AutomatonFormatError,
-    Cutpoint,
-    CutpointWarning,
-    END_MARKER,
-    Mmqba,
-    Mmqfa,
-    TERMINAL,
-    Violation,
-    load,
-    loads,
-    save,
-    saves,
-    validate,
-)
-from .numerics import (
-    SubspaceBasis,
-    is_unitary,
-    null_space,
-    tensor,
-)
-from .semantics import (
-    CERTIFIED,
-    ClauseReport,
-    DEFAULT_BETA,
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_PERIODS,
-    DEFAULT_VISIT_EPS,
-    LITERAL,
-    LassoWord,
-    Status,
-    StepRecord,
-    Verdict,
-    check_acceptance_clauses,
-    run_lasso,
-    run_mmqfa,
-    run_prefix,
-    trace_to_csv,
-    trace_to_json,
-)
-from .analysis import (
-    Decomposition,
-    DecompositionReport,
-    LimitEstimate,
-    NoEntryReport,
-    decompose_nonhalting,
-    estimate_limit,
-    is_sigma_cycle_subspace,
-    no_entry_check,
-    verify_decomposition,
-)
-from .constructions import (
-    empty_automaton,
-    finite_language_mmqfa,
-    restrict_to_lasso,
-    union,
-)
-from .emptiness import (
-    SearchBudget,
-    SearchResult,
-    SearchStatus,
-    TimingReport,
-    benchmark_step_cost,
-    check_emptiness,
-    reference_run,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AutomatonFormatError",
-    "CERTIFIED",
-    "ClauseReport",
-    "Cutpoint",
-    "CutpointWarning",
-    "Decomposition",
-    "DecompositionReport",
-    "DEFAULT_BETA",
-    "DEFAULT_EPSILON",
-    "DEFAULT_MAX_PERIODS",
-    "DEFAULT_VISIT_EPS",
-    "END_MARKER",
-    "LITERAL",
-    "LassoWord",
-    "LimitEstimate",
-    "Mmqba",
-    "Mmqfa",
-    "NoEntryReport",
-    "SearchBudget",
-    "SearchResult",
-    "SearchStatus",
-    "Status",
-    "StepRecord",
-    "SubspaceBasis",
-    "TERMINAL",
-    "TimingReport",
-    "Verdict",
-    "Violation",
-    "benchmark_step_cost",
-    "check_acceptance_clauses",
-    "check_emptiness",
-    "decompose_nonhalting",
-    "empty_automaton",
-    "estimate_limit",
-    "finite_language_mmqfa",
-    "is_sigma_cycle_subspace",
-    "is_unitary",
-    "load",
-    "loads",
-    "no_entry_check",
-    "null_space",
-    "reference_run",
-    "restrict_to_lasso",
-    "run_lasso",
-    "run_mmqfa",
-    "run_prefix",
-    "save",
-    "saves",
-    "tensor",
-    "trace_to_csv",
-    "trace_to_json",
-    "union",
-    "validate",
-    "verify_decomposition",
-]
+_EXPORTS = {
+    "automata": (
+        "AutomatonFormatError", "Cutpoint", "CutpointWarning", "END_MARKER",
+        "Mmqba", "Mmqfa", "TERMINAL", "Violation", "load", "loads", "save",
+        "saves", "validate",
+    ),
+    "numerics": ("SubspaceBasis", "is_unitary", "null_space", "tensor"),
+    "semantics": (
+        "CERTIFIED", "ClauseReport", "DEFAULT_BETA", "DEFAULT_EPSILON",
+        "DEFAULT_MAX_PERIODS", "DEFAULT_VISIT_EPS", "LITERAL", "LassoWord",
+        "Status", "StepRecord", "Verdict", "check_acceptance_clauses",
+        "run_lasso", "run_mmqfa", "run_prefix", "trace_to_csv", "trace_to_json",
+    ),
+    "analysis": (
+        "Decomposition", "DecompositionReport", "LimitEstimate", "NoEntryReport",
+        "decompose_nonhalting", "estimate_limit", "is_sigma_cycle_subspace",
+        "no_entry_check", "verify_decomposition",
+    ),
+    "constructions": (
+        "empty_automaton", "finite_language_mmqfa", "restrict_to_lasso", "union",
+    ),
+    "emptiness": (
+        "SearchBudget", "SearchStatus", "TimingReport", "benchmark_step_cost",
+        "check_emptiness", "reference_run",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME) | set(_EXPORTS))

@@ -12,13 +12,11 @@ the default validation tolerance.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 
 from . import automata
-from .analysis import decompose_nonhalting, is_sigma_cycle_subspace, no_entry_check
 from .automata import AutomatonFormatError, Cutpoint
-from .constructions import union
-from .emptiness import SearchBudget, SearchStatus, benchmark_step_cost, check_emptiness
 from .numerics import SubspaceBasis
 from .semantics import (
     CERTIFIED,
@@ -33,6 +31,28 @@ from .semantics import (
     trace_to_json,
     run_lasso,
 )
+
+# The names from the modules that only some commands run. Each loads on
+# first access through __getattr__ (PEP 562), and a command reads it as an
+# attribute of this module when it runs, so a call loads only what its
+# command needs and a patch of, say, qbuchi.cli.union is what it calls.
+_LAZY = {
+    "analysis": ("decompose_nonhalting", "is_sigma_cycle_subspace", "no_entry_check"),
+    "constructions": ("union",),
+    "emptiness": ("SearchBudget", "SearchStatus", "benchmark_step_cost", "check_emptiness"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 EX_OK = 0
 EX_FAIL = 1
@@ -159,12 +179,12 @@ def cmd_emptiness(args) -> int:
     a = _load_valid(args.file)
     try:
         p = Cutpoint(args.cutpoint)
-        budget = SearchBudget(
+        budget = _cli.SearchBudget(
             max_rounds=args.rounds,
             beta=args.beta,
             epsilon=args.epsilon,
         )
-        result = check_emptiness(a, p, budget, mode=args.mode)
+        result = _cli.check_emptiness(a, p, budget, mode=args.mode)
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
     if args.json:
@@ -185,7 +205,7 @@ def cmd_emptiness(args) -> int:
             }
         )
     else:
-        if result.status is SearchStatus.NONEMPTY:
+        if result.status is _cli.SearchStatus.NONEMPTY:
             w, verdict = result.witness
             print(f"NONEMPTY: witness prefix={w.prefix!r} cycle={w.cycle!r}")
             print(
@@ -198,14 +218,14 @@ def cmd_emptiness(args) -> int:
                 f"INCONCLUSIVE after {result.candidates_tried} candidates"
                 f" in {result.rounds_completed} rounds"
             )
-    return EX_OK if result.status is SearchStatus.NONEMPTY else EX_INCONCLUSIVE
+    return EX_OK if result.status is _cli.SearchStatus.NONEMPTY else EX_INCONCLUSIVE
 
 
 def cmd_union(args) -> int:
     m1 = _load_valid(args.file1)
     m2 = _load_valid(args.file2)
     try:
-        m = union(m1, m2)
+        m = _cli.union(m1, m2)
     except ValueError as e:
         raise _CliError(EX_DATAERR, str(e))
     try:
@@ -218,7 +238,7 @@ def cmd_union(args) -> int:
 
 def cmd_decompose(args) -> int:
     a = _load_valid(args.file)
-    d = decompose_nonhalting(a)
+    d = _cli.decompose_nonhalting(a)
     if args.json:
         _print_json(
             {
@@ -244,11 +264,11 @@ def cmd_check_cycle(args) -> int:
     except ValueError as e:
         raise _CliError(EX_DATAERR, str(e))
     try:
-        cycle = is_sigma_cycle_subspace(a, s, args.symbol)
+        cycle = _cli.is_sigma_cycle_subspace(a, s, args.symbol)
     except ValueError as e:
         raise _CliError(EX_DATAERR, str(e))
     if cycle:
-        report = no_entry_check(a, s, args.symbol)
+        report = _cli.no_entry_check(a, s, args.symbol)
         if args.json:
             _print_json(
                 {
@@ -270,7 +290,7 @@ def cmd_check_cycle(args) -> int:
 def cmd_bench(args) -> int:
     a = _load_valid(args.file)
     try:
-        report = benchmark_step_cost(a, args.lengths)
+        report = _cli.benchmark_step_cost(a, args.lengths)
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
     if args.json:

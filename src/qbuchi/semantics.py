@@ -135,8 +135,8 @@ def trace_to_csv(records: Sequence[StepRecord]) -> str:
 
 def _float_nest_text(obj: list | tuple) -> str | None:
     """The JSON text of a list that nests lists of equal length down to
-    plain finite floats, filled into one template by one map over ``_f17``;
-    None for any other list."""
+    plain finite floats, each leaf formatted like ``_f17`` by one ``%``
+    over a template of ``%.17g`` placeholders; None for any other list."""
     shape, leaves = [len(obj)], obj
     while set(map(type, leaves)) == {list}:
         widths = set(map(len, leaves))
@@ -146,10 +146,10 @@ def _float_nest_text(obj: list | tuple) -> str | None:
         leaves = list(chain.from_iterable(leaves))
     if set(map(type, leaves)) != {float} or not all(map(math.isfinite, leaves)):
         return None
-    template = "%s"
+    template = "%.17g"
     for width in reversed(shape):
         template = "[" + ", ".join([template] * width) + "]"
-    return template % tuple(map(_f17, leaves))
+    return template % tuple(leaves)
 
 
 def _json_text(obj) -> str:

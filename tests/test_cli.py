@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from qbuchi import automata
+from qbuchi import automata, cli
 from qbuchi.fixtures import fixture_path, golden_path
 
 from conftest import acc_then_rej_automaton, marker_split_automaton
@@ -336,3 +337,57 @@ def test_bench_single_level_reports_null_exponent():
     doc = json.loads(r.stdout)
     assert doc["exponent"] is None
     assert len(doc["per_symbol_seconds"]) == 1
+
+
+def loaded_modules(code, *argv):
+    """The qbuchi modules that a fresh interpreter has loaded after code."""
+    listing = "print(*sorted(m for m in sys.modules if m.startswith('qbuchi')))"
+    r = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n{listing}", *map(str, argv)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()[-1].split()
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_modules("import qbuchi\nassert 'numpy' not in sys.modules") == ["qbuchi"]
+
+
+COMMAND_MODULES = [
+    (["validate", fixture_path("lang_a_omega")], []),
+    (["run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "0.8"], []),
+    (["union", fixture_path("lang_a_omega"), fixture_path("lang_a_prefix"), "-o", "OUT"],
+     ["constructions"]),
+    (["decompose", fixture_path("no_entry")], ["analysis"]),
+    (["check-cycle", fixture_path("no_entry"), "--symbol", "a", "--subspace", "0,2"],
+     ["analysis"]),
+    (["emptiness", fixture_path("lang_a_prefix"), "--cutpoint", "0.8", "--rounds", "1"],
+     ["constructions", "emptiness"]),
+    (["bench", fixture_path("no_entry"), "--lengths", "40,40"], ["constructions", "emptiness"]),
+]
+
+
+def _argv(argv, tmp_path):
+    return [str(tmp_path / "u.qba") if a == "OUT" else str(a) for a in argv]
+
+
+@pytest.mark.parametrize("argv,extra", COMMAND_MODULES, ids=[a[0] for a, _ in COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    # a call compiles and runs only these modules; the rest stay unloaded
+    loaded = loaded_modules("import qbuchi.cli\nqbuchi.cli.main(sys.argv[1:])",
+                            *_argv(argv, tmp_path))
+    base = ["automata", "cli", "numerics", "semantics"]
+    assert loaded == ["qbuchi"] + sorted(f"qbuchi.{m}" for m in base + extra)
+
+
+@pytest.mark.parametrize("name,command", [
+    ("union", "union"), ("decompose_nonhalting", "decompose"), ("check_emptiness", "emptiness"),
+])
+def test_a_patched_cli_name_is_what_the_command_calls(tmp_path, name, command):
+    # perfbench's tracer wraps these names of qbuchi.cli, so a command reads
+    # them from the module when it runs
+    argv = next(argv for argv, _ in COMMAND_MODULES if argv[0] == command)
+    real = getattr(cli, name)
+    with mock.patch.object(cli, name, wraps=real) as spy:
+        assert cli.main(_argv(argv, tmp_path)) == 0
+    spy.assert_called_once()
+    assert getattr(cli, name) is real

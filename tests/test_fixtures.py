@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -66,24 +67,21 @@ def test_every_fixture_runs_on_the_stepped_path():
 
 
 def test_all_lists_the_public_names_of_the_package():
-    # the import list and __all__ in __init__.py are kept by hand; a name
-    # removed from one must go from the other
+    # __all__ is built from the export table {module: names} in __init__.py,
+    # and each name loads from its module on first access: a name that its
+    # module does not define, or defines under another object, must fail here
+    exported = [name for names in qbuchi._EXPORTS.values() for name in names]
+    assert len(exported) == len(set(exported))
+    assert len(qbuchi.__all__) == len(set(qbuchi.__all__))
+    assert sorted(qbuchi.__all__) == sorted(exported)
     namespace = {}
     exec("from qbuchi import *", namespace)
-    tree = ast.parse(Path(qbuchi.__file__).read_text(encoding="utf-8"))
-    bound = set()
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.Assign):
-            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-    public = {n for n in bound
-              if not n.startswith("_") and not inspect.ismodule(getattr(qbuchi, n))}
-    assert len(qbuchi.__all__) == len(set(qbuchi.__all__))
-    assert sorted(qbuchi.__all__) == sorted(public)
-    assert set(namespace) - {"__builtins__"} == public
+    assert set(namespace) - {"__builtins__"} == set(qbuchi.__all__)
+    for module, names in qbuchi._EXPORTS.items():
+        home = importlib.import_module(f"qbuchi.{module}")
+        for name in names:
+            assert not name.startswith("_") and not inspect.ismodule(namespace[name])
+            assert namespace[name] is getattr(home, name) is getattr(qbuchi, name)
 
 
 SOURCE_FILES = sorted(Path(qbuchi.__file__).parent.glob("*.py"))
@@ -101,11 +99,6 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            # a name re-exported through __all__ is used
-            used.update(ast.literal_eval(node.value))
     assert sorted(imported - used) == []
 
 
