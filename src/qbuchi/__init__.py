@@ -35,8 +35,8 @@ _EXPORTS = {
         "empty_automaton", "finite_language_mmqfa", "restrict_to_lasso", "union",
     ),
     "emptiness": (
-        "SearchBudget", "SearchStatus", "TimingReport", "benchmark_step_cost",
-        "check_emptiness", "reference_run",
+        "SearchBudget", "SearchResult", "SearchStatus", "TimingReport",
+        "benchmark_step_cost", "check_emptiness", "reference_run",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

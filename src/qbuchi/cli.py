@@ -32,23 +32,20 @@ from .semantics import (
     run_lasso,
 )
 
-# The names from the modules that only some commands run. Each loads on
-# first access through __getattr__ (PEP 562), and a command reads it as an
-# attribute of this module when it runs, so a call loads only what its
-# command needs and a patch of, say, qbuchi.cli.union is what it calls.
-_LAZY = {
-    "analysis": ("decompose_nonhalting", "is_sigma_cycle_subspace", "no_entry_check"),
-    "constructions": ("union",),
-    "emptiness": ("SearchBudget", "SearchStatus", "benchmark_step_cost", "check_emptiness"),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
+# The names from the modules that only some commands run. Each loads from
+# the package on first access through __getattr__ (PEP 562), and a command
+# reads it as an attribute of this module when it runs, so a call loads only
+# what its command needs and a patch of, say, qbuchi.cli.union is what it calls.
+_LAZY = (
+    "SearchBudget", "SearchStatus", "benchmark_step_cost", "check_emptiness",
+    "decompose_nonhalting", "is_sigma_cycle_subspace", "no_entry_check", "union",
+)
 
 
 def __getattr__(name):
-    if name not in _HOME:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_HOME[name]}", __package__)
-    value = globals()[name] = getattr(module, name)
+    value = globals()[name] = getattr(importlib.import_module(__package__), name)
     return value
 
 

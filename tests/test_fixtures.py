@@ -66,11 +66,30 @@ def test_every_fixture_runs_on_the_stepped_path():
     assert max(load_fixture(name).dim for name in list_fixtures()) < semantics._COMPILED_MIN_DIM
 
 
+PUBLIC_NAMES = [
+    "AutomatonFormatError", "CERTIFIED", "ClauseReport", "Cutpoint",
+    "CutpointWarning", "DEFAULT_BETA", "DEFAULT_EPSILON", "DEFAULT_MAX_PERIODS",
+    "DEFAULT_VISIT_EPS", "Decomposition", "DecompositionReport", "END_MARKER",
+    "LITERAL", "LassoWord", "LimitEstimate", "Mmqba", "Mmqfa", "NoEntryReport",
+    "SearchBudget", "SearchResult", "SearchStatus", "Status", "StepRecord",
+    "SubspaceBasis", "TERMINAL", "TimingReport", "Verdict", "Violation",
+    "benchmark_step_cost", "check_acceptance_clauses", "check_emptiness",
+    "decompose_nonhalting", "empty_automaton", "estimate_limit",
+    "finite_language_mmqfa", "is_sigma_cycle_subspace", "is_unitary", "load",
+    "loads", "no_entry_check", "null_space", "reference_run",
+    "restrict_to_lasso", "run_lasso", "run_mmqfa", "run_prefix", "save",
+    "saves", "tensor", "trace_to_csv", "trace_to_json", "union", "validate",
+    "verify_decomposition",
+]
+
+
 def test_all_lists_the_public_names_of_the_package():
     # __all__ is built from the export table {module: names} in __init__.py,
-    # and each name loads from its module on first access: a name that its
-    # module does not define, or defines under another object, must fail here
+    # and each name loads from its module on first access: a name left out
+    # of the table, or that its module does not define or defines under
+    # another object, must fail here
     exported = [name for names in qbuchi._EXPORTS.values() for name in names]
+    assert sorted(qbuchi.__all__) == PUBLIC_NAMES
     assert len(exported) == len(set(exported))
     assert len(qbuchi.__all__) == len(set(qbuchi.__all__))
     assert sorted(qbuchi.__all__) == sorted(exported)
