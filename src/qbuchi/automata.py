@@ -415,10 +415,10 @@ def load(path) -> Mmqba:
     return loads(text)
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    """A matrix as nested lists of [re, im] float pairs."""
+def _encode_matrix(m: np.ndarray) -> np.ndarray:
+    """A matrix as a float64 array of [re, im] pairs, shape (*m.shape, 2)."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    return m.view(np.float64).reshape(*m.shape, 2).tolist()
+    return m.view(np.float64).reshape(*m.shape, 2)
 
 
 _ENTRY = "\n        [\n          %r,\n          %r\n        ]"

@@ -21,7 +21,6 @@ from .numerics import SubspaceBasis
 from .semantics import (
     CERTIFIED,
     DEFAULT_BETA,
-    DEFAULT_EPSILON,
     DEFAULT_MAX_PERIODS,
     LITERAL,
     LassoWord,
@@ -140,7 +139,6 @@ def cmd_run(args) -> int:
             LassoWord(args.prefix, args.cycle),
             Cutpoint(args.cutpoint),
             max_periods=args.periods,
-            epsilon=args.epsilon,
             beta=args.beta,
             mode=args.mode,
             record_trace=args.trace is not None,
@@ -176,11 +174,7 @@ def cmd_emptiness(args) -> int:
     a = _load_valid(args.file)
     try:
         p = Cutpoint(args.cutpoint)
-        budget = _cli.SearchBudget(
-            max_rounds=args.rounds,
-            beta=args.beta,
-            epsilon=args.epsilon,
-        )
+        budget = _cli.SearchBudget(max_rounds=args.rounds, beta=args.beta)
         result = _cli.check_emptiness(a, p, budget, mode=args.mode)
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
@@ -303,7 +297,7 @@ def _int_list(text: str) -> list:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _add_mode_flags(p: argparse.ArgumentParser):
+def _add_test_flags(p: argparse.ArgumentParser):
     group = p.add_mutually_exclusive_group()
     group.add_argument(
         "--certify",
@@ -320,13 +314,8 @@ def _add_mode_flags(p: argparse.ArgumentParser):
         help="use the plain rej < p check and return at the first success",
     )
     p.set_defaults(mode=CERTIFIED)
-
-
-def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument("--beta", type=float, default=DEFAULT_BETA,
                    help="required accepting-visit frequency per period")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                   help="slack below the cutpoint for the acceptance sum")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH", help="write the step trace to PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="trace file format")
-    _add_mode_flags(p)
-    _add_budget_flags(p)
+    _add_test_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_run)
 
@@ -363,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--cutpoint", type=float, required=True)
     p.add_argument("--rounds", type=int, default=6)
-    _add_mode_flags(p)
-    _add_budget_flags(p)
+    _add_test_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_emptiness)
 

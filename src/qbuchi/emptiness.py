@@ -37,12 +37,10 @@ from .constructions import union
 from .semantics import (
     CERTIFIED,
     DEFAULT_BETA,
-    DEFAULT_EPSILON,
     LassoWord,
     Status,
     Verdict,
     _LassoContext,
-    _check_test_params,
     run_lasso,
 )
 
@@ -51,11 +49,10 @@ from .semantics import (
 class SearchBudget:
     max_rounds: int = 6
     beta: float = DEFAULT_BETA
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        # beta is checked with the rest of the test, by the search's lasso context
         object.__setattr__(self, "max_rounds", _check_count("max_rounds", self.max_rounds))
-        _check_test_params(self.epsilon, self.beta)
 
 
 class SearchStatus(enum.Enum):
@@ -103,7 +100,7 @@ def check_emptiness(
     if budget is None:
         budget = SearchBudget()
     symbols = sorted(a.alphabet)
-    context = _LassoContext(a, p, budget.epsilon, budget.beta, mode)
+    context = _LassoContext(a, p, budget.beta, mode)
     # a settled row below makes no run_lasso call, so its word check is made here
     _check_word(context.kernel.symbols, "".join(symbols))
     tried = 0

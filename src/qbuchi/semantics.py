@@ -9,12 +9,13 @@ plus both sums stays 1. A trace is the tuple of StepRecords of a run, one
 per symbol after the end marker.
 
 A lasso word u v^omega is accepted at cutpoint p when the accepting mass
-reaches p (up to a slack epsilon), the rejecting mass provably stays below
-p, and accepting visits keep a frequency of at least beta per simulated
-cycle repetition. The visit-frequency test is a finite-horizon heuristic
-for the infinitely-many-visits clause; it is reported in the verdict so
-callers can audit or tighten it. Rejection certificates are sound: once
-one holds it holds forever.
+reaches p (up to the fixed slack DEFAULT_EPSILON, a floating-point guard),
+the rejecting mass provably stays below p, and accepting visits keep a
+frequency of at least beta per simulated cycle repetition. The
+visit-frequency test is a finite-horizon heuristic for the
+infinitely-many-visits clause; it is reported in the verdict so callers
+can audit or tighten it. Rejection certificates are sound: once one holds
+it holds forever.
 
 A long run at state dimension 16 and up may apply its undecided cycle
 periods as compiled maps, eight periods or one at a time;
@@ -27,7 +28,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -133,28 +133,11 @@ def trace_to_csv(records: Sequence[StepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _float_nest_text(obj: list | tuple) -> str | None:
-    """The JSON text of a list that nests lists of equal length down to
-    plain finite floats, each leaf formatted like ``_f17`` by one ``%``
-    over a template of ``%.17g`` placeholders; None for any other list."""
-    shape, leaves = [len(obj)], obj
-    while set(map(type, leaves)) == {list}:
-        widths = set(map(len, leaves))
-        if len(widths) != 1:
-            return None
-        shape.append(widths.pop())
-        leaves = list(chain.from_iterable(leaves))
-    if set(map(type, leaves)) != {float} or not all(map(math.isfinite, leaves)):
-        return None
-    template = "%.17g"
-    for width in reversed(shape):
-        template = "[" + ", ".join([template] * width) + "]"
-    return template % tuple(leaves)
-
-
 def _json_text(obj) -> str:
     """Deterministic JSON: sorted keys, floats with 17 significant digits,
-    and null for a float that is not finite."""
+    and null for a float that is not finite. A finite float64 array is
+    written by one ``%`` over a template of ``%.17g`` placeholders built
+    from its shape; any other array goes element by element."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -165,10 +148,12 @@ def _json_text(obj) -> str:
         return str(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        text = _float_nest_text(obj)
-        if text is not None:
-            return text
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and np.isfinite(obj).all():
+        template = "%.17g"
+        for width in reversed(obj.shape):
+            template = "[" + ", ".join([template] * width) + "]"
+        return template % tuple(obj.ravel().tolist())
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_text(x) for x in obj) + "]"
     if isinstance(obj, dict):
         parts = [f"{json.dumps(k)}: {_json_text(v)}" for k, v in sorted(obj.items())]
@@ -274,14 +259,6 @@ def run_mmqfa(a: Mmqfa, word: str) -> tuple[float, float]:
     return last.acc, last.rej
 
 
-def _check_test_params(epsilon: float, beta: float):
-    """The rules of the visit test's parameters; NaN fails every comparison."""
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
-
-
 class _Run(NamedTuple):
     """Run state of a lasso word after some symbols past the end marker."""
 
@@ -325,7 +302,7 @@ class _LassoContext:
     """Kernel, acceptance test, prefix table, phase table and transition
     table of run_lasso calls.
 
-    The constructor is where the test (p, epsilon, beta, mode) is
+    The constructor is the one place where the test (p, beta, mode) is
     checked, advance is where it is applied, and run_word runs a lasso
     word under it. The prefix phase of a run depends only on the
     automaton, the prefix and the test, so its outcome is kept per
@@ -347,18 +324,19 @@ class _LassoContext:
     leaves no non-halting mass, by the same rule as every later state.
     """
 
-    def __init__(self, a: Mmqba, p: float, epsilon: float, beta: float,
-                 mode: str, records: list | None = None):
+    def __init__(self, a: Mmqba, p: float, beta: float, mode: str,
+                 records: list | None = None):
         p = _check_cutpoint(p)
-        _check_test_params(epsilon, beta)
-        # the accept test is acc >= p - epsilon, which epsilon >= p makes vacuous
-        if not epsilon < p:
-            raise ValueError(f"epsilon (default {DEFAULT_EPSILON!r}) must lie below "
-                             f"the cutpoint {p!r}, got {epsilon!r}")
+        # the accept test is acc >= p - DEFAULT_EPSILON, which p <= DEFAULT_EPSILON
+        # makes vacuous; NaN fails every comparison below
+        if not p > DEFAULT_EPSILON:
+            raise ValueError(f"cutpoint must exceed epsilon {DEFAULT_EPSILON!r}, got {p!r}")
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
         if mode not in (CERTIFIED, LITERAL):
             raise ValueError(f"mode must be {CERTIFIED!r} or {LITERAL!r}")
         self.kernel = _Kernel(a)
-        self.p, self.epsilon, self.beta, self.mode = p, epsilon, beta, mode
+        self.p, self.beta, self.mode = p, beta, mode
         self.records = records
         psi, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
         psi.flags.writeable = False
@@ -383,7 +361,7 @@ class _LassoContext:
             periods_simulated=periods,
             reason=reason,
             beta=self.beta,
-            epsilon=self.epsilon,
+            epsilon=DEFAULT_EPSILON,
             mode=self.mode,
             trace=tuple(records) if records is not None else None,
         )
@@ -410,7 +388,7 @@ class _LassoContext:
         transitions = self.transitions
         records = self.records
         p, mode = self.p, self.mode
-        low = p - self.epsilon
+        low = p - DEFAULT_EPSILON
         visit_eps, halt_sq = DEFAULT_VISIT_EPS, _HALTED_SQ
         psi, acc, rej, visits, halted, accepted = run
         if given is not None:
@@ -688,7 +666,6 @@ def run_lasso(
     p: float,
     *,
     max_periods: int = DEFAULT_MAX_PERIODS,
-    epsilon: float = DEFAULT_EPSILON,
     beta: float = DEFAULT_BETA,
     mode: str = CERTIFIED,
     record_trace: bool = False,
@@ -697,7 +674,7 @@ def run_lasso(
     """Simulate u v^omega and return a cutpoint verdict with certificates.
 
     REJECTED is certified: the rejecting mass reached p, or the accepting
-    mass can never reach p (acc + nh < p - epsilon, reported as
+    mass can never reach p (acc + nh < p - DEFAULT_EPSILON, reported as
     halted-below-cutpoint once the run has halted), or no accepting
     visit can ever happen again (no accepting states at all, or the cycle
     map reached an exact fixed point with zero halting flow). A run has
@@ -709,21 +686,22 @@ def run_lasso(
     non-halting tail and the function returns at the first success,
     which reproduces the search algorithm's behavior.
     In certified mode the simulation continues to the budget so the
-    reported bounds are tight. epsilon pads the accept test (acc may sit
-    epsilon below p, so epsilon must lie below p) and equally guards the
-    accepting-side refutation, which would otherwise misfire at p = 1
-    where acc + nh rounds a few ulps under 1. Verdicts never flip between
-    ACCEPTED and REJECTED when the budget grows, except for limits within
-    epsilon of the cutpoint. A long run at dimension 16 and up may apply
-    its cycle periods compiled, as _LassoContext.compiled_run describes.
-    _context is private: check_emptiness passes one context, built for a
-    and p, to all its candidates, and that context supplies the test, so
-    epsilon, beta and mode are not read. A context for another
-    automaton or cutpoint, or a traced run, is refused.
+    reported bounds are tight. The fixed slack DEFAULT_EPSILON (1e-9) pads
+    the accept test, acc >= p - DEFAULT_EPSILON, so p must exceed it, and
+    equally guards the accepting-side refutation, which would otherwise
+    misfire at p = 1 where acc + nh rounds a few ulps under 1. Verdicts
+    never flip between ACCEPTED and REJECTED when the budget grows, except
+    for limits within DEFAULT_EPSILON of the cutpoint. A long run at
+    dimension 16 and up may apply its cycle periods compiled, as
+    _LassoContext.compiled_run describes. _context is private:
+    check_emptiness passes one context, built for a and p, to all its
+    candidates, and that context supplies the test, so beta and mode are
+    not read. A context for another automaton or cutpoint, or a traced
+    run, is refused.
     """
     max_periods = _check_count("max_periods", max_periods)
     if _context is None:
-        context = _LassoContext(a, p, epsilon, beta, mode, [] if record_trace else None)
+        context = _LassoContext(a, p, beta, mode, [] if record_trace else None)
     elif _context.kernel.a is a and _context.p == p and not record_trace:
         context = _context
     else:

@@ -96,7 +96,7 @@ def _ladder(a, words, p, mode) -> dict:
     import qbuchi
     from qbuchi.semantics import DEFAULT_BETA, DEFAULT_EPSILON, _LassoContext
 
-    context = _LassoContext(a, p, DEFAULT_EPSILON, DEFAULT_BETA, mode)
+    context = _LassoContext(a, p, DEFAULT_BETA, mode)
     runs = []
     for budget in LADDER:
         for w in words:

@@ -308,6 +308,19 @@ def test_no_entry_requires_nonhalting_subspace(fixtures):
         no_entry_check(fixtures["no_entry"], halting_axis, "a")
 
 
+@pytest.mark.parametrize("check,subspace,message", [
+    (is_sigma_cycle_subspace, SubspaceBasis.from_indices([0], 4),
+     "subspace ambient dimension does not match the automaton"),
+    # invariant under the identity and inside the non-halting span, but tilted
+    (no_entry_check, SubspaceBasis.from_spanning(np.array([[1.0, 0.0, 1.0]])),
+     "subspace is not spanned by computational basis vectors"),
+], ids=["ambient-dimension", "not-basis-spanned"])
+def test_subspace_arguments_are_checked(check, subspace, message):
+    a = make_automaton({"a": np.eye(3)}, accepting=[], rejecting=[1])
+    with pytest.raises(ValueError, match=message):
+        check(a, subspace, "a")
+
+
 def test_no_entry_on_random_block_unitaries():
     rng = np.random.default_rng(12)
     worst = 0.0

@@ -490,6 +490,26 @@ def test_validate_flags_unitary_bookkeeping():
     assert any("outside the alphabet" in s for s in bad)
 
 
+_TWO_STATES = dict(state_names=("q0", "q1"), alphabet=("a",), unitaries={"a": np.eye(2)},
+                   initial=0, accepting=frozenset([1]), rejecting=frozenset())
+
+
+@pytest.mark.parametrize("fields,invariant,detail", [
+    (dict(state_names=(), unitaries={"a": np.eye(0)}), "states", "state set must be nonempty"),
+    (dict(state_names=("q0", "q0")), "states", "state names must be distinct"),
+    (dict(alphabet=(), unitaries={}), "alphabet", "alphabet must be nonempty"),
+    (dict(alphabet=("a", "a")), "alphabet", "alphabet symbols must be distinct"),
+    (dict(alphabet=("ab",), unitaries={"ab": np.eye(2)}),
+     "alphabet", "symbol 'ab' is not a single character"),
+    (dict(alphabet=("#",), unitaries={"#": np.eye(2)}), "alphabet", "symbol '#' is reserved"),
+    (dict(initial=5), "initial", "initial index 5 out of range"),
+], ids=["no-states", "duplicate-names", "no-symbols", "duplicate-symbols",
+        "long-symbol", "reserved-symbol", "initial-out-of-range"])
+def test_validate_flags_each_structural_rule(fields, invariant, detail):
+    a = Mmqba(**{**_TWO_STATES, **fields})
+    assert Violation(invariant, detail) in validate(a)
+
+
 def test_violation_str():
     v = Violation("unitarity(V_a)", "max deviation 1e-3")
     assert str(v) == "unitarity(V_a): max deviation 1e-3"

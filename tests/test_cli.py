@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from qbuchi import automata, cli
+from qbuchi import SearchBudget, automata, check_emptiness, cli, run_lasso
 from qbuchi.fixtures import fixture_path, golden_path
 
 from conftest import acc_then_rej_automaton, marker_split_automaton
@@ -111,8 +113,9 @@ BAD_TEST_FLAGS = [
     for flag, low in (("--beta", "0"), ("--epsilon", "-1"), ("--visit-eps", "0"))
     for value in (low, "nan", "inf")
 ] + [
-    ("--epsilon", "0.8"), ("--epsilon", "1"),  # at or above the cutpoint 0.8
-    # the visit threshold is fixed, so the flag is refused whatever its value
+    # the accept slack and the visit threshold are fixed, so their flags are
+    # refused whatever the value
+    ("--epsilon", "0.8"), ("--epsilon", "1"),
     ("--visit-eps", "0.5"), ("--visit-eps", "1"), ("--visit-eps", "2"),
 ]
 
@@ -130,7 +133,7 @@ BAD_TEST_FLAGS = [
         ["run", fixture_path("no_entry"), "--cycle", "a", "--cutpoint", "0.8",
          "--trace", "/tmp/t", "--format", "xml"],
         ["emptiness", fixture_path("no_entry"), "--cutpoint", "0.8", "--rounds", "0"],
-        # a cutpoint at or below the default epsilon, with no --epsilon given
+        # a cutpoint at or below the fixed epsilon 1e-9
         ["run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "1e-9"],
         ["emptiness", fixture_path("lang_a_omega"), "--cutpoint", "1e-10", "--rounds", "1"],
         *([*base, flag, value] for base in (RUN_ARGV, EMPTINESS_ARGV)
@@ -148,7 +151,34 @@ def test_usage_errors_exit_64(argv):
     assert r.stdout == b""
 
 
-@pytest.mark.parametrize("flag", ["--beta", "--epsilon"])
+# Every knob a caller can set, written out: adding or removing one is an
+# edit here, as adding or removing a public name is one in test_fixtures.
+OPTIONS = {
+    "validate": ["-h", "--help", "--json"],
+    "run": ["-h", "--help", "--prefix", "--cycle", "--cutpoint", "--periods", "--trace",
+            "--format", "--certify", "--literal", "--beta", "--json"],
+    "emptiness": ["-h", "--help", "--cutpoint", "--rounds", "--certify", "--literal",
+                  "--beta", "--json"],
+    "union": ["-h", "--help", "-o", "--output"],
+    "decompose": ["-h", "--help", "--json"],
+    "check-cycle": ["-h", "--help", "--symbol", "--subspace", "--json"],
+    "bench": ["-h", "--help", "--lengths", "--json"],
+}
+
+
+def test_option_surface_is_pinned():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name: [flag for action in sub._actions for flag in action.option_strings]
+            for name, sub in commands.items()} == OPTIONS
+    assert list(inspect.signature(run_lasso).parameters) == [
+        "a", "w", "p", "max_periods", "beta", "mode", "record_trace", "_context"]
+    assert list(inspect.signature(check_emptiness).parameters) == ["a", "p", "budget", "mode"]
+    assert [f.name for f in dataclasses.fields(SearchBudget)] == ["max_rounds", "beta"]
+
+
+@pytest.mark.parametrize("flag", ["--beta"])
 def test_bad_test_flag_has_one_message(flag):
     run = qbuchi(*RUN_ARGV, flag, "nan")
     emptiness = qbuchi(*EMPTINESS_ARGV, flag, "nan")
@@ -157,17 +187,17 @@ def test_bad_test_flag_has_one_message(flag):
 
 
 def test_epsilon_above_cutpoint_has_one_message():
-    run = qbuchi(*RUN_ARGV, "--epsilon", "1")
-    emptiness = qbuchi(*EMPTINESS_ARGV, "--epsilon", "1")
-    assert run.stderr == emptiness.stderr == (
-        b"qbuchi: error: epsilon (default 1e-09) must lie below the cutpoint 0.8, got 1.0\n")
+    run = qbuchi(*RUN_ARGV, "--cutpoint", "1e-10")
+    emptiness = qbuchi(*EMPTINESS_ARGV, "--cutpoint", "1e-10")
+    message = b"qbuchi: error: cutpoint must exceed epsilon 1e-09, got 1e-10\n"
+    # the lines before it are the CutpointWarning, which names the call site
+    assert run.stderr.endswith(message) and emptiness.stderr.endswith(message)
 
 
 def test_tiny_cutpoint_names_the_default_epsilon():
-    r = qbuchi("run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "1e-10")
+    r = qbuchi("run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "1e-9")
     assert r.returncode == 64
-    assert r.stderr.endswith(b"qbuchi: error: epsilon (default 1e-09) must lie below "
-                             b"the cutpoint 1e-10, got 1e-09\n")
+    assert r.stderr.endswith(b"qbuchi: error: cutpoint must exceed epsilon 1e-09, got 1e-09\n")
 
 
 def test_run_halted_with_reachable_cutpoint_is_inconclusive(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from qbuchi.automata import Mmqba, Mmqfa, saves, validate
 from qbuchi.constructions import (
     _normalize_lasso,
+    _sink_permutation,
     empty_automaton,
     finite_language_mmqfa,
     restrict_to_lasso,
@@ -149,6 +150,13 @@ def test_finite_language_rejects_bad_input():
         finite_language_mmqfa({"ac"}, {"a", "b"})
     with pytest.raises(ValueError):
         finite_language_mmqfa(set(), {"#"})
+
+
+@pytest.mark.parametrize("successors", [[1, 1], [3, None]], ids=["same-target", "own-sink"])
+def test_sink_permutation_requires_injective_targets(successors):
+    # state 1's own sink is 2 + 1 = 3, which state 0 already takes
+    with pytest.raises(ValueError, match="partial permutation is not injective"):
+        _sink_permutation(successors, 4)
 
 
 def test_restriction_matches_original_on_its_lasso(fixtures):

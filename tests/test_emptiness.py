@@ -146,10 +146,7 @@ def _plain_search(a, p, budget, mode):
                     continue
                 tried += 1
                 w = LassoWord(u, v)
-                verdict = run_lasso(
-                    a, w, p, max_periods=2 ** r, epsilon=budget.epsilon,
-                    beta=budget.beta, mode=mode,
-                )
+                verdict = run_lasso(a, w, p, max_periods=2 ** r, beta=budget.beta, mode=mode)
                 if verdict.status is Status.ACCEPTED:
                     return SearchResult(SearchStatus.NONEMPTY, (w, verdict), tried, r)
                 if verdict.status is Status.REJECTED:
@@ -233,8 +230,8 @@ def test_search_matches_plain_loop_on_crafted_automata(make, p, lasso, expected,
 
 def test_run_lasso_with_a_shared_context_matches_single_runs():
     p = 0.7
-    default = dict(epsilon=DEFAULT_EPSILON, beta=DEFAULT_BETA, mode=CERTIFIED)
-    other = dict(epsilon=1e-6, beta=0.25, mode=LITERAL)
+    default = dict(beta=DEFAULT_BETA, mode=CERTIFIED)
+    other = dict(beta=0.25, mode=LITERAL)
     differs = False
     for a in (_haar_automaton(4), marker_halts_automaton(), acc_then_rej_automaton()):
         symbols = sorted(a.alphabet)
@@ -250,7 +247,7 @@ def test_run_lasso_with_a_shared_context_matches_single_runs():
     # so a context whose test went unused would fail the loop above
     assert differs
     refuted = _no_accepting_state()
-    context = _LassoContext(refuted, p, DEFAULT_EPSILON, DEFAULT_BETA, CERTIFIED)
+    context = _LassoContext(refuted, p, DEFAULT_BETA, CERTIFIED)
     first = run_lasso(refuted, LassoWord("", "a"), p, _context=context)
     assert run_lasso(refuted, LassoWord("ba", "b"), p, _context=context) is first
     with pytest.raises(ValueError):
@@ -355,7 +352,7 @@ def test_shared_context_answers_every_budget_order_as_fresh_runs(
     words = [LassoWord("".join(u), v) for n in range(4)
              for u in itertools.product(symbols, repeat=n) for v in cycles]
     calls = [(w, n) for w in words for n in budgets]
-    context = _LassoContext(a, p, DEFAULT_EPSILON, DEFAULT_BETA, mode)
+    context = _LassoContext(a, p, DEFAULT_BETA, mode)
     for i in np.random.default_rng(len(calls)).permutation(len(calls)):
         w, n = calls[i]
         shared = run_lasso(a, w, p, max_periods=n, _context=context)
@@ -546,29 +543,24 @@ def test_search_transition_table_stays_within_its_budget(monkeypatch):
     assert peak < budget + 250_000
 
 
-def test_budget_validation():
+def test_budget_validation(fixtures):
     for bad in (0, math.nan, 2.5):
         with pytest.raises(ValueError, match="max_rounds"):
             SearchBudget(max_rounds=bad)
     # kept as the int the count rule returns, so that rounds_completed is one
     assert type(SearchBudget(max_rounds=np.int64(2)).max_rounds) is int
-    with pytest.raises(ValueError):
-        SearchBudget(beta=0.0)
-    with pytest.raises(ValueError):
-        SearchBudget(epsilon=-1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            SearchBudget(beta=bad)
-        with pytest.raises(ValueError):
-            SearchBudget(epsilon=bad)
+    # beta is checked once, with the rest of the test, by the search
+    for bad in (0.0, 1.1, math.nan, math.inf):
+        budget = SearchBudget(max_rounds=1, beta=bad)
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
+            check_emptiness(fixtures["lang_a_omega"], 0.8, budget)
 
 
-@pytest.mark.parametrize("epsilon", [0.8, 1.0])
-def test_search_refuses_epsilon_at_or_above_cutpoint(fixtures, epsilon):
-    # acc >= p - epsilon would hold for every word: the search must not answer
-    with pytest.raises(ValueError, match="must lie below the cutpoint"):
-        check_emptiness(fixtures["lang_a_omega"], 0.8,
-                        SearchBudget(max_rounds=1, epsilon=epsilon))
+@pytest.mark.parametrize("p", [DEFAULT_EPSILON, 1e-10])
+def test_search_refuses_epsilon_at_or_above_cutpoint(fixtures, p):
+    # acc >= p - DEFAULT_EPSILON would hold for every word: the search must not answer
+    with pytest.raises(ValueError, match="cutpoint must exceed epsilon 1e-09"):
+        check_emptiness(fixtures["lang_a_omega"], p, SearchBudget(max_rounds=1))
 
 
 @pytest.mark.parametrize("name,word", [

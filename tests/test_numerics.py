@@ -38,6 +38,19 @@ def test_is_unitary_basics():
     assert is_unitary(np.array([[c, -s], [s, c]]))
     assert not is_unitary(1.001 * np.eye(2))
     assert is_unitary(1.001 * np.eye(2), tol=1e-2)
+    assert not is_unitary(np.eye(2, 3))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SubspaceBasis(np.array([[1.0, 1.0]]), 2),
+     "basis rows are not orthonormal within 1e-9"),
+    (lambda: SubspaceBasis(np.eye(2), 3), "basis rows must match the ambient dimension"),
+    (lambda: SubspaceBasis.from_indices([0], 2).project([1.0, 0.0, 0.0]),
+     "vector dimension does not match the subspace"),
+], ids=["not-orthonormal", "ambient-dimension", "project-dimension"])
+def test_subspace_arguments_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_is_unitary_random():

@@ -19,6 +19,7 @@ from qbuchi.semantics import (
     CLAUSE_POSSIBLE,
     CLAUSE_REFUTED,
     CSV_HEADER,
+    DEFAULT_EPSILON,
     DEFAULT_MAX_PERIODS,
     DEFAULT_VISIT_EPS,
     LITERAL,
@@ -213,6 +214,16 @@ def test_run_lasso_swap_accepts_with_single_visit(fixtures):
     assert vd.acc_lower == 1.0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: clause (i) is the heuristic visits >= beta * k, "
+                          "so one accepting visit before the run halts is ACCEPTED")
+def test_run_lasso_refutes_a_single_visit(fixtures):
+    # the only visit is the first step, after which no mass is left to
+    # visit again: the infinitely-often clause is refuted
+    vd = run_lasso(fixtures["swap_halt_once"], LassoWord("", "a"), 1.0)
+    assert vd.status is Status.REJECTED
+
+
 def test_run_lasso_accepts_after_prefix_halt(fixtures):
     vd = run_lasso(fixtures["swap_halt_once"], LassoWord("a", "b"), 1.0)
     assert vd.status is Status.ACCEPTED
@@ -276,19 +287,18 @@ def test_run_lasso_validation_errors(fixtures):
         with pytest.raises(ValueError, match="max_periods must be an integer of at least 1"):
             run_lasso(a, w, 0.8, max_periods=bad)
     with pytest.raises(ValueError):
-        run_lasso(a, w, 0.8, epsilon=-1e-9)
-    with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, beta=0.0)
     with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, beta=1.1)
-    for epsilon in (0.8, 1.0):
-        with pytest.raises(ValueError, match="must lie below the cutpoint"):
-            run_lasso(a, w, 0.8, epsilon=epsilon)
+    # at or below the fixed slack, acc >= p - DEFAULT_EPSILON holds for every word
+    for p in (DEFAULT_EPSILON, 1e-10):
+        with pytest.raises(ValueError, match="cutpoint must exceed epsilon 1e-09"):
+            run_lasso(a, w, p)
     with pytest.raises(ValueError):
         run_lasso(a, LassoWord("", "az"), 0.8)
 
 
-@pytest.mark.parametrize("name", ["epsilon", "beta"])
+@pytest.mark.parametrize("name", ["beta"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_run_lasso_rejects_non_finite_test_params(fixtures, name, bad):
     # NaN fails every comparison, so a rule written as "reject if x < 0"
@@ -352,8 +362,8 @@ def test_trace_formats(fixtures):
     assert trace_to_json(()) == "[]\n"
 
 
-# The writer before lists of floats were filled into one template: one
-# call per value, the reference for _json_text.
+# The writer before float arrays were filled into one template: one call
+# per value, the reference for _json_text.
 def _recursive_json_text(obj):
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -391,17 +401,17 @@ def test_json_text_matches_the_recursive_writer(obj):
 def test_json_text_matches_the_recursive_writer_on_float_arrays(shape):
     rng = np.random.default_rng(len(shape))
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
-    nests = [values.tolist()]
-    flat = values.ravel()
-    for odd in (np.nan, np.inf, -0.0, 1.0, True, 2, "x", None):
-        for index in (0, -1)[:flat.size]:
-            nest = flat.astype(object)
-            nest[index] = odd
-            nests.append(nest.reshape(shape).tolist())
-    if len(shape) > 1 and shape[-1]:
-        nests.append(values.tolist()[:-1] + [values.tolist()[-1][:-1]])  # ragged
-    for nest in nests:
-        assert _json_text(nest) == _recursive_json_text(nest)
+    arrays = [values]
+    # a non-finite value sends the array down the element path
+    for odd in (np.nan, np.inf, -np.inf, -0.0):
+        for index in (0, -1)[:values.size]:
+            array = values.copy()
+            array.flat[index] = odd
+            arrays.append(array)
+    for array in arrays:
+        assert _json_text(array) == _recursive_json_text(array.tolist())
+        # a list takes the element path, whatever its leaves
+        assert _json_text(array.tolist()) == _recursive_json_text(array.tolist())
 
 
 def test_run_mmqfa_membership(fixtures):
@@ -503,6 +513,17 @@ def test_spellings_of_one_word_never_contradict(mode):
     statuses = {v.status for v in verdicts.values()}
     assert Status.ACCEPTED in statuses
     assert Status.REJECTED not in statuses
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: clause (i) counts visits per simulated period, "
+                          "so ('', 'a') on rotation_leak is INCONCLUSIVE after 432 periods "
+                          "where ('', 'aa') and ('', 'aaa') are ACCEPTED")
+def test_spellings_of_one_word_get_one_verdict():
+    # a^omega visits q3 once in every three steps: each spelling is accepted
+    a = rotation_leak_automaton()
+    verdicts = [run_lasso(a, LassoWord("", v), 0.8) for v in ("a", "aa", "aaa")]
+    assert [v.status for v in verdicts] == [Status.ACCEPTED] * 3
 
 
 def test_default_budget_constant():
@@ -643,7 +664,7 @@ def test_a_period_that_decides_is_the_stepped_period():
     events = set()
     for p, mode, cycle in [(0.3, CERTIFIED, "ab"), (0.6, CERTIFIED, "abb"),
                            (0.6, LITERAL, "b"), (0.75, CERTIFIED, "b")]:
-        context = semantics._LassoContext(a, p, 1e-9, 0.5, mode)
+        context = semantics._LassoContext(a, p, 0.5, mode)
         g = context.compiled(cycle)
         run = context.after("")
         for k in range(1, DEFAULT_MAX_PERIODS + 1):
@@ -756,7 +777,7 @@ def test_compiled_blocks_match_periods_and_steps(monkeypatch, dim):
 def _stepped_event(a, w, p, mode):
     """The first stepped period that settles or halts the run, sets
     accepted or reaches an exact fixed point, and which of these it does."""
-    context = semantics._LassoContext(a, p, 1e-9, 0.5, mode)
+    context = semantics._LassoContext(a, p, 0.5, mode)
     run = context.after(w.prefix)
     for k in range(1, DEFAULT_MAX_PERIODS + 1):
         prev, run = run, context.advance(run, w.cycle, k, 0.5 * k)
@@ -841,7 +862,7 @@ def test_compiled_block_is_the_compiled_map_of_its_periods():
     rng = np.random.default_rng(81)
     a = make_automaton({s: haar_unitary(rng, 81) for s in "ab"},
                        accepting=[1, 2, 3], rejecting=[4])
-    context = semantics._LassoContext(a, 0.6, 1e-9, 0.5, CERTIFIED)
+    context = semantics._LassoContext(a, 0.6, 0.5, CERTIFIED)
     for cycle in ("ab", "abb"):
         gk = context.blocked(context.compiled(cycle))
         want = context.compiled(cycle * K)
@@ -870,7 +891,7 @@ def test_compiled_map_is_the_identity_stepped_through_the_cycle(dim):
     rng = np.random.default_rng(dim)
     a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
                        accepting=[1, 2, 3], rejecting=[4])
-    context = semantics._LassoContext(a, 0.6, 1e-9, 0.5, CERTIFIED)
+    context = semantics._LassoContext(a, 0.6, 0.5, CERTIFIED)
     for cycle in ("a", "ab", "abb", "abab", "bba"):
         assert np.array_equal(context.compiled(cycle), _identity_stepped_map(context, cycle))
 
