@@ -18,9 +18,10 @@ can audit or tighten it. Rejection certificates are sound: once one holds
 it holds forever.
 
 A long run at state dimension 16 and up may apply its undecided cycle
-periods as compiled maps, eight periods or one at a time;
-_LassoContext.compiled_run says which it keeps, and how far their floats
-and verdicts may differ from a stepped run.
+periods as compiled maps, in blocks of eight periods or one period at a
+time, and checks the steps of up to eight such products together, as
+arrays; _LassoContext.compiled_run says which products it keeps, and how
+far their floats and verdicts may differ from a stepped run.
 """
 from __future__ import annotations
 
@@ -259,6 +260,15 @@ def run_mmqfa(a: Mmqfa, word: str) -> tuple[float, float]:
     return last.acc, last.rej
 
 
+def _row_sums(columns: np.ndarray) -> np.ndarray:
+    """The sum of each row, added column by column from the left, as sum()
+    adds a list."""
+    total = np.zeros(len(columns))
+    for column in columns.T:
+        total += column
+    return total
+
+
 class _Run(NamedTuple):
     """Run state of a lasso word after some symbols past the end marker."""
 
@@ -276,9 +286,11 @@ class _Run(NamedTuple):
 # on one, on the stepped arithmetic they were written with.
 _COMPILED_MIN_DIM = 16
 
-# compiled_run's bound on the squared move of a fixed point, as a share of
-# the state's squared norm: stepping could leave such a state exactly where
-# it was. Compiled and stepped states differ by a few ulps times dim, far
+# compiled_run's bound on a fixed point, as a share of the state's squared
+# norm: a compiled period that leaves both sums as they were is kept when
+# the mass it halts, or for a single period its squared move, is above this
+# share, since stepping could leave a state below both exactly where it
+# was. Compiled and stepped states differ by a few ulps times dim, far
 # below it; a state that still drains or turns moves far more.
 _FIXED_POINT_SQ = 1e-18
 
@@ -287,6 +299,14 @@ _FIXED_POINT_SQ = 1e-18
 # built by doubling; of 4, 8 and 16, 8 gave the fastest runs at dimensions
 # 81 and 243.
 _BLOCK = 8
+
+# compiled_run takes up to this many blocks or periods a call, and checks
+# all their steps in one pass of array arithmetic. The products after a
+# discarded one are wasted, so after a discard a call takes one, and each
+# call that keeps all it took doubles the next, up to this. The pass's
+# arrays add to the run's memory: at dimension 81, 8 kept the peak within
+# 1.05 times the compiled matrices, and 16 took it to 1.19.
+_CHUNK = 8
 
 # The transition table of a lasso context is cleared once it holds about
 # this many bytes. An entry keeps the key's bytes and the new state, 16 *
@@ -366,8 +386,7 @@ class _LassoContext:
             trace=tuple(records) if records is not None else None,
         )
 
-    def advance(self, run: _Run, word: str, periods: int, need: float,
-                given: list | None = None):
+    def advance(self, run: _Run, word: str, periods: int, need: float):
         """Step run through word and apply every certificate after each step.
 
         Returns the verdict that settles the run (REJECTED, or ACCEPTED in
@@ -377,12 +396,10 @@ class _LassoContext:
         the whole prefix. The accept test needs visits >= need; the prefix
         phase passes math.inf, so a prefix never accepts. A verdict reports
         periods as its periods_simulated, and a trace record its place in
-        records as its step number. given, when passed, holds the
-        (alpha, rho, nh) of every step of word, which are then not stepped:
-        the run keeps the psi it is given. Otherwise each step is taken
-        from the transition table, and stepped and stored there when it is
-        not held; each run keeps its own sums, visits and records, so
-        every float is that of a stepped run.
+        records as its step number. Each step is taken from the transition
+        table, and stepped and stored there when it is not held; each run
+        keeps its own sums, visits and records, so every float is that of
+        a stepped run.
         """
         apply = self.kernel.apply
         transitions = self.transitions
@@ -391,22 +408,17 @@ class _LassoContext:
         low = p - DEFAULT_EPSILON
         visit_eps, halt_sq = DEFAULT_VISIT_EPS, _HALTED_SQ
         psi, acc, rej, visits, halted, accepted = run
-        if given is not None:
-            given = iter(given)
         for sym in word:
-            if given is None:
-                key = (psi.tobytes(), sym)
-                step = transitions.get(key)
-                if step is None:
-                    psi, alpha, rho = apply(psi, sym)
-                    psi.flags.writeable = False
-                    step = psi, alpha, rho, _norm_sq(psi)
-                    if len(transitions) >= self.max_transitions:
-                        transitions.clear()
-                    transitions[key] = step
-                psi, alpha, rho, nh = step
-            else:
-                alpha, rho, nh = next(given)
+            key = (psi.tobytes(), sym)
+            step = transitions.get(key)
+            if step is None:
+                psi, alpha, rho = apply(psi, sym)
+                psi.flags.writeable = False
+                step = psi, alpha, rho, _norm_sq(psi)
+                if len(transitions) >= self.max_transitions:
+                    transitions.clear()
+                transitions[key] = step
+            psi, alpha, rho, nh = step
             acc += alpha
             rej += rho
             if records is not None:
@@ -480,58 +492,82 @@ class _LassoContext:
             n *= 2
         return gk
 
-    def compiled_run(self, run: _Run, cycle: str, k: int, need: float,
-                     g: np.ndarray, periods: int):
-        """The run after the periods periods of cycle from run, the first
-        of them period k, by their compiled map g (G, or G_K from blocked),
-        or None when they are discarded, with their records.
+    def compiled_run(self, run: _Run, cycle: str, k: int, g: np.ndarray,
+                     periods: int, count: int):
+        """Up to count applications of the compiled map g (G, or G_K from
+        blocked) of periods periods each, the first of them period k: the
+        run after those that come before the first one discarded, and how
+        many they are.
 
-        The periods are one product, whose floats may differ from stepping,
-        and so from run_prefix, in the last bits. Within them the
-        non-halting mass is the mass at the start less what has halted,
-        and after the last step it is the norm of the new state. All steps
-        go through advance at need, the first period's: need only grows,
-        so periods that do not accept at it would not accept at their own,
-        larger needs. They are discarded if a step settles the run, sets
-        accepted or halts it, or if the last period leaves both sums as
-        they were, unless it is the only one and moves the state by more
-        than _FIXED_POINT_SQ of its squared norm. So these events and any
-        exact fixed point are left to stepping; only a threshold that
-        stepping would cross within the last bits can give a verdict,
-        period or visit count other than a stepped run's.
+        Each application is one product, whose floats may differ from
+        stepping, and so from run_prefix, in the last bits. The products are
+        taken in turn; then every step's alpha, rho, acc, rej, nh and visit
+        count come from array arithmetic in the order advance adds them.
+        Within an application the non-halting mass is the mass at its start
+        less what has halted, and after its last step it is the norm of the
+        new state. An application's steps are tested at the need of its
+        first period: need only grows, so periods that do not accept at it
+        would not accept at their own, larger needs. It is discarded if a
+        step settles the run, sets accepted or halts it, or if its last
+        period leaves both sums as they were and halts no more than
+        _FIXED_POINT_SQ of the mass at its start, unless it is a single
+        period that moves the state by more than _FIXED_POINT_SQ of its
+        squared norm. So these events and any exact fixed point are left to
+        stepping; only a threshold that stepping would cross within the last
+        bits can give a verdict, period or visit count other than a stepped
+        run's. The records of the kept steps are built from the arrays.
         """
         kernel, records = self.kernel, self.records
-        mark = len(records) if records is not None else 0
-        out = g @ run.psi
         n_rows = len(g) - kernel.a.dim
-        steps = periods * len(cycle)
+        width = len(cycle)
+        steps = periods * width
+        states = [run.psi]
+        halting = np.empty((count, n_rows), dtype=np.complex128)
+        for i in range(count):
+            out = g @ states[-1]
+            halting[i] = out[:n_rows]
+            states.append(out[n_rows:])
+        norms = [_norm_sq(psi) for psi in states]
         # per step, the squares of the halting amplitudes' real and
-        # imaginary parts, the accepting states' first
-        rows = np.square(out[:n_rows].view(np.float64)).reshape(steps, -1).tolist()
+        # imaginary parts, the accepting states' first, summed column by
+        # column from the left as sum() adds them
+        squares = np.square(halting.view(np.float64)).reshape(count * steps, -1)
         m = 2 * kernel.n_acc
-        psi = out[n_rows:]
-        nh = _norm_sq(run.psi)
-        given = []
-        for row in rows:
-            alpha, rho = sum(row[:m]), sum(row[m:])
-            nh -= alpha + rho
-            given.append((alpha, rho, nh))
-        given[-1] = (alpha, rho, _norm_sq(psi))
-        # the run before the last period, whose sums that period must change
-        last = steps - len(cycle)
-        mid = _Run(psi, *run[1:])
-        if last:
-            mid = self.advance(mid, cycle * (periods - 1), k, need, given[:last])
-        if isinstance(mid, _Run):
-            new = self.advance(mid, cycle, k, need, given[last:])
-            if (isinstance(new, _Run) and not new.halted and new.accepted == run.accepted
-                    and ((new.acc, new.rej) != (mid.acc, mid.rej)
-                         or (periods == 1 and _norm_sq(psi - run.psi)
-                             > _FIXED_POINT_SQ * _norm_sq(run.psi)))):
-                return new
+        alpha, rho = _row_sums(squares[:, :m]), _row_sums(squares[:, m:])
+        halted_mass = (alpha + rho).reshape(count, steps)
+        nh = np.subtract.accumulate(np.column_stack((norms[:-1], halted_mass)), axis=1)
+        last_start = nh[:, steps - width]
+        nh[:, -1] = norms[1:]
+        nh = nh[:, 1:].ravel()
+        acc = np.cumsum(np.concatenate(([run.acc], alpha)))
+        rej = np.cumsum(np.concatenate(([run.rej], rho)))
+        visits = run.visits + np.cumsum(alpha > DEFAULT_VISIT_EPS)
+        p, low = self.p, self.p - DEFAULT_EPSILON
+        stop = (rej[1:] >= p) | (acc[1:] + nh < low) | (nh <= _HALTED_SQ)
+        if not run.accepted:
+            need = np.repeat(self.beta * (k + periods * np.arange(count)), steps)
+            rej_ok = rej[1:] + nh < p if self.mode == CERTIFIED else rej[1:] < p
+            stop |= (acc[1:] >= low) & (visits >= need) & rej_ok
+        stop = stop.reshape(count, steps).any(axis=1)
+        ends = steps * np.arange(1, count + 1)
+        still = ((acc[ends] == acc[ends - width]) & (rej[ends] == rej[ends - width])
+                 & (halted_mass[:, -width:].sum(axis=1) <= _FIXED_POINT_SQ * last_start))
+        kept = count
+        for i in np.flatnonzero(stop | still).tolist():
+            if (stop[i] or periods > 1
+                    or _norm_sq(states[i + 1] - states[i]) <= _FIXED_POINT_SQ * norms[i]):
+                kept = i
+                break
+        if not kept:
+            return run, 0
+        n = kept * steps
         if records is not None:
-            del records[mark:]
-        return None
+            j = len(records) + 1
+            records.extend(map(StepRecord, range(j, j + n), cycle * (kept * periods),
+                               alpha[:n].tolist(), rho[:n].tolist(), acc[1:n + 1].tolist(),
+                               rej[1:n + 1].tolist(), nh[:n].tolist()))
+        return _Run(states[kept], float(acc[n]), float(rej[n]), int(visits[n - 1]),
+                    False, run.accepted), kept
 
     def intern(self, entry):
         """entry, or the _Run kept first for the same state when entry is a
@@ -612,15 +648,19 @@ class _LassoContext:
         is INCONCLUSIVE and the run has not halted, else None.
 
         When compiles and at least dim periods are left after the first,
-        G and G_K are built after the first period. Each later period is
-        then tried by compiled_run, _BLOCK at a time while that many are
-        left outside a discarded block, else alone, and stepped if it is
-        discarded; only stepped periods need the checks.
+        G and G_K are built after the first period. The later periods are
+        then tried by compiled_run in blocks of _BLOCK while that many are
+        left outside a discarded block, else one at a time up to the end of
+        that block or of the budget, up to _CHUNK blocks or periods a call.
+        A discarded block is taken again one period at a time, and a
+        discarded period is stepped; only stepped periods need the checks.
         """
         beta = self.beta
         g = gk = None
         # periods up to this one are tried one at a time after a discarded block
         singles_until = 0
+        # the most applications the next compiled_run call takes (see _CHUNK)
+        chunk = _CHUNK
         while k < max_periods:
             # compiling costs about (|v| - 1) * dim matrix-vector products and
             # log2 _BLOCK products of dim x dim matrices; it saves |v| - 1
@@ -629,11 +669,17 @@ class _LassoContext:
                 g = self.compiled(cycle)
                 gk = self.blocked(g)
             if g is not None:
-                n = _BLOCK if k >= singles_until and max_periods - k >= _BLOCK else 1
-                new = self.compiled_run(run, cycle, k + 1, beta * (k + 1), gk if n > 1 else g, n)
-                if new is not None:
-                    run, k = new, k + n
+                if k >= singles_until and max_periods - k >= _BLOCK:
+                    n, count = _BLOCK, min(chunk, (max_periods - k) // _BLOCK)
+                else:
+                    n, count = 1, min(chunk, (singles_until if k < singles_until
+                                              else max_periods) - k)
+                run, kept = self.compiled_run(run, cycle, k + 1, gk if n > 1 else g, n, count)
+                k += kept * n
+                if kept == count:
+                    chunk = min(2 * chunk, _CHUNK)
                     continue
+                chunk = 1
                 if n > 1:
                     singles_until = k + _BLOCK
                     continue

@@ -1,13 +1,16 @@
 """A digest of qbuchi's outputs on a seeded corpus, to show that a change
 moves no verdict, trace, clause report or search result.
 
-    python3 tests/oracle.py --src <tree>/src [--expect <sha256>]
+    python3 tests/oracle.py --src <tree>/src [--expect <sha256>] [--labels <path>]
 
 imports qbuchi from <tree>/src (by default the src of this repository)
 and prints the number of outputs and a sha256 over their deterministic
 JSON text. Two trees that print the same line give bit-identical outputs
 on the corpus. With --expect, a digest other than the one given is an
-error: both digests are printed and the exit status is 1.
+error: both digests are printed and the exit status is 1. With --labels,
+one line per output, its label, a tab and the sha256 of its JSON text, is
+written to the path given, so that diff of two such files names the
+outputs that moved.
 
 The corpus is the search at cutpoints 0.6, 0.9 and 1.0 in both modes of
 every bundled fixture and of two crafted automata from conftest
@@ -214,6 +217,8 @@ def main(argv=None) -> int:
                         help="the src directory to import qbuchi from")
     parser.add_argument("--expect", metavar="SHA256",
                         help="exit 1 unless the corpus digest is this one")
+    parser.add_argument("--labels", type=Path, metavar="PATH",
+                        help="write each output's label and sha256, one a line, to PATH")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import qbuchi
@@ -222,11 +227,14 @@ def main(argv=None) -> int:
     if Path(qbuchi.__file__).resolve().parent != (args.src / "qbuchi").resolve():
         raise SystemExit(f"error: imported qbuchi from {qbuchi.__file__}, not from {args.src}")
     digest = hashlib.sha256()
-    n = 0
+    lines = []
     for label, job in jobs():
-        digest.update(f"{label}\t{_json_text(job())}\n".encode())
-        n += 1
-    print(f"{n} outputs sha256 {digest.hexdigest()}")
+        text = _json_text(job())
+        digest.update(f"{label}\t{text}\n".encode())
+        lines.append(f"{label}\t{hashlib.sha256(text.encode()).hexdigest()}\n")
+    if args.labels is not None:
+        args.labels.write_text("".join(lines))
+    print(f"{len(lines)} outputs sha256 {digest.hexdigest()}")
     if args.expect is not None and args.expect != digest.hexdigest():
         print(f"error: expected sha256 {args.expect}, got {digest.hexdigest()}", file=sys.stderr)
         return 1

@@ -296,9 +296,12 @@ def test_no_entry_requires_invariance(fixtures):
 
 
 def test_no_entry_requires_basis_spanned_subspace(fixtures):
+    # 'a' turns the non-halting plane of q0 and q2 by 45 degrees, so its
+    # eigenvector (q0 - i q2)/sqrt 2 spans an invariant line of that plane
+    # that no computational basis vector spans
     r = 1.0 / np.sqrt(2.0)
-    tilted = SubspaceBasis.from_spanning(np.array([[r, 0.0, r]]))
-    with pytest.raises(ValueError):
+    tilted = SubspaceBasis.from_spanning(np.array([[r, 0.0, -1j * r]]))
+    with pytest.raises(ValueError, match="subspace is not spanned by computational basis vectors"):
         no_entry_check(fixtures["no_entry"], tilted, "a")
 
 

@@ -46,6 +46,7 @@ from conftest import (
     chain_halt_automaton,
     chain_unitary,
     counted_applies,
+    draining_half_automaton,
     fixed_point_automaton,
     haar_unitary,
     make_automaton,
@@ -670,7 +671,8 @@ def test_a_period_that_decides_is_the_stepped_period():
         for k in range(1, DEFAULT_MAX_PERIODS + 1):
             stepped = context.advance(run, cycle, k, 0.5 * k)
             # one compiled period, stepped again when it is discarded
-            compiled = context.compiled_run(run, cycle, k, 0.5 * k, g, 1)
+            new, kept = context.compiled_run(run, cycle, k, g, 1, 1)
+            compiled = new if kept else None
             got = compiled if compiled is not None else context.advance(run, cycle, k, 0.5 * k)
             if isinstance(stepped, Verdict):
                 events.add(stepped.status)
@@ -732,14 +734,18 @@ def test_compiled_fixed_point_is_stepped_again(monkeypatch, mode):
 
 
 def _compiled_runs(monkeypatch):
-    """Record (first period, periods, kept) of every compiled_run call."""
+    """Record (first period, periods, kept) of every compiled block or
+    period that compiled_run keeps or discards; the applications after a
+    discarded one are not judged, and not recorded."""
     calls = []
     compiled_run = semantics._LassoContext.compiled_run
 
-    def recorded(self, run, cycle, k, need, g, periods):
-        new = compiled_run(self, run, cycle, k, need, g, periods)
-        calls.append((k, periods, new is not None))
-        return new
+    def recorded(self, run, cycle, k, g, periods, count):
+        new, kept = compiled_run(self, run, cycle, k, g, periods, count)
+        calls.extend((k + i * periods, periods, True) for i in range(kept))
+        if kept < count:
+            calls.append((k + kept * periods, periods, False))
+        return new, kept
 
     monkeypatch.setattr(semantics._LassoContext, "compiled_run", recorded)
     return calls
@@ -908,6 +914,96 @@ def test_blocked_run_matches_the_reference_kernel(monkeypatch):
     acc, rej, _ = reference_run(a, w.expand(60))
     assert v.trace[-1].acc == pytest.approx(acc, rel=0.0, abs=1e-9)
     assert v.trace[-1].rej == pytest.approx(rej, rel=0.0, abs=1e-9)
+
+
+def _looped_steps(context, run, cycle, g, periods, count):
+    """(alpha, rho, acc, rej, nh) of every step of count applications of
+    g from run, each step added in Python as a stepped run adds it."""
+    n_rows = len(g) - context.kernel.a.dim
+    m = 2 * context.kernel.n_acc
+    psi, acc, rej = run.psi, run.acc, run.rej
+    steps = []
+    for _ in range(count):
+        out = g @ psi
+        nh = _norm_sq(psi)
+        rows = np.square(out[:n_rows].view(np.float64)).reshape(periods * len(cycle), -1)
+        psi = out[n_rows:]
+        for row in rows.tolist():
+            alpha, rho = sum(row[:m]), sum(row[m:])
+            nh -= alpha + rho
+            acc += alpha
+            rej += rho
+            steps.append((alpha, rho, acc, rej, nh))
+        steps[-1] = (alpha, rho, acc, rej, _norm_sq(psi))
+    return steps
+
+
+@pytest.mark.parametrize("dim", [16, 27, 81])
+def test_compiled_run_adds_each_step_as_a_loop_would(dim):
+    # the array arithmetic of a group gives every float of a per-step loop
+    # over the same products, bit for bit. No comparison with a NaN
+    # cutpoint holds, so no step decides and every application is kept
+    K = semantics._BLOCK
+    rng = np.random.default_rng(dim)
+    a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                       accepting=[1, 2, 3], rejecting=[4])
+    for cycle in ("ab", "abb", "bbaab"):
+        context = semantics._LassoContext(a, 0.6, 0.5, CERTIFIED, [])
+        run = context.advance(context.after("a"), cycle, 1, 0.5)
+        context.p = math.nan
+        g = context.compiled(cycle)
+        for gk, periods in ((context.blocked(g), K), (g, 1)):
+            del context.records[:]
+            new, kept = context.compiled_run(run, cycle, 2, gk, periods, 4)
+            assert kept == 4
+            want = _looped_steps(context, run, cycle, gk, periods, 4)
+            assert [(r.alpha, r.rho, r.acc, r.rej, r.nonhalt_norm_sq)
+                    for r in context.records] == want
+            assert (new.acc, new.rej) == want[-1][2:4]
+            assert new.visits == run.visits + sum(s[0] > DEFAULT_VISIT_EPS for s in want)
+
+
+@pytest.mark.parametrize("word", [("a", "ab"), ("a", "abb"), ("b", "aab")])
+def test_a_converged_run_keeps_the_blocks_that_still_drain(monkeypatch, word):
+    # the sums stop moving hundreds of periods before the run halts, while
+    # every period still halts a fixed share of the mass that is left: the
+    # blocks after the sums freeze are kept, up to the one that halts
+    rng = np.random.default_rng(27)
+    a = make_automaton({s: haar_unitary(rng, 27) for s in "ab"},
+                       accepting=[1], rejecting=[2])
+    w = LassoWord(*word)
+    calls = _compiled_runs(monkeypatch)
+    got = run_lasso(a, w, 0.55, max_periods=1024, record_trace=True)
+    _stepped_only(monkeypatch)
+    want = run_lasso(a, w, 0.55, max_periods=1024, record_trace=True)
+    _assert_same_run(got, want)
+    sums = [(r.acc, r.rej) for r in want.trace]
+    frozen = next(j for j in range(len(sums), 0, -1) if sums[j - 1] != sums[j - 2])
+    # the first period all of whose steps leave both sums as they were
+    k = (frozen - len(w.prefix) - 1) // len(w.cycle) + 2
+    assert k + 8 * semantics._BLOCK < want.periods_simulated
+    blocks = [kept for first, periods, kept in calls if first >= k and periods > 1]
+    assert blocks.count(True) >= 8 and blocks.count(False) <= 1
+
+
+def test_traced_and_untraced_runs_give_the_same_verdict():
+    runs = []
+    for dim in (16, 27, 81):
+        rng = np.random.default_rng(dim)
+        a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                           accepting=[1, 2, 3], rejecting=[4])
+        for mode in (CERTIFIED, LITERAL):
+            for _ in range(3):
+                w = LassoWord("".join(rng.choice(["a", "b"], 2)),
+                              "".join(rng.choice(["a", "b"], 3)))
+                runs.append((a, w, mode))
+    runs.append((draining_half_automaton(), LassoWord("", "aa"), CERTIFIED))
+    for a, w, mode in runs:
+        for budget in (2 * a.dim, 1024):
+            plain = run_lasso(a, w, 0.6, max_periods=budget, mode=mode)
+            traced = run_lasso(a, w, 0.6, max_periods=budget, mode=mode, record_trace=True)
+            assert len(traced.trace) > 0
+            assert dataclasses.replace(traced, trace=None) == plain
 
 
 def test_compiled_run_memory_stays_near_its_matrices():
