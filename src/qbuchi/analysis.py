@@ -17,13 +17,15 @@ the monotone bounds from the run functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .automata import Mmqba, _check_count
 from .numerics import SubspaceBasis, null_space
-from .semantics import StepRecord, _Kernel
+
+if TYPE_CHECKING:  # verify_decomposition imports semantics when it runs
+    from .semantics import StepRecord
 
 RESIDUAL_TOL = 1e-9
 RATIO_TOL = 1e-6
@@ -175,6 +177,8 @@ def verify_decomposition(
     a product. Every trial's three vectors are columns of one block,
     stepped together, each column by its own trial's symbol.
     """
+    from .semantics import _Kernel
+
     word_len = _check_count("word_len", word_len, 0)
     trials = _check_count("trials", trials, 0)
     n_symbols = len(a.alphabet)

@@ -20,6 +20,7 @@ documents.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import warnings
@@ -479,6 +480,38 @@ def saves(a: Mmqba) -> str:
         sep = ",\n    "
     pieces.append("\n  }\n}\n" if unitaries else "}\n}\n")
     return "".join(pieces)
+
+
+def _f17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _json_text(obj) -> str:
+    """Deterministic JSON: sorted keys, floats with 17 significant digits,
+    and null for a float that is not finite. A finite float64 array is
+    written by one ``%`` over a template of ``%.17g`` placeholders built
+    from its shape; any other array goes element by element."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, float):
+        return _f17(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and np.isfinite(obj).all():
+        template = "%.17g"
+        for width in reversed(obj.shape):
+            template = "[" + ", ".join([template] * width) + "]"
+        return template % tuple(obj.ravel().tolist())
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_json_text(x) for x in obj) + "]"
+    if isinstance(obj, dict):
+        parts = [f"{json.dumps(k)}: {_json_text(v)}" for k, v in sorted(obj.items())]
+        return "{" + ", ".join(parts) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def save(a: Mmqba, path) -> None:

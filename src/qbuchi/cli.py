@@ -16,28 +16,19 @@ import importlib
 import sys
 
 from . import automata
-from .automata import AutomatonFormatError, Cutpoint
+from .automata import AutomatonFormatError, Cutpoint, _json_text
 from .numerics import SubspaceBasis
-from .semantics import (
-    CERTIFIED,
-    DEFAULT_BETA,
-    DEFAULT_MAX_PERIODS,
-    LITERAL,
-    LassoWord,
-    Status,
-    _json_text,
-    trace_to_csv,
-    trace_to_json,
-    run_lasso,
-)
 
-# The names from the modules that only some commands run. Each loads from
-# the package on first access through __getattr__ (PEP 562), and a command
-# reads it as an attribute of this module when it runs, so a call loads only
-# what its command needs and a patch of, say, qbuchi.cli.union is what it calls.
+# The names from the modules that only some commands run, semantics (the lasso
+# engine) among them. Each loads from the package on first access through
+# __getattr__ (PEP 562), and a command reads it as an attribute of this module
+# when it runs, so a call loads only what its command needs and a patch of, say,
+# qbuchi.cli.union is what it calls.
 _LAZY = (
-    "SearchBudget", "SearchStatus", "benchmark_step_cost", "check_emptiness",
-    "decompose_nonhalting", "is_sigma_cycle_subspace", "no_entry_check", "union",
+    "CERTIFIED", "LITERAL", "LassoWord", "SearchBudget", "SearchStatus",
+    "benchmark_step_cost", "check_emptiness", "decompose_nonhalting",
+    "is_sigma_cycle_subspace", "no_entry_check", "run_lasso", "trace_to_csv",
+    "trace_to_json", "union",
 )
 
 
@@ -123,33 +114,36 @@ def cmd_validate(args) -> int:
     return EX_OK if not violations else EX_FAIL
 
 
-_STATUS_EXIT = {
-    Status.ACCEPTED: EX_OK,
-    Status.REJECTED: EX_FAIL,
-    Status.INCONCLUSIVE: EX_INCONCLUSIVE,
-}
+def _given(**options) -> dict:
+    """The options given on the command line; the library call's own
+    signature supplies the default of every option left out. --certify
+    and --literal store the name of their mode constant, read here."""
+    if options.get("mode"):
+        options["mode"] = getattr(_cli, options["mode"])
+    return {name: value for name, value in options.items() if value is not None}
+
+
+_STATUS_EXIT = {"ACCEPTED": EX_OK, "REJECTED": EX_FAIL, "INCONCLUSIVE": EX_INCONCLUSIVE}
 
 
 def cmd_run(args) -> int:
     a = _load_valid(args.file)
     _check_symbols(a, args.prefix + args.cycle)
     try:
-        verdict = run_lasso(
+        verdict = _cli.run_lasso(
             a,
-            LassoWord(args.prefix, args.cycle),
+            _cli.LassoWord(args.prefix, args.cycle),
             Cutpoint(args.cutpoint),
-            max_periods=args.periods,
-            beta=args.beta,
-            mode=args.mode,
             record_trace=args.trace is not None,
+            **_given(max_periods=args.periods, beta=args.beta, mode=args.mode),
         )
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
     if args.trace is not None:
         text = (
-            trace_to_csv(verdict.trace)
+            _cli.trace_to_csv(verdict.trace)
             if args.format == "csv"
-            else trace_to_json(verdict.trace)
+            else _cli.trace_to_json(verdict.trace)
         )
         try:
             with open(args.trace, "w", encoding="utf-8") as fh:
@@ -167,15 +161,15 @@ def cmd_run(args) -> int:
         print(f"visit_count: {verdict.visit_count}")
         print(f"periods_simulated: {verdict.periods_simulated}")
         print(f"mode: {verdict.mode}")
-    return _STATUS_EXIT[verdict.status]
+    return _STATUS_EXIT[verdict.status.name]
 
 
 def cmd_emptiness(args) -> int:
     a = _load_valid(args.file)
     try:
         p = Cutpoint(args.cutpoint)
-        budget = _cli.SearchBudget(max_rounds=args.rounds, beta=args.beta)
-        result = _cli.check_emptiness(a, p, budget, mode=args.mode)
+        budget = _cli.SearchBudget(**_given(max_rounds=args.rounds, beta=args.beta))
+        result = _cli.check_emptiness(a, p, budget, **_given(mode=args.mode))
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
     if args.json:
@@ -303,19 +297,17 @@ def _add_test_flags(p: argparse.ArgumentParser):
         "--certify",
         dest="mode",
         action="store_const",
-        const=CERTIFIED,
+        const="CERTIFIED",
         help="require the sound rejection-limit certificate (default)",
     )
     group.add_argument(
         "--literal",
         dest="mode",
         action="store_const",
-        const=LITERAL,
+        const="LITERAL",
         help="use the plain rej < p check and return at the first success",
     )
-    p.set_defaults(mode=CERTIFIED)
-    p.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                   help="required accepting-visit frequency per period")
+    p.add_argument("--beta", type=float, help="required accepting-visit frequency per period")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", default="", help="finite prefix u (default empty)")
     p.add_argument("--cycle", required=True, help="repeated cycle v (nonempty)")
     p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--periods", type=int, default=DEFAULT_MAX_PERIODS,
-                   help="maximum cycle repetitions to simulate")
+    p.add_argument("--periods", type=int, help="maximum cycle repetitions to simulate")
     p.add_argument("--trace", metavar="PATH", help="write the step trace to PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="trace file format")
@@ -350,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emptiness", help="search for an accepted lasso word")
     p.add_argument("file")
     p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--rounds", type=int, default=6)
+    p.add_argument("--rounds", type=int)
     _add_test_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_emptiness)

@@ -10,13 +10,15 @@ arrives.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .automata import END_MARKER, Mmqba, Mmqfa, RESERVED_SYMBOLS, _check_word
 from .numerics import tensor
-from .semantics import LassoWord
+
+if TYPE_CHECKING:  # _normalize_lasso imports semantics when it runs
+    from .semantics import LassoWord
 
 
 def _masks(m: Mmqba) -> tuple[np.ndarray, np.ndarray]:
@@ -152,6 +154,8 @@ def finite_language_mmqfa(words: Iterable[str], alphabet: Iterable[str]) -> Mmqf
 def _normalize_lasso(w: LassoWord) -> LassoWord:
     """Rotate the cycle into the prefix until the prefix no longer ends with
     the cycle's last symbol; the denoted infinite word is unchanged."""
+    from .semantics import LassoWord
+
     u, v = w.prefix, w.cycle
     while u and u[-1] == v[-1]:
         v = v[-1] + v[:-1]

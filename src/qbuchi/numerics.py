@@ -110,6 +110,7 @@ def null_space(m) -> SubspaceBasis:
             (0, cols), dtype=np.complex128
         )
         return SubspaceBasis(rows, cols)
-    _, s, vh = np.linalg.svd(m)
+    # the left factor is discarded, and vh needs its null rows only when m is wide
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < cols)
     rank = int(np.sum(s > DEFAULT_SV_TOL))
     return SubspaceBasis(vh[rank:].conj(), cols)

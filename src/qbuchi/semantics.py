@@ -26,7 +26,6 @@ far their floats and verdicts may differ from a stepped run.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -34,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .automata import (END_MARKER, Mmqba, Mmqfa, TERMINAL, _check_count, _check_cutpoint,
-                       _check_word)
+                       _check_word, _f17, _json_text)
 
 DEFAULT_MAX_PERIODS = 1024
 DEFAULT_EPSILON = 1e-9
@@ -120,10 +119,6 @@ class Verdict:
 CSV_HEADER = "j,symbol,alpha,rho,acc,rej,nonhalt_norm_sq"
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def trace_to_csv(records: Sequence[StepRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
@@ -132,34 +127,6 @@ def trace_to_csv(records: Sequence[StepRecord]) -> str:
             f"{_f17(r.acc)},{_f17(r.rej)},{_f17(r.nonhalt_norm_sq)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _json_text(obj) -> str:
-    """Deterministic JSON: sorted keys, floats with 17 significant digits,
-    and null for a float that is not finite. A finite float64 array is
-    written by one ``%`` over a template of ``%.17g`` placeholders built
-    from its shape; any other array goes element by element."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _f17(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and np.isfinite(obj).all():
-        template = "%.17g"
-        for width in reversed(obj.shape):
-            template = "[" + ", ".join([template] * width) + "]"
-        return template % tuple(obj.ravel().tolist())
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_text(x) for x in obj) + "]"
-    if isinstance(obj, dict):
-        parts = [f"{json.dumps(k)}: {_json_text(v)}" for k, v in sorted(obj.items())]
-        return "{" + ", ".join(parts) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def trace_to_json(records: Sequence[StepRecord]) -> str:

@@ -9,7 +9,8 @@ from unittest import mock
 
 import pytest
 
-from qbuchi import SearchBudget, automata, check_emptiness, cli, run_lasso
+from qbuchi import LassoWord, SearchBudget, automata, check_emptiness, cli, run_lasso
+from qbuchi.automata import _json_text
 from qbuchi.fixtures import fixture_path, golden_path
 
 from conftest import acc_then_rej_automaton, marker_split_automaton
@@ -178,6 +179,29 @@ def test_option_surface_is_pinned():
     assert [f.name for f in dataclasses.fields(SearchBudget)] == ["max_rounds", "beta"]
 
 
+# The parser holds no copy of a library default: a call that leaves out
+# --periods, --beta, --rounds and the mode flags is the library's default call.
+def test_run_without_options_is_the_default_run_lasso_call():
+    r = qbuchi("run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "0.6", "--json")
+    verdict = run_lasso(automata.load(fixture_path("lang_a_omega")), LassoWord("", "a"), 0.6)
+    assert r.stdout.decode() == _json_text(verdict.to_dict()) + "\n"
+
+
+@pytest.mark.parametrize("name,p", [("lang_ab_cycle", 0.6), ("reject_all", 0.9)],
+                         ids=["nonempty", "inconclusive"])
+def test_emptiness_without_options_is_the_default_search(name, p):
+    r = qbuchi("emptiness", fixture_path(name), "--cutpoint", p, "--json")
+    result = check_emptiness(automata.load(fixture_path(name)), p, SearchBudget())
+    witness = result.witness and {"prefix": result.witness[0].prefix,
+                                  "cycle": result.witness[0].cycle,
+                                  "verdict": result.witness[1].to_dict()}
+    assert r.stdout.decode() == _json_text({
+        "status": result.status.value, "witness": witness,
+        "candidates_tried": result.candidates_tried,
+        "rounds_completed": result.rounds_completed,
+    }) + "\n"
+
+
 @pytest.mark.parametrize("flag", ["--beta"])
 def test_bad_test_flag_has_one_message(flag):
     run = qbuchi(*RUN_ARGV, flag, "nan")
@@ -225,8 +249,8 @@ def test_symbol_outside_alphabet_exits_65():
     assert b"alphabet" in r.stderr
 
 
-@pytest.mark.parametrize("extra", [[], ["--beta", "nan"], ["--cutpoint", "2"]],
-                         ids=["alone", "bad-beta", "bad-cutpoint"])
+@pytest.mark.parametrize("extra", [[], ["--beta", "nan"], ["--cutpoint", "2"], ["--periods", "0"]],
+                         ids=["alone", "bad-beta", "bad-cutpoint", "bad-periods"])
 def test_word_symbols_are_checked_before_option_values(extra):
     # a symbol outside the alphabet is input data (65), and the document
     # and the word are checked before any option value (64)
@@ -384,15 +408,17 @@ def test_importing_the_package_loads_no_submodule():
 
 COMMAND_MODULES = [
     (["validate", fixture_path("lang_a_omega")], []),
-    (["run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "0.8"], []),
+    (["run", fixture_path("lang_a_prefix"), "--prefix", "aaa", "--cycle", "b",
+      "--cutpoint", "0.8"], ["semantics"]),
     (["union", fixture_path("lang_a_omega"), fixture_path("lang_a_prefix"), "-o", "OUT"],
      ["constructions"]),
     (["decompose", fixture_path("no_entry")], ["analysis"]),
     (["check-cycle", fixture_path("no_entry"), "--symbol", "a", "--subspace", "0,2"],
      ["analysis"]),
     (["emptiness", fixture_path("lang_a_prefix"), "--cutpoint", "0.8", "--rounds", "1"],
-     ["constructions", "emptiness"]),
-    (["bench", fixture_path("no_entry"), "--lengths", "40,40"], ["constructions", "emptiness"]),
+     ["constructions", "emptiness", "semantics"]),
+    (["bench", fixture_path("no_entry"), "--lengths", "40,40"],
+     ["constructions", "emptiness", "semantics"]),
 ]
 
 
@@ -405,12 +431,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     # a call compiles and runs only these modules; the rest stay unloaded
     loaded = loaded_modules("import qbuchi.cli\nqbuchi.cli.main(sys.argv[1:])",
                             *_argv(argv, tmp_path))
-    base = ["automata", "cli", "numerics", "semantics"]
+    base = ["automata", "cli", "numerics"]
     assert loaded == ["qbuchi"] + sorted(f"qbuchi.{m}" for m in base + extra)
 
 
 @pytest.mark.parametrize("name,command", [
     ("union", "union"), ("decompose_nonhalting", "decompose"), ("check_emptiness", "emptiness"),
+    ("run_lasso", "run"),
 ])
 def test_a_patched_cli_name_is_what_the_command_calls(tmp_path, name, command):
     # perfbench's tracer wraps these names of qbuchi.cli, so a command reads

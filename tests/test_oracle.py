@@ -1,8 +1,12 @@
 """Every other output of the oracle corpus (tests/oracle.py), each checked
 against the inequalities its verdict claims."""
+import re
+from pathlib import Path
+
 import pytest
 
 import oracle
+from qbuchi import semantics
 from qbuchi.semantics import DEFAULT_VISIT_EPS
 
 JOBS = oracle.jobs()
@@ -90,3 +94,13 @@ def test_expect_fails_on_another_digest(monkeypatch, capsys):
     assert oracle.main(["--expect", "0" * 64]) == 1
     err = capsys.readouterr().err
     assert "0" * 64 in err and digest in err
+
+
+def test_the_names_the_oracle_imports_from_semantics_resolve():
+    # oracle scripts of older trees import the same names, so they keep
+    # reading this tree's outputs
+    source = Path(oracle.__file__).read_text()
+    names = {name.strip() for line in re.findall(r"from qbuchi\.semantics import (.+)", source)
+             for name in line.split(",")}
+    assert names == {"_json_text", "DEFAULT_BETA", "DEFAULT_EPSILON", "_LassoContext"}
+    assert all(hasattr(semantics, name) for name in names)
