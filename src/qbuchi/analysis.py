@@ -1,12 +1,12 @@
 """Structural analysis of the non-halting space.
 
-The non-halting span splits into a maximal invariant part, from which no
-halting probability is ever produced, and its orthogonal complement,
-where norm can only leak toward the halting states. The invariant part
-is computed by a descending chain of subspaces: starting from the whole
-non-halting span, each iteration keeps the vectors that every symbol
-unitary maps back into the current subspace. The chain stabilizes after
-at most dim-many proper steps.
+The non-halting span splits into a maximal invariant part S1, from which
+no halting probability is ever produced, and its orthogonal complement
+S2, where norm can only leak toward the halting states. S1's complement
+in the whole space is the closure K of the halting span under the adjoint
+symbol unitaries (Kalman's observability duality), built breadth first:
+level k adds the images U_w† h of halting vectors h under words w of
+length k, and the closure ends at the first level that adds nothing.
 
 Also provided: cycle-subspace and no-entry checks for single symbols,
 randomized verification of the decomposition properties, and a
@@ -34,12 +34,12 @@ CONVERGED_DELTA = 1e-15
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Invariant subspace, its complement, and the chain that produced them.
+    """Invariant subspace, its complement, and the closure that produced them.
 
-    chain_dims lists the dimension of every subspace in the descending
-    chain, starting with the full non-halting span; the last two entries
-    are equal because stabilization is confirmed by one extra iteration.
-    chain_length is the number of refinement iterations performed.
+    chain_dims lists dim - dim K after each level of the closure, from the
+    halting span alone (level 0) to the first level that adds nothing, so
+    the last two entries are equal; chain_length counts the levels after 0.
+    The bases are canonical: they depend only on S1 and S2, up to rounding.
     """
 
     s1: SubspaceBasis
@@ -53,36 +53,46 @@ def _outside(w: SubspaceBasis, x: np.ndarray) -> np.ndarray:
     return x - w.vectors.T @ (w.vectors.conj() @ x)
 
 
-def _invariant_part(start: SubspaceBasis, maps) -> tuple[SubspaceBasis, tuple[int, ...]]:
-    """The largest subspace of start that each of maps sends into itself,
-    and the dimensions of the descending chain that finds it: start's, then
-    one per refinement, the last of which confirms that the chain is stable."""
-    w, dims = start, [start.dim]
-    while True:
-        refined = w
-        if w.dim:
-            blocks = [_outside(w, m @ w.vectors.T) for m in maps]
-            coeff_basis = null_space(np.vstack(blocks))
-            refined = SubspaceBasis(coeff_basis.vectors @ w.vectors, start.ambient_dim)
-        dims.append(refined.dim)
-        if refined.dim == w.dim:
-            return refined, tuple(dims)
-        w = refined
-
-
-def _complement_within(whole: SubspaceBasis, part: SubspaceBasis) -> SubspaceBasis:
-    if part.dim == 0:
-        return whole
-    if part.dim == whole.dim:
-        return SubspaceBasis(np.zeros((0, whole.ambient_dim), dtype=np.complex128), whole.ambient_dim)
-    return SubspaceBasis.from_spanning(_outside(part, whole.vectors.T).T)
+def _canonical(p: np.ndarray) -> SubspaceBasis:
+    """The basis of the projector p's range that Gram-Schmidt over p's
+    columns in index order gives, each residual orthogonalized twice and
+    projected by p: column j joins when its squared residual exceeds
+    1/(e dim), scaled so that its entry j is real and positive. A unit range
+    vector orthogonal to the rows would have |x_j|^2 <= 1/(e dim) at every
+    j, a squared norm below 1, so none is missed; a transcendental bound
+    ties with no residual of a projector with algebraic entries."""
+    n = p.shape[0]
+    least = np.exp(-1.0) / n
+    rows = np.empty((n, n), dtype=np.complex128)
+    k = 0
+    for j in np.flatnonzero(p.diagonal().real > least):
+        r = p[:, j]
+        for _ in range(2):
+            r = r - (rows[:k] @ r.conj()).conj() @ rows[:k]
+        r = p @ r
+        norm_sq = np.vdot(r, r).real
+        if norm_sq > least:
+            rows[k] = r * (abs(r[j]) / r[j] / np.sqrt(norm_sq))
+            k += 1
+    return SubspaceBasis(rows[:k] + 0.0, n)  # + 0.0 writes -0 as 0
 
 
 def decompose_nonhalting(a: Mmqba) -> Decomposition:
     """Split the non-halting span into its maximal invariant part and the rest."""
-    s_non = SubspaceBasis.from_indices(a.nonhalting, a.dim)
-    s1, dims = _invariant_part(s_non, [a.unitary_for(sym) for sym in sorted(a.alphabet)])
-    return Decomposition(s1, _complement_within(s_non, s1), len(dims) - 1, dims)
+    # a row h @ conj(U) is the image U† h of the row h
+    adjoints = [a.unitary_for(sym).conj() for sym in sorted(a.alphabet)]
+    closure = level = SubspaceBasis.from_indices(a.halting, a.dim).vectors
+    dims = [a.dim - len(closure)]
+    while len(dims) < 2 or dims[-1] < dims[-2]:
+        images = np.vstack([level @ m for m in adjoints])
+        for _ in range(2):
+            images -= (images @ closure.conj().T) @ closure
+        level = SubspaceBasis.from_spanning(images).vectors
+        closure = np.vstack([closure, level])
+        dims.append(a.dim - len(closure))
+    p1 = null_space(closure.conj()).projector()
+    p2 = SubspaceBasis.from_indices(a.nonhalting, a.dim).projector() - p1
+    return Decomposition(_canonical(p1), _canonical(p2), len(dims) - 1, tuple(dims))
 
 
 def _require_within_nonhalting(a: Mmqba, s: SubspaceBasis):

@@ -49,6 +49,20 @@ def make_automaton(unitaries, accepting, rejecting, initial=0, alphabet=None):
     )
 
 
+def planted_automaton(rng, dim, invariant, symbols="ab") -> Mmqba:
+    """Block-diagonal: a Haar block on the first states with no halting
+    state in it, and a Haar block holding one accepting and one rejecting
+    state at its end."""
+    unitaries = {}
+    for sym in symbols:
+        u = np.zeros((dim, dim), dtype=complex)
+        u[:invariant, :invariant] = haar_unitary(rng, invariant)
+        u[invariant:, invariant:] = haar_unitary(rng, dim - invariant)
+        unitaries[sym] = u
+    return make_automaton(unitaries, accepting=[dim - 1], rejecting=[dim - 2],
+                          initial=invariant)
+
+
 def two_block_automaton() -> Mmqba:
     """Five states: a rotation block {q0,q1} that never produces halting
     probability, a rejecting sink q2 nobody reaches, and a leaking block

@@ -37,8 +37,14 @@ cycle phase: the same runs on four crafted automata from conftest
 1024 periods on the Haar automaton of dimension 27 that halt on the
 compiled path, and on that automaton a ladder of budgets 16, 32 and 64
 through one shared context, each verdict beside a fresh run's.
+After them, and closing the corpus, come the decompositions of the
+non-halting space: for every fixture, every crafted automaton above, the
+Haar automata of dimension 3 to 8, 16 and 27, and a planted automaton
+from conftest at dimensions 9 and 27, the dimensions of S1 and S2, the
+closure's chain_dims, and the canonical bases of S1 and S2.
 tests/test_oracle.py checks a slice of the corpus, with every job of the
-compiled path, against each verdict's own inequalities.
+compiled path, against each verdict's own inequalities, and every
+decomposition against the properties of its split.
 """
 from __future__ import annotations
 
@@ -184,7 +190,7 @@ def jobs() -> list:
                ("marker_split", marker_split_automaton())]
     for name, a in crafted:
         out += _searches(name, a, 6) + _short_runs(name, a)
-    return out + compiled_path_jobs()
+    return out + compiled_path_jobs() + decomposition_jobs()
 
 
 def compiled_path_jobs() -> list:
@@ -209,6 +215,33 @@ def compiled_path_jobs() -> list:
     out += [(f"ladder haar{dim} p={p} {mode}", lambda p=p, mode=mode: _ladder(a, words, p, mode))
             for p in LADDER_CUTPOINTS for mode in MODES]
     return out
+
+
+def _decompose(a) -> dict:
+    import qbuchi
+
+    d = qbuchi.decompose_nonhalting(a)
+    return {"s1_dim": d.s1.dim, "s2_dim": d.s2.dim, "chain_dims": list(d.chain_dims),
+            "s1_basis": np.stack([d.s1.vectors.real, d.s1.vectors.imag], axis=-1),
+            "s2_basis": np.stack([d.s2.vectors.real, d.s2.vectors.imag], axis=-1)}
+
+
+def decomposition_jobs() -> list:
+    """The decompositions of the non-halting space, one job per automaton,
+    each with its bases written as [re, im] pairs. They close the corpus."""
+    from qbuchi.fixtures import list_fixtures, load_fixture
+
+    import conftest
+
+    automata = [(name, load_fixture(name)) for name in list_fixtures()]
+    automata += [(name, getattr(conftest, f"{name}_automaton")())
+                 for name in ("rotation_leak", "marker_halts", "three_symbol", "two_block",
+                              "acc_then_rej", "marker_split", "accepted_fixed_point",
+                              "fixed_point", "draining_half", "chain_halt")]
+    automata += [(f"haar{dim}", _haar(np.random.default_rng(dim), dim)) for dim in DIMS]
+    automata += [(f"planted{dim}", conftest.planted_automaton(np.random.default_rng(dim), dim,
+                                                              dim // 3)) for dim in (9, 27)]
+    return [(f"decompose {name}", lambda a=a: _decompose(a)) for name, a in automata]
 
 
 def main(argv=None) -> int:

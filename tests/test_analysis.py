@@ -12,12 +12,15 @@ from qbuchi.analysis import (
     is_sigma_cycle_subspace,
     no_entry_check,
     verify_decomposition,
+    _canonical,
+    _outside,
     _random_member,
 )
-from qbuchi.numerics import SubspaceBasis
+from qbuchi.automata import _encode_matrix, _json_text
+from qbuchi.numerics import SubspaceBasis, null_space
 from qbuchi.semantics import LassoWord, StepRecord, _Kernel, _norm_sq, run_lasso, run_prefix
 
-from conftest import haar_unitary, make_automaton, two_block_automaton
+from conftest import haar_unitary, make_automaton, planted_automaton, two_block_automaton
 
 # (s1 dim, s2 dim, chain length) worked out by hand for every fixture
 EXPECTED_SPLITS = {
@@ -80,6 +83,130 @@ def test_decomposition_of_fully_halting_automaton():
     a = make_automaton({"a": np.eye(2)}, accepting=[0], rejecting=[1], initial=0)
     d = decompose_nonhalting(a)
     assert (d.s1.dim, d.s2.dim, d.chain_length) == (0, 0, 1)
+
+
+def _svd_chain(a):
+    """The descending chain that found S1 before the closure did: W_0 is
+    the non-halting span, and W_k+1 keeps the vectors of W_k that every
+    symbol unitary maps back into W_k, found from one SVD of the stacked
+    parts that leave W_k. Returns the chain's dimensions and S1's projector."""
+    w = SubspaceBasis.from_indices(a.nonhalting, a.dim)
+    dims = [w.dim]
+    while True:
+        refined = w
+        if w.dim:
+            blocks = [_outside(w, a.unitary_for(s) @ w.vectors.T) for s in sorted(a.alphabet)]
+            refined = SubspaceBasis(null_space(np.vstack(blocks)).vectors @ w.vectors, a.dim)
+        dims.append(refined.dim)
+        if refined.dim == w.dim:
+            return tuple(dims), refined.projector()
+        w = refined
+
+
+def _haar_automaton(rng, dim):
+    """Haar unitaries for one to three symbols and a random halting set,
+    split at random between accepting and rejecting."""
+    halting = rng.permutation(dim)[: int(rng.integers(0, dim + 1))]
+    n_acc = int(rng.integers(0, len(halting) + 1))
+    return make_automaton({s: haar_unitary(rng, dim) for s in "abc"[: int(rng.integers(1, 4))]},
+                          accepting=halting[:n_acc].tolist(), rejecting=halting[n_acc:].tolist())
+
+
+def _differential_cases():
+    from qbuchi.fixtures import list_fixtures, load_fixture
+
+    import conftest
+
+    cases = [(name, lambda name=name: load_fixture(name)) for name in list_fixtures()]
+    cases += [(name, getattr(conftest, name)) for name in sorted(vars(conftest))
+              if name.endswith("_automaton") and name not in ("make_automaton", "planted_automaton")]
+    for dim in range(3, 13):
+        cases += [(f"haar{dim}-{k}", lambda dim=dim, k=k: _haar_automaton(
+            np.random.default_rng([dim, k]), dim)) for k in range(3)]
+        cases += [(f"planted{dim}-{inv}", lambda dim=dim, inv=inv: planted_automaton(
+            np.random.default_rng([dim, inv]), dim, inv, "abc"[: 1 + inv % 3]))
+            for inv in range(1, dim - 1)]
+    return cases
+
+
+DIFFERENTIAL_CASES = dict(_differential_cases())
+
+
+@pytest.mark.parametrize("make", list(DIFFERENTIAL_CASES.values()), ids=list(DIFFERENTIAL_CASES))
+def test_closure_matches_the_svd_chain(make):
+    a = make()
+    d = decompose_nonhalting(a)
+    dims, p1 = _svd_chain(a)
+    assert (d.chain_dims, d.chain_length) == (dims, len(dims) - 1)
+    assert (d.s1.dim, d.s2.dim) == (dims[-1], len(a.nonhalting) - dims[-1])
+    assert np.abs(d.s1.projector() - p1).max(initial=0.0) <= 1e-12
+    p2 = SubspaceBasis.from_indices(a.nonhalting, a.dim).projector() - p1
+    assert np.abs(d.s2.projector() - p2).max(initial=0.0) <= 1e-12
+
+
+def _random_span(rng, dim, kind):
+    """An orthonormal basis (one vector a row) of a random subspace of
+    dimension 1 to dim - 1: Haar, Fourier rows, or coordinate vectors tilted
+    by small Haar rotations."""
+    k = int(rng.integers(1, dim))
+    if kind == "haar":
+        return haar_unitary(rng, dim)[:k]
+    if kind == "fourier":
+        rows = np.sort(rng.permutation(dim)[:k])
+        return np.exp(2j * np.pi * np.outer(rows, np.arange(dim)) / dim) / np.sqrt(dim)
+    tilt = haar_unitary(rng, dim)
+    tilt = np.linalg.qr(np.eye(dim) + 0.3 * (tilt - np.eye(dim)))[0]
+    return (tilt @ np.eye(dim)[np.sort(rng.permutation(dim)[:k])].T).T
+
+
+@pytest.mark.parametrize("kind", ["haar", "fourier", "tilted"])
+def test_canonical_basis_spans_the_range_with_real_pivots(kind):
+    rng = np.random.default_rng(["haar", "fourier", "tilted"].index(kind))
+    for dim in range(4, 41):
+        for _ in range(20):
+            b = _random_span(rng, dim, kind)
+            p = b.T @ b.conj()
+            rows = _canonical(p).vectors
+            assert rows.shape == b.shape
+            assert np.abs(rows @ rows.conj().T - np.eye(len(rows))).max() <= 1e-12
+            assert np.abs(rows.T @ rows.conj() - p).max() <= 1e-12
+            # a row's pivot is its first entry above 1/(e dim) in square,
+            # and the later rows vanish there
+            pivots = [int(np.argmax(np.abs(r) ** 2 > np.exp(-1.0) / dim)) for r in rows]
+            assert pivots == sorted(set(pivots))
+            for i, j in enumerate(pivots):
+                assert rows[i, j].real > 0.0 and abs(rows[i, j].imag) <= 1e-15
+                assert np.abs(rows[i + 1:, j]).max(initial=0.0) <= 1e-12
+
+
+def test_canonical_basis_depends_only_on_the_subspace():
+    rng = np.random.default_rng(12)
+    for dim in range(4, 41, 3):
+        for kind in ("haar", "fourier", "tilted"):
+            b = _random_span(rng, dim, kind)
+            turned = haar_unitary(rng, len(b)) @ b
+            one, other = (_canonical(x.T @ x.conj()).vectors for x in (b, turned))
+            assert np.abs(one - other).max() <= 1e-12
+
+
+def test_canonical_basis_of_a_span_with_a_rational_residual():
+    # in the span of Fourier rows 0 and 1 at dimension 6, column 1 leaves a
+    # squared residual of exactly 1/12 = 1/(2 dim) after column 0, so a
+    # bound of 1/(2 dim) would let rounding decide whether it joins
+    rng = np.random.default_rng(3)
+    b = np.exp(2j * np.pi * np.outer([0, 1], np.arange(6)) / 6) / np.sqrt(6)
+    want = _canonical(b.T @ b.conj()).vectors
+    for _ in range(20):
+        turned = haar_unitary(rng, 2) @ b
+        assert np.abs(_canonical(turned.T @ turned.conj()).vectors - want).max() <= 1e-12
+
+
+def test_canonical_basis_of_coordinate_vectors_is_those_vectors():
+    # negated coordinate rows put -0 into the projector
+    rows = -np.eye(6, dtype=complex)[[4, 1, 3]]
+    got = _canonical(rows.T @ rows.conj()).vectors
+    assert np.array_equal(got, np.eye(6)[[1, 3, 4]])
+    assert "-0" not in _json_text(_encode_matrix(got))
 
 
 def test_s1_runs_never_halt(fixtures):
@@ -200,22 +327,8 @@ def _three_loop_verify(a, d, word_len, trials, seed):
                                s2_trials, tuple(trajectories), mixed_dev)
 
 
-def _planted_automaton(rng, dim, invariant, symbols="ab"):
-    """Block-diagonal: a Haar block on the first states with no halting
-    state in it, and a Haar block holding one accepting and one rejecting
-    state at its end."""
-    unitaries = {}
-    for sym in symbols:
-        u = np.zeros((dim, dim), dtype=complex)
-        u[:invariant, :invariant] = haar_unitary(rng, invariant)
-        u[invariant:, invariant:] = haar_unitary(rng, dim - invariant)
-        unitaries[sym] = u
-    return make_automaton(unitaries, accepting=[dim - 1], rejecting=[dim - 2],
-                          initial=invariant)
-
-
 def _three_symbol_automaton():
-    return _planted_automaton(np.random.default_rng(6), 9, 4, "abc")
+    return planted_automaton(np.random.default_rng(6), 9, 4, "abc")
 
 
 def _assert_reports_agree(new, old, trials=None):
@@ -243,7 +356,7 @@ def _assert_reports_agree(new, old, trials=None):
 def test_block_verify_matches_three_loops(fixtures, which):
     a = {
         "two_block": lambda: two_block_automaton(),
-        "planted": lambda: _planted_automaton(np.random.default_rng(5), 8, 3),
+        "planted": lambda: planted_automaton(np.random.default_rng(5), 8, 3),
         "s1_only": lambda: fixtures["no_entry"],
         "s2_only": lambda: fixtures["lang_ab_cycle"],
         "three_symbols": _three_symbol_automaton,

@@ -103,6 +103,16 @@ def test_all_lists_the_public_names_of_the_package():
             assert namespace[name] is getattr(home, name) is getattr(qbuchi, name)
 
 
+def test_the_names_perfbench_traces_resolve(monkeypatch):
+    # perfbench/tracing.py swaps these names for timed wrappers in a traced
+    # pass; a refactor that drops one would fail only the traced benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for module, attr, _, _ in tracing.TARGETS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    assert isinstance(qbuchi.SubspaceBasis.__dict__.get("from_spanning"), classmethod)
+
+
 SOURCE_FILES = sorted(Path(qbuchi.__file__).parent.glob("*.py"))
 
 

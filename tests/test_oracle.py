@@ -3,6 +3,7 @@ against the inequalities its verdict claims."""
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracle
@@ -11,8 +12,11 @@ from qbuchi.semantics import DEFAULT_VISIT_EPS
 
 JOBS = oracle.jobs()
 N_COMPILED_PATH = len(oracle.compiled_path_jobs())
-# every other job of the corpus, and every job of the compiled path, which closes it
-SLICE = JOBS[:-N_COMPILED_PATH:2] + JOBS[-N_COMPILED_PATH:]
+DECOMPOSITIONS = oracle.decomposition_jobs()
+RUNS = JOBS[:-len(DECOMPOSITIONS)]
+# every other job of the runs and searches, and every job of the compiled
+# path, which closes them
+SLICE = RUNS[:-N_COMPILED_PATH:2] + RUNS[-N_COMPILED_PATH:]
 
 
 def _check_verdict(v, p, budget):
@@ -82,6 +86,21 @@ def test_oracle_slice_keeps_each_verdicts_inequalities():
             check(out)
         except AssertionError as e:
             raise AssertionError(f"{label}: {e}") from e
+
+
+def test_oracle_decompositions_split_the_non_halting_space():
+    assert [label for label, _ in JOBS[len(RUNS):]] == [label for label, _ in DECOMPOSITIONS]
+    for label, job in DECOMPOSITIONS:
+        out = job()
+        dims = out["chain_dims"]
+        s1, s2 = (np.asarray(out[k])[..., 0] + 1j * np.asarray(out[k])[..., 1]
+                  for k in ("s1_basis", "s2_basis"))
+        # the closure grows until a level adds nothing, and S1 is what it leaves
+        assert all(x > y for x, y in zip(dims, dims[1:-1])) and dims[-1] == dims[-2], label
+        assert (len(s1), len(s2)) == (out["s1_dim"], out["s2_dim"]) and out["s1_dim"] == dims[-1]
+        both = np.concatenate([s1, s2])
+        assert len(both) == dims[0], label
+        assert np.abs(both @ both.conj().T - np.eye(len(both))).max(initial=0.0) <= 1e-12, label
 
 
 def test_expect_fails_on_another_digest(monkeypatch, capsys):
