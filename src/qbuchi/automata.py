@@ -103,8 +103,8 @@ def default_tolerance() -> float:
         tol = float(raw)
     except ValueError:
         raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from None
-    if not tol > 0:
-        raise ValueError(f"{TOL_ENV_VAR} must be positive, got {raw!r}")
+    if not 0 < tol < math.inf:  # inf would pass any finite matrix as unitary
+        raise ValueError(f"{TOL_ENV_VAR} must be finite and positive, got {raw!r}")
     return tol
 
 

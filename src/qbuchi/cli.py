@@ -6,8 +6,8 @@ unreadable file, 65 malformed or inconsistent input data, which is
 checked before option values. Machine output
 (--json, CSV traces) prints floats with 17 significant digits and is
 byte-identical across identical invocations, except for bench, whose
-timings are inherently run-dependent. The QBA_TOL environment variable overrides
-the default validation tolerance.
+timings are inherently run-dependent. The QBA_TOL environment variable, a
+finite positive float, overrides the default validation tolerance.
 """
 from __future__ import annotations
 
@@ -78,9 +78,18 @@ def _load(path: str) -> automata.Mmqba:
         raise _CliError(EX_DATAERR, str(e))
 
 
-def _load_valid(path: str) -> automata.Mmqba:
+def _checked(path: str):
+    """The automaton at path and its violations at QBA_TOL, read once it has loaded."""
     a = _load(path)
-    violations = automata.validate(a)
+    try:
+        tol = automata.default_tolerance()
+    except ValueError as e:
+        raise _CliError(EX_USAGE, str(e))
+    return a, automata.validate(a, tol)
+
+
+def _load_valid(path: str) -> automata.Mmqba:
+    a, violations = _checked(path)
     if violations:
         listing = "; ".join(str(v) for v in violations)
         raise _CliError(EX_DATAERR, f"{path}: invalid automaton: {listing}")
@@ -95,8 +104,7 @@ def _check_symbols(a: automata.Mmqba, symbols) -> None:
 
 
 def cmd_validate(args) -> int:
-    a = _load(args.file)
-    violations = automata.validate(a)
+    violations = _checked(args.file)[1]
     if args.json:
         _print_json(
             {
@@ -135,7 +143,7 @@ def cmd_run(args) -> int:
             _cli.LassoWord(args.prefix, args.cycle),
             Cutpoint(args.cutpoint),
             record_trace=args.trace is not None,
-            **_given(max_periods=args.periods, beta=args.beta, mode=args.mode),
+            **_given(max_periods=args.periods, mode=args.mode),
         )
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
@@ -168,7 +176,7 @@ def cmd_emptiness(args) -> int:
     a = _load_valid(args.file)
     try:
         p = Cutpoint(args.cutpoint)
-        budget = _cli.SearchBudget(**_given(max_rounds=args.rounds, beta=args.beta))
+        budget = _cli.SearchBudget(**_given(max_rounds=args.rounds))
         result = _cli.check_emptiness(a, p, budget, **_given(mode=args.mode))
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
@@ -307,7 +315,6 @@ def _add_test_flags(p: argparse.ArgumentParser):
         const="LITERAL",
         help="use the plain rej < p check and return at the first success",
     )
-    p.add_argument("--beta", type=float, help="required accepting-visit frequency per period")
 
 
 def build_parser() -> argparse.ArgumentParser:

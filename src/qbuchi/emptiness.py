@@ -36,7 +36,6 @@ from .automata import END_MARKER, Mmqba, _check_count, _check_word
 from .constructions import union
 from .semantics import (
     CERTIFIED,
-    DEFAULT_BETA,
     LassoWord,
     Status,
     Verdict,
@@ -48,10 +47,8 @@ from .semantics import (
 @dataclass(frozen=True)
 class SearchBudget:
     max_rounds: int = 6
-    beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        # beta is checked with the rest of the test, by the search's lasso context
         object.__setattr__(self, "max_rounds", _check_count("max_rounds", self.max_rounds))
 
 
@@ -100,7 +97,7 @@ def check_emptiness(
     if budget is None:
         budget = SearchBudget()
     symbols = sorted(a.alphabet)
-    context = _LassoContext(a, p, budget.beta, mode)
+    context = _LassoContext(a, p, mode)
     # a settled row below makes no run_lasso call, so its word check is made here
     _check_word(context.kernel.symbols, "".join(symbols))
     tried = 0

@@ -11,11 +11,10 @@ per symbol after the end marker.
 A lasso word u v^omega is accepted at cutpoint p when the accepting mass
 reaches p (up to the fixed slack DEFAULT_EPSILON, a floating-point guard),
 the rejecting mass provably stays below p, and accepting visits keep a
-frequency of at least beta per simulated cycle repetition. The
-visit-frequency test is a finite-horizon heuristic for the
-infinitely-many-visits clause; it is reported in the verdict so callers
-can audit or tighten it. Rejection certificates are sound: once one holds
-it holds forever.
+frequency of at least the fixed DEFAULT_BETA per simulated cycle
+repetition. The visit-frequency test is a finite-horizon heuristic for
+the infinitely-many-visits clause, and the verdict reports its beta.
+Rejection certificates are sound: once one holds it holds forever.
 
 A long run at state dimension 16 and up may apply its undecided cycle
 periods as compiled maps, in blocks of eight periods or one period at a
@@ -122,8 +121,11 @@ CSV_HEADER = "j,symbol,alpha,rho,acc,rej,nonhalt_norm_sq"
 def trace_to_csv(records: Sequence[StepRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
+        symbol = r.symbol
+        if any(c in symbol for c in ',"\r\n'):  # RFC 4180 quoting keeps seven fields
+            symbol = '"' + symbol.replace('"', '""') + '"'
         lines.append(
-            f"{r.j},{r.symbol},{_f17(r.alpha)},{_f17(r.rho)},"
+            f"{r.j},{symbol},{_f17(r.alpha)},{_f17(r.rho)},"
             f"{_f17(r.acc)},{_f17(r.rej)},{_f17(r.nonhalt_norm_sq)}"
         )
     return "\n".join(lines) + "\n"
@@ -289,15 +291,15 @@ class _LassoContext:
     """Kernel, acceptance test, prefix table, phase table and transition
     table of run_lasso calls.
 
-    The constructor is the one place where the test (p, beta, mode) is
-    checked, advance is where it is applied, and run_word runs a lasso
-    word under it. The prefix phase of a run depends only on the
-    automaton, the prefix and the test, so its outcome is kept per
-    prefix: a settled REJECTED verdict, or the _Run after '#u'. Prefixes
-    whose runs reach bitwise the same state share one _Run, and the cycle
-    phase depends only on that state, the cycle, the test and the budget,
-    so the phase table keeps its outcome per (start state, cycle), as
-    run_word describes.
+    The constructor is the one place where the test (p, mode) is checked,
+    advance is where it is applied, and run_word runs a lasso word under
+    it. The prefix phase of a run depends only on the automaton, the
+    prefix and the test, so its outcome is kept per prefix: a settled
+    REJECTED verdict, or the _Run after '#u'. The cycle phase depends only
+    on that run's state, the cycle, the test and the budget, so the phase
+    table keeps its outcome per (start state, cycle), keyed on the state's
+    content: prefixes whose runs reach bitwise the same state share their
+    cycle phases, as run_word describes.
     A measured step depends only on the bytes of its state and on its
     symbol, so the transition table keeps, per (psi.tobytes(), symbol),
     the new state, read-only, and the step's (alpha, rho, nh): runs that
@@ -311,19 +313,16 @@ class _LassoContext:
     leaves no non-halting mass, by the same rule as every later state.
     """
 
-    def __init__(self, a: Mmqba, p: float, beta: float, mode: str,
-                 records: list | None = None):
+    def __init__(self, a: Mmqba, p: float, mode: str, records: list | None = None):
         p = _check_cutpoint(p)
         # the accept test is acc >= p - DEFAULT_EPSILON, which p <= DEFAULT_EPSILON
         # makes vacuous; NaN fails every comparison below
         if not p > DEFAULT_EPSILON:
             raise ValueError(f"cutpoint must exceed epsilon {DEFAULT_EPSILON!r}, got {p!r}")
-        if not 0.0 < beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {beta!r}")
         if mode not in (CERTIFIED, LITERAL):
             raise ValueError(f"mode must be {CERTIFIED!r} or {LITERAL!r}")
         self.kernel = _Kernel(a)
-        self.p, self.beta, self.mode = p, beta, mode
+        self.p, self.mode = p, mode
         self.records = records
         psi, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
         psi.flags.writeable = False
@@ -331,11 +330,10 @@ class _LassoContext:
         root = _Run(psi, alpha, rho, 0, nh <= _HALTED_SQ)
         if not a.accepting:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, alpha, rho, nh, 0, 0)
-        self.states = {}
         self.phases = {}
         self.transitions = {}
         self.max_transitions = _TRANSITION_BYTES // (32 * a.dim + 512)
-        self.prefixes = {"": self.intern(root)}
+        self.prefixes = {"": root}
 
     def verdict(self, status, reason, acc, rej, nh, visits, periods) -> Verdict:
         records = self.records
@@ -347,22 +345,22 @@ class _LassoContext:
             visit_count=visits,
             periods_simulated=periods,
             reason=reason,
-            beta=self.beta,
+            beta=DEFAULT_BETA,
             epsilon=DEFAULT_EPSILON,
             mode=self.mode,
             trace=tuple(records) if records is not None else None,
         )
 
-    def advance(self, run: _Run, word: str, periods: int, need: float):
+    def advance(self, run: _Run, word: str, periods: int):
         """Step run through word and apply every certificate after each step.
 
         Returns the verdict that settles the run (REJECTED, or ACCEPTED in
         literal mode), or the run after word. A cycle period stops early at
         the step where the non-halting mass is gone; a prefix (periods 0)
         is stepped to its end, since the cycle starts from the state after
-        the whole prefix. The accept test needs visits >= need; the prefix
-        phase passes math.inf, so a prefix never accepts. A verdict reports
-        periods as its periods_simulated, and a trace record its place in
+        the whole prefix. The accept test needs visits >= DEFAULT_BETA *
+        periods; a prefix never accepts. A verdict reports periods as its
+        periods_simulated, and a trace record its place in
         records as its step number. Each step is taken from the transition
         table, and stepped and stored there when it is not held; each run
         keeps its own sums, visits and records, so every float is that of
@@ -374,6 +372,7 @@ class _LassoContext:
         p, mode = self.p, self.mode
         low = p - DEFAULT_EPSILON
         visit_eps, halt_sq = DEFAULT_VISIT_EPS, _HALTED_SQ
+        need = DEFAULT_BETA * periods if periods else math.inf
         psi, acc, rej, visits, halted, accepted = run
         for sym in word:
             key = (psi.tobytes(), sym)
@@ -473,9 +472,9 @@ class _LassoContext:
         Within an application the non-halting mass is the mass at its start
         less what has halted, and after its last step it is the norm of the
         new state. An application's steps are tested at the need of its
-        first period: need only grows, so periods that do not accept at it
-        would not accept at their own, larger needs. It is discarded if a
-        step settles the run, sets accepted or halts it, or if its last
+        first period, DEFAULT_BETA * k: need only grows, so periods that do
+        not accept at it would not accept at their own, larger needs. It is
+        discarded if a step settles the run, sets accepted or halts it, or if its last
         period leaves both sums as they were and halts no more than
         _FIXED_POINT_SQ of the mass at its start, unless it is a single
         period that moves the state by more than _FIXED_POINT_SQ of its
@@ -512,7 +511,7 @@ class _LassoContext:
         p, low = self.p, self.p - DEFAULT_EPSILON
         stop = (rej[1:] >= p) | (acc[1:] + nh < low) | (nh <= _HALTED_SQ)
         if not run.accepted:
-            need = np.repeat(self.beta * (k + periods * np.arange(count)), steps)
+            need = np.repeat(DEFAULT_BETA * (k + periods * np.arange(count)), steps)
             rej_ok = rej[1:] + nh < p if self.mode == CERTIFIED else rej[1:] < p
             stop |= (acc[1:] >= low) & (visits >= need) & rej_ok
         stop = stop.reshape(count, steps).any(axis=1)
@@ -536,20 +535,8 @@ class _LassoContext:
         return _Run(states[kept], float(acc[n]), float(rej[n]), int(visits[n - 1]),
                     False, run.accepted), kept
 
-    def intern(self, entry):
-        """entry, or the _Run kept first for the same state when entry is a
-        _Run.
-
-        Two runs share a state when psi has the same bytes and acc, rej,
-        visits, halted and accepted are equal. The kept _Run stays in
-        self.states, so its id names the state in the phase table.
-        """
-        if isinstance(entry, Verdict):
-            return entry
-        return self.states.setdefault((entry.psi.tobytes(), *entry[1:]), entry)
-
     def after(self, u: str):
-        """The prefix-phase outcome of u, memoized and interned.
+        """The prefix-phase outcome of u, memoized.
 
         It is built on the entry for u[:-1] when that is known, as in a
         search, which asks for prefixes in order of length; otherwise
@@ -560,7 +547,7 @@ class _LassoContext:
             base = u[:-1] if u[:-1] in self.prefixes else ""
             entry = self.prefixes[base]
             if isinstance(entry, _Run):
-                entry = self.intern(self.advance(entry, u[len(base):], 0, math.inf))
+                entry = self.advance(entry, u[len(base):], 0)
             self.prefixes[u] = entry
         return entry
 
@@ -587,7 +574,7 @@ class _LassoContext:
         if isinstance(start, Verdict):
             return start
         cycle = w.cycle
-        key = (id(start), cycle)
+        key = (start.psi.tobytes(), *start[1:], cycle)
         entry = self.phases.get(key)
         run, k = start, 0
         if entry is not None:
@@ -622,7 +609,6 @@ class _LassoContext:
         A discarded block is taken again one period at a time, and a
         discarded period is stepped; only stepped periods need the checks.
         """
-        beta = self.beta
         g = gk = None
         # periods up to this one are tried one at a time after a discarded block
         singles_until = 0
@@ -651,7 +637,7 @@ class _LassoContext:
                     singles_until = k + _BLOCK
                     continue
             k += 1
-            prev, run = run, self.advance(run, cycle, k, beta * k)
+            prev, run = run, self.advance(run, cycle, k)
             if isinstance(run, Verdict):
                 return run, None
             if run.halted:
@@ -679,7 +665,6 @@ def run_lasso(
     p: float,
     *,
     max_periods: int = DEFAULT_MAX_PERIODS,
-    beta: float = DEFAULT_BETA,
     mode: str = CERTIFIED,
     record_trace: bool = False,
     _context: _LassoContext | None = None,
@@ -708,13 +693,13 @@ def run_lasso(
     dimension 16 and up may apply its cycle periods compiled, as
     _LassoContext.compiled_run describes. _context is private:
     check_emptiness passes one context, built for a and p, to all its
-    candidates, and that context supplies the test, so beta and mode are
-    not read. A context for another automaton or cutpoint, or a traced
+    candidates, and that context supplies the test, so mode is not
+    read. A context for another automaton or cutpoint, or a traced
     run, is refused.
     """
     max_periods = _check_count("max_periods", max_periods)
     if _context is None:
-        context = _LassoContext(a, p, beta, mode, [] if record_trace else None)
+        context = _LassoContext(a, p, mode, [] if record_trace else None)
     elif _context.kernel.a is a and _context.p == p and not record_trace:
         context = _context
     else:

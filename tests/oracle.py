@@ -103,9 +103,9 @@ def _ladder(a, words, p, mode) -> dict:
     """Every word at each budget of LADDER in turn, through one shared
     context as a search runs them, each with a fresh run's verdict."""
     import qbuchi
-    from qbuchi.semantics import DEFAULT_BETA, DEFAULT_EPSILON, _LassoContext
+    from qbuchi.semantics import DEFAULT_EPSILON, _LassoContext
 
-    context = _LassoContext(a, p, DEFAULT_BETA, mode)
+    context = _LassoContext(a, p, mode)
     runs = []
     for budget in LADDER:
         for w in words:

@@ -525,9 +525,11 @@ def test_default_tolerance_env(monkeypatch):
     monkeypatch.setenv("QBA_TOL", "bogus")
     with pytest.raises(ValueError):
         default_tolerance()
-    monkeypatch.setenv("QBA_TOL", "-1")
-    with pytest.raises(ValueError):
-        default_tolerance()
+    # inf would pass every finite matrix as unitary
+    for bad in ("-1", "0", "nan", "inf"):
+        monkeypatch.setenv("QBA_TOL", bad)
+        with pytest.raises(ValueError, match="QBA_TOL must be finite and positive"):
+            default_tolerance()
 
 
 def test_cutpoint_range_and_warning():

@@ -114,8 +114,9 @@ BAD_TEST_FLAGS = [
     for flag, low in (("--beta", "0"), ("--epsilon", "-1"), ("--visit-eps", "0"))
     for value in (low, "nan", "inf")
 ] + [
-    # the accept slack and the visit threshold are fixed, so their flags are
-    # refused whatever the value
+    # the accept slack, the visit threshold and beta are fixed, so their
+    # flags are refused whatever the value
+    ("--beta", "0.5"), ("--beta", "1"),
     ("--epsilon", "0.8"), ("--epsilon", "1"),
     ("--visit-eps", "0.5"), ("--visit-eps", "1"), ("--visit-eps", "2"),
 ]
@@ -157,9 +158,8 @@ def test_usage_errors_exit_64(argv):
 OPTIONS = {
     "validate": ["-h", "--help", "--json"],
     "run": ["-h", "--help", "--prefix", "--cycle", "--cutpoint", "--periods", "--trace",
-            "--format", "--certify", "--literal", "--beta", "--json"],
-    "emptiness": ["-h", "--help", "--cutpoint", "--rounds", "--certify", "--literal",
-                  "--beta", "--json"],
+            "--format", "--certify", "--literal", "--json"],
+    "emptiness": ["-h", "--help", "--cutpoint", "--rounds", "--certify", "--literal", "--json"],
     "union": ["-h", "--help", "-o", "--output"],
     "decompose": ["-h", "--help", "--json"],
     "check-cycle": ["-h", "--help", "--symbol", "--subspace", "--json"],
@@ -174,13 +174,13 @@ def test_option_surface_is_pinned():
     assert {name: [flag for action in sub._actions for flag in action.option_strings]
             for name, sub in commands.items()} == OPTIONS
     assert list(inspect.signature(run_lasso).parameters) == [
-        "a", "w", "p", "max_periods", "beta", "mode", "record_trace", "_context"]
+        "a", "w", "p", "max_periods", "mode", "record_trace", "_context"]
     assert list(inspect.signature(check_emptiness).parameters) == ["a", "p", "budget", "mode"]
-    assert [f.name for f in dataclasses.fields(SearchBudget)] == ["max_rounds", "beta"]
+    assert [f.name for f in dataclasses.fields(SearchBudget)] == ["max_rounds"]
 
 
 # The parser holds no copy of a library default: a call that leaves out
-# --periods, --beta, --rounds and the mode flags is the library's default call.
+# --periods, --rounds and the mode flags is the library's default call.
 def test_run_without_options_is_the_default_run_lasso_call():
     r = qbuchi("run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "0.6", "--json")
     verdict = run_lasso(automata.load(fixture_path("lang_a_omega")), LassoWord("", "a"), 0.6)
@@ -200,14 +200,6 @@ def test_emptiness_without_options_is_the_default_search(name, p):
         "candidates_tried": result.candidates_tried,
         "rounds_completed": result.rounds_completed,
     }) + "\n"
-
-
-@pytest.mark.parametrize("flag", ["--beta"])
-def test_bad_test_flag_has_one_message(flag):
-    run = qbuchi(*RUN_ARGV, flag, "nan")
-    emptiness = qbuchi(*EMPTINESS_ARGV, flag, "nan")
-    assert run.stderr.startswith(b"qbuchi: error: ")
-    assert run.stderr == emptiness.stderr
 
 
 def test_epsilon_above_cutpoint_has_one_message():
@@ -249,8 +241,8 @@ def test_symbol_outside_alphabet_exits_65():
     assert b"alphabet" in r.stderr
 
 
-@pytest.mark.parametrize("extra", [[], ["--beta", "nan"], ["--cutpoint", "2"], ["--periods", "0"]],
-                         ids=["alone", "bad-beta", "bad-cutpoint", "bad-periods"])
+@pytest.mark.parametrize("extra", [[], ["--cutpoint", "2"], ["--periods", "0"]],
+                         ids=["alone", "bad-cutpoint", "bad-periods"])
 def test_word_symbols_are_checked_before_option_values(extra):
     # a symbol outside the alphabet is input data (65), and the document
     # and the word are checked before any option value (64)
@@ -433,6 +425,24 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
                             *_argv(argv, tmp_path))
     base = ["automata", "cli", "numerics"]
     assert loaded == ["qbuchi"] + sorted(f"qbuchi.{m}" for m in base + extra)
+
+
+@pytest.mark.parametrize("tol,message", [
+    ("bogus", "QBA_TOL must be a float, got 'bogus'"),
+    *((tol, f"QBA_TOL must be finite and positive, got {tol!r}") for tol in ("-1", "nan", "inf")),
+], ids=["bogus", "negative", "nan", "inf"])
+def test_a_bad_qba_tol_is_a_usage_error_on_every_command(tmp_path, monkeypatch, capsys,
+                                                          tol, message):
+    # the tolerance is an option value, read once the document has loaded;
+    # inf would pass every finite matrix as unitary
+    monkeypatch.setenv("QBA_TOL", tol)
+    bad = tmp_path / "bad.qba"
+    bad.write_text("{")
+    for argv, _ in COMMAND_MODULES:
+        assert cli.main(_argv(argv, tmp_path)) == 64, argv[0]
+        assert capsys.readouterr() == ("", f"qbuchi: error: {message}\n")
+        assert cli.main(_argv([argv[0], bad, *argv[2:]], tmp_path)) == 65, argv[0]
+        assert capsys.readouterr().err.startswith("qbuchi: error: parse error")
 
 
 @pytest.mark.parametrize("name,command", [

@@ -16,7 +16,6 @@ from qbuchi.emptiness import (
 )
 from qbuchi.semantics import (
     CERTIFIED,
-    DEFAULT_BETA,
     DEFAULT_EPSILON,
     LITERAL,
     REASON_ACC_REFUTED,
@@ -146,7 +145,7 @@ def _plain_search(a, p, budget, mode):
                     continue
                 tried += 1
                 w = LassoWord(u, v)
-                verdict = run_lasso(a, w, p, max_periods=2 ** r, beta=budget.beta, mode=mode)
+                verdict = run_lasso(a, w, p, max_periods=2 ** r, mode=mode)
                 if verdict.status is Status.ACCEPTED:
                     return SearchResult(SearchStatus.NONEMPTY, (w, verdict), tried, r)
                 if verdict.status is Status.REJECTED:
@@ -230,8 +229,8 @@ def test_search_matches_plain_loop_on_crafted_automata(make, p, lasso, expected,
 
 def test_run_lasso_with_a_shared_context_matches_single_runs():
     p = 0.7
-    default = dict(beta=DEFAULT_BETA, mode=CERTIFIED)
-    other = dict(beta=0.25, mode=LITERAL)
+    default = dict(mode=CERTIFIED)
+    other = dict(mode=LITERAL)
     differs = False
     for a in (_haar_automaton(4), marker_halts_automaton(), acc_then_rej_automaton()):
         symbols = sorted(a.alphabet)
@@ -247,7 +246,7 @@ def test_run_lasso_with_a_shared_context_matches_single_runs():
     # so a context whose test went unused would fail the loop above
     assert differs
     refuted = _no_accepting_state()
-    context = _LassoContext(refuted, p, DEFAULT_BETA, CERTIFIED)
+    context = _LassoContext(refuted, p, CERTIFIED)
     first = run_lasso(refuted, LassoWord("", "a"), p, _context=context)
     assert run_lasso(refuted, LassoWord("ba", "b"), p, _context=context) is first
     with pytest.raises(ValueError):
@@ -352,14 +351,15 @@ def test_shared_context_answers_every_budget_order_as_fresh_runs(
     words = [LassoWord("".join(u), v) for n in range(4)
              for u in itertools.product(symbols, repeat=n) for v in cycles]
     calls = [(w, n) for w in words for n in budgets]
-    context = _LassoContext(a, p, DEFAULT_BETA, mode)
+    context = _LassoContext(a, p, mode)
     for i in np.random.default_rng(len(calls)).permutation(len(calls)):
         w, n = calls[i]
         shared = run_lasso(a, w, p, max_periods=n, _context=context)
         fresh = run_lasso(a, w, p, max_periods=n, mode=mode)
         assert repr(shared.to_dict()) == repr(fresh.to_dict()), (w, n)
     open_prefixes = [e for e in context.prefixes.values() if not isinstance(e, Verdict)]
-    assert (len(context.states) < len(open_prefixes)) == collide
+    states = {(run.psi.tobytes(), *run[1:]) for run in open_prefixes}
+    assert (len(states) < len(open_prefixes)) == collide
 
 
 PLAIN_LOOP_CASES = [
@@ -496,6 +496,24 @@ def test_search_simulates_each_cycle_phase_once(fixtures, monkeypatch):
     assert steps == ["#", "a", "b"]
 
 
+def test_prefixes_that_reach_one_state_share_its_cycle_phases(fixtures, monkeypatch):
+    # as 'b' is the identity of lang_inf_a, its prefixes reach few distinct
+    # states, and the phase table is keyed on a state's content, so a pair
+    # whose prefix reaches a state already run with its cycle and budget
+    # is answered from the table: 1153 phases when each prefix kept its own
+    phases = []
+    cycle_phase = _LassoContext.cycle_phase
+
+    def counted(self, *args):
+        phases.append(args)
+        return cycle_phase(self, *args)
+
+    monkeypatch.setattr(_LassoContext, "cycle_phase", counted)
+    res = check_emptiness(fixtures["lang_inf_a"], 1.0)
+    assert res.candidates_tried == 1153
+    assert len(phases) == 235
+
+
 def test_search_never_writes_a_shared_state(monkeypatch):
     contexts = []
     context = emptiness._LassoContext
@@ -517,7 +535,7 @@ def test_search_never_writes_a_shared_state(monkeypatch):
     (context,) = contexts
     table = [psi for psi, *_ in context.transitions.values()]
     assert len(table) > 1000
-    runs = [run.psi for run in context.states.values()]
+    runs = [run.psi for run in context.prefixes.values() if not isinstance(run, Verdict)]
     for psi in table + runs:
         kept, copy = stepped[id(psi)]
         assert kept is psi and not psi.flags.writeable
@@ -543,17 +561,12 @@ def test_search_transition_table_stays_within_its_budget(monkeypatch):
     assert peak < budget + 250_000
 
 
-def test_budget_validation(fixtures):
+def test_budget_validation():
     for bad in (0, math.nan, 2.5):
         with pytest.raises(ValueError, match="max_rounds"):
             SearchBudget(max_rounds=bad)
     # kept as the int the count rule returns, so that rounds_completed is one
     assert type(SearchBudget(max_rounds=np.int64(2)).max_rounds) is int
-    # beta is checked once, with the rest of the test, by the search
-    for bad in (0.0, 1.1, math.nan, math.inf):
-        budget = SearchBudget(max_rounds=1, beta=bad)
-        with pytest.raises(ValueError, match=r"beta must lie in \(0, 1\]"):
-            check_emptiness(fixtures["lang_a_omega"], 0.8, budget)
 
 
 @pytest.mark.parametrize("p", [DEFAULT_EPSILON, 1e-10])
