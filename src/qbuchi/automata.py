@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import DEFAULT_UNITARY_TOL, as_matrix, is_unitary
+from .numerics import DEFAULT_UNITARY_TOL, as_matrix
 
 END_MARKER = "#"
 TERMINAL = "$"
@@ -193,8 +193,8 @@ def _check_matrix(name: str, m: np.ndarray, dim: int, tol: float) -> list[Violat
     if not np.all(np.isfinite(m)):
         out.append(Violation(f"finite(V_{name})", "matrix contains NaN or Inf entries"))
         return out
-    if not is_unitary(m, tol):
-        dev = float(np.abs(m.conj().T @ m - np.eye(dim)).max())
+    dev = float(np.abs(m.conj().T @ m - np.eye(dim)).max())
+    if not dev <= tol:  # an overflowing product can give NaN
         out.append(Violation(f"unitarity(V_{name})", f"max deviation {dev:.3e} exceeds tol {tol:.1e}"))
     return out
 

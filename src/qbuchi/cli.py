@@ -12,30 +12,21 @@ finite positive float, overrides the default validation tolerance.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 
 from . import automata
 from .automata import AutomatonFormatError, Cutpoint, _json_text
 from .numerics import SubspaceBasis
 
-# The names from the modules that only some commands run, semantics (the lasso
-# engine) among them. Each loads from the package on first access through
-# __getattr__ (PEP 562), and a command reads it as an attribute of this module
-# when it runs, so a call loads only what its command needs and a patch of, say,
-# qbuchi.cli.union is what it calls.
-_LAZY = (
-    "CERTIFIED", "LITERAL", "LassoWord", "SearchBudget", "SearchStatus",
-    "benchmark_step_cost", "check_emptiness", "decompose_nonhalting",
-    "is_sigma_cycle_subspace", "no_entry_check", "run_lasso", "trace_to_csv",
-    "trace_to_json", "union",
-)
-
-
+# The package's public names load on first access through __getattr__
+# (PEP 562), semantics (the lasso engine) among them. A command reads each one
+# as an attribute of this module when it runs, so a call loads only what its
+# command needs and a patch of, say, qbuchi.cli.union is what it calls.
 def __getattr__(name):
-    if name not in _LAZY:
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(__package__), name)
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -69,18 +60,14 @@ def _print_json(obj):
     print(_json_text(obj))
 
 
-def _load(path: str) -> automata.Mmqba:
+def _checked(path: str):
+    """The automaton at path and its violations at QBA_TOL, read once it has loaded."""
     try:
-        return automata.load(path)
+        a = automata.load(path)
     except OSError as e:
         raise _CliError(EX_USAGE, f"cannot read {path}: {e.strerror or e}")
     except AutomatonFormatError as e:
         raise _CliError(EX_DATAERR, str(e))
-
-
-def _checked(path: str):
-    """The automaton at path and its violations at QBA_TOL, read once it has loaded."""
-    a = _load(path)
     try:
         tol = automata.default_tolerance()
     except ValueError as e:
@@ -123,11 +110,7 @@ def cmd_validate(args) -> int:
 
 
 def _given(**options) -> dict:
-    """The options given on the command line; the library call's own
-    signature supplies the default of every option left out. --certify
-    and --literal store the name of their mode constant, read here."""
-    if options.get("mode"):
-        options["mode"] = getattr(_cli, options["mode"])
+    """The options given; the library call's own signature supplies every default."""
     return {name: value for name, value in options.items() if value is not None}
 
 
@@ -143,7 +126,7 @@ def cmd_run(args) -> int:
             _cli.LassoWord(args.prefix, args.cycle),
             Cutpoint(args.cutpoint),
             record_trace=args.trace is not None,
-            **_given(max_periods=args.periods, mode=args.mode),
+            **_given(max_periods=args.periods, mode=_cli.LITERAL if args.literal else None),
         )
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
@@ -177,7 +160,8 @@ def cmd_emptiness(args) -> int:
     try:
         p = Cutpoint(args.cutpoint)
         budget = _cli.SearchBudget(**_given(max_rounds=args.rounds))
-        result = _cli.check_emptiness(a, p, budget, **_given(mode=args.mode))
+        result = _cli.check_emptiness(
+            a, p, budget, **_given(mode=_cli.LITERAL if args.literal else None))
     except ValueError as e:
         raise _CliError(EX_USAGE, str(e))
     if args.json:
@@ -299,22 +283,10 @@ def _int_list(text: str) -> list:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _add_test_flags(p: argparse.ArgumentParser):
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--certify",
-        dest="mode",
-        action="store_const",
-        const="CERTIFIED",
-        help="require the sound rejection-limit certificate (default)",
-    )
-    group.add_argument(
-        "--literal",
-        dest="mode",
-        action="store_const",
-        const="LITERAL",
-        help="use the plain rej < p check and return at the first success",
-    )
+def _add_literal_flag(p: argparse.ArgumentParser):
+    p.add_argument("--literal", action="store_true",
+                   help="use the plain rej < p check and return at the first success "
+                   "(default: the sound certified rejection-limit check)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH", help="write the step trace to PATH")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="trace file format")
-    _add_test_flags(p)
+    _add_literal_flag(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_run)
 
@@ -349,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--cutpoint", type=float, required=True)
     p.add_argument("--rounds", type=int)
-    _add_test_flags(p)
+    _add_literal_flag(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_emptiness)
 

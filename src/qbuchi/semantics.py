@@ -583,7 +583,9 @@ class _LassoContext:
                 return verdict
             if resume is not None and max_periods > high:
                 run, k = resume
-        # a cycle of one symbol saves no product a period by compiling
+        # a G_8 block would replace eight steps of a one-symbol cycle by one
+        # product, but near a fixed point each discarded period is stepped as
+        # well; such cycles stay stepped (ROADMAP items 6 and 8 hold the times)
         compiles = len(cycle) > 1 and self.kernel.a.dim >= _COMPILED_MIN_DIM
         verdict, resume = self.cycle_phase(run, cycle, k, max_periods, compiles)
         low = high = max_periods

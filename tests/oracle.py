@@ -103,7 +103,7 @@ def _ladder(a, words, p, mode) -> dict:
     """Every word at each budget of LADDER in turn, through one shared
     context as a search runs them, each with a fresh run's verdict."""
     import qbuchi
-    from qbuchi.semantics import DEFAULT_EPSILON, _LassoContext
+    from qbuchi.semantics import _LassoContext
 
     context = _LassoContext(a, p, mode)
     runs = []

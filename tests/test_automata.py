@@ -456,6 +456,16 @@ def test_validate_flags_non_unitary():
     assert validate(a, tol=0.1) == []
 
 
+def test_validate_flags_a_unitarity_deviation_that_overflows_to_nan():
+    # finite entries whose U†U overflows: the deviation is NaN, which passes
+    # `dev > tol` but not `dev <= tol`
+    m = 1e200 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+    a = make_automaton({"a": m}, accepting=[1], rejecting=[])
+    with pytest.warns(RuntimeWarning):
+        bad = validate(a, tol=1e300)
+    assert [v.invariant for v in bad] == ["unitarity(V_a)"]
+
+
 def test_validate_flags_nonfinite():
     m = np.eye(2, dtype=complex)
     m[0, 0] = np.nan

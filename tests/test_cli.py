@@ -9,6 +9,7 @@ from unittest import mock
 
 import pytest
 
+import qbuchi as package
 from qbuchi import LassoWord, SearchBudget, automata, check_emptiness, cli, run_lasso
 from qbuchi.automata import _json_text
 from qbuchi.fixtures import fixture_path, golden_path
@@ -140,12 +141,16 @@ BAD_TEST_FLAGS = [
         ["emptiness", fixture_path("lang_a_omega"), "--cutpoint", "1e-10", "--rounds", "1"],
         *([*base, flag, value] for base in (RUN_ARGV, EMPTINESS_ARGV)
           for flag, value in BAD_TEST_FLAGS),
+        # certified is the default, and no flag re-selects it
+        [*RUN_ARGV, "--certify"],
+        [*EMPTINESS_ARGV, "--certify"],
     ],
     ids=["no-args", "unknown-cmd", "missing-file", "cutpoint-high",
          "cutpoint-zero", "zero-periods", "bad-format", "zero-rounds",
          "run-cutpoint-at-default-epsilon", "emptiness-cutpoint-below-default-epsilon",
          *(f"{cmd}{flag}={value}" for cmd in ("run", "emptiness")
-           for flag, value in BAD_TEST_FLAGS)],
+           for flag, value in BAD_TEST_FLAGS),
+         "run--certify", "emptiness--certify"],
 )
 def test_usage_errors_exit_64(argv):
     r = qbuchi(*argv)
@@ -158,8 +163,8 @@ def test_usage_errors_exit_64(argv):
 OPTIONS = {
     "validate": ["-h", "--help", "--json"],
     "run": ["-h", "--help", "--prefix", "--cycle", "--cutpoint", "--periods", "--trace",
-            "--format", "--certify", "--literal", "--json"],
-    "emptiness": ["-h", "--help", "--cutpoint", "--rounds", "--certify", "--literal", "--json"],
+            "--format", "--literal", "--json"],
+    "emptiness": ["-h", "--help", "--cutpoint", "--rounds", "--literal", "--json"],
     "union": ["-h", "--help", "-o", "--output"],
     "decompose": ["-h", "--help", "--json"],
     "check-cycle": ["-h", "--help", "--symbol", "--subspace", "--json"],
@@ -180,7 +185,7 @@ def test_option_surface_is_pinned():
 
 
 # The parser holds no copy of a library default: a call that leaves out
-# --periods, --rounds and the mode flags is the library's default call.
+# --periods, --rounds and --literal is the library's default call.
 def test_run_without_options_is_the_default_run_lasso_call():
     r = qbuchi("run", fixture_path("lang_a_omega"), "--cycle", "a", "--cutpoint", "0.6", "--json")
     verdict = run_lasso(automata.load(fixture_path("lang_a_omega")), LassoWord("", "a"), 0.6)
@@ -316,11 +321,9 @@ def test_literal_flag_changes_verdict(tmp_path):
     path = tmp_path / "acc_then_rej.qba"
     automata.save(acc_then_rej_automaton(), str(path))
     lit = qbuchi("run", path, "--cycle", "a", "--cutpoint", "0.4", "--literal")
-    cert = qbuchi("run", path, "--cycle", "a", "--cutpoint", "0.4", "--certify")
     default = qbuchi("run", path, "--cycle", "a", "--cutpoint", "0.4")
     assert lit.returncode == 0
-    assert cert.returncode == 1
-    assert default.stdout == cert.stdout
+    assert default.returncode == 1
 
 
 def test_validate_reports_ok():
@@ -458,3 +461,14 @@ def test_a_patched_cli_name_is_what_the_command_calls(tmp_path, name, command):
         assert cli.main(_argv(argv, tmp_path)) == 0
     spy.assert_called_once()
     assert getattr(cli, name) is real
+
+
+@pytest.mark.parametrize("name", package.__all__)
+def test_the_cli_reads_each_public_name_from_the_package(name):
+    assert getattr(cli, name) is getattr(package, name)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_EXPORTS", "semantics"])
+def test_the_cli_has_no_other_lazy_name(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(cli, name)

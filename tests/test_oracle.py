@@ -121,6 +121,7 @@ def test_the_names_the_oracle_imports_from_semantics_resolve():
     source = Path(oracle.__file__).read_text()
     names = {name.strip() for line in re.findall(r"from qbuchi\.semantics import (.+)", source)
              for name in line.split(",")}
-    assert names == {"_json_text", "DEFAULT_EPSILON", "_LassoContext"}
-    # older scripts also import DEFAULT_BETA
-    assert all(hasattr(semantics, name) for name in names | {"DEFAULT_BETA"})
+    assert names == {"_json_text", "_LassoContext"}
+    # older scripts also import DEFAULT_EPSILON and DEFAULT_BETA
+    assert all(hasattr(semantics, name)
+               for name in names | {"DEFAULT_EPSILON", "DEFAULT_BETA"})
