@@ -193,7 +193,10 @@ def _check_matrix(name: str, m: np.ndarray, dim: int, tol: float) -> list[Violat
     if not np.all(np.isfinite(m)):
         out.append(Violation(f"finite(V_{name})", "matrix contains NaN or Inf entries"))
         return out
-    dev = float(np.abs(m.conj().T @ m - np.eye(dim)).max())
+    # finite entries near 1e200 overflow U†U to inf and NaN; the test below
+    # flags them, so numpy's warnings would only leak onto stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = float(np.abs(m.conj().T @ m - np.eye(dim)).max())
     if not dev <= tol:  # an overflowing product can give NaN
         out.append(Violation(f"unitarity(V_{name})", f"max deviation {dev:.3e} exceeds tol {tol:.1e}"))
     return out

@@ -13,8 +13,24 @@ The prefix phase of a run (the end marker and u) does not depend on the
 cycle, so one search keeps a table of its outcome per prefix, each entry
 derived from the entry for u minus its last symbol in one step. Pairs
 with the same prefix start their cycles from the shared state. A settled
-prefix is always REJECTED, since a prefix never accepts, so the pairs of
-its row that are new in a round are counted in one step, without a run.
+prefix is always REJECTED, since a prefix never accepts, and its entry
+passes on to every extension, so the search visits only the open
+prefixes: it keeps those of each length in enumeration order, each with
+its rank, its base-|alphabet| index among the words of its length, and
+builds the open prefixes of length l + 1 from those of length l. The
+settled rows between two open ones hold no run: each holds the same
+number of pairs new in a round, so the rank gap counts them.
+
+Within an open row u, the cycles of one length that start with symbol s
+form one block of the order. When the prefix u + s is settled, every
+pair of the block is REJECTED at its first cycle step, which is the same
+step from the same state: the first period is always stepped, and a
+step applies both rejection tests before any accept test, in either
+mode. Such a block is counted in the round its pairs are new, without a
+run. The rule stops at the first step: within the first period a cycle
+run stops where it halts, and in literal mode accepts at once, so a
+later prefix step that rejects does not settle the pair.
+
 Prefixes whose runs reach bitwise the same state share it, and the
 cycle phase of each distinct (state, cycle) is kept too: a pair evaluated
 again under a doubled budget resumes its run where the last budget
@@ -63,26 +79,20 @@ class SearchResult:
 
     candidates_tried counts pair evaluations, including pairs evaluated
     again under a doubled budget in later rounds, although such a pair
-    resumes its run rather than simulating it again; a pair whose prefix
-    already settles it counts without a run, and a pair whose start state
-    and cycle were already run under the budget counts although it is
-    answered from the search's tables. It does not count steps either:
-    a step from a state and symbol that another pair already stepped is
-    taken from the search's transition table. rounds_completed is the round
-    in which the witness was found, or max_rounds when the search
-    exhausted its budget.
+    resumes its run rather than simulating it again. A pair that its
+    prefix settles, or the first step of its cycle, counts in the round
+    it is new, without a run, and a pair whose start state and cycle were
+    already run under the budget counts although it is answered from the
+    search's tables. It does not count steps either: a step from a state
+    and symbol that another pair already stepped is taken from the
+    search's transition table. rounds_completed is the round in which the
+    witness was found, or max_rounds when the search exhausted its budget.
     """
 
     status: SearchStatus
     witness: tuple[LassoWord, Verdict] | None
     candidates_tried: int
     rounds_completed: int
-
-
-def _words(symbols, min_len: int, max_len: int):
-    for length in range(min_len, max_len + 1):
-        for tup in itertools.product(symbols, repeat=length):
-            yield "".join(tup)
 
 
 def check_emptiness(
@@ -97,30 +107,53 @@ def check_emptiness(
     if budget is None:
         budget = SearchBudget()
     symbols = sorted(a.alphabet)
+    k = len(symbols)
     context = _LassoContext(a, p, mode)
-    # a settled row below makes no run_lasso call, so its word check is made here
+    # a settled row or block makes no run_lasso call, so its word check is made here
     _check_word(context.kernel.symbols, "".join(symbols))
+
+    def settled(u: str) -> bool:
+        return isinstance(context.after(u), Verdict)
+
+    # rows[l] holds the open prefixes of length l in order, as (rank, prefix),
+    # where rank is the prefix's base-k index among the k**l words of length l
+    rows = [[] if settled("") else [(0, "")]]
     tried = 0
     rejected: set[tuple[str, str]] = set()
     for r in range(1, budget.max_rounds + 1):
         max_periods = 2 ** r
-        for u in _words(symbols, 0, r):
-            if isinstance(context.after(u), Verdict):
-                # a settled prefix is REJECTED, so every pair of its row is too:
-                # count the cycles new in this round, all of 1..r in u's first
-                first = 1 if r == max(len(u), 1) else r
-                tried += sum(len(symbols) ** n for n in range(first, r + 1))
-                continue
-            for v in _words(symbols, 1, r):
-                if (u, v) in rejected:
-                    continue
-                w = LassoWord(u, v)
-                tried += 1
-                verdict = run_lasso(a, w, p, max_periods=max_periods, _context=context)
-                if verdict.status is Status.ACCEPTED:
-                    return SearchResult(SearchStatus.NONEMPTY, (w, verdict), tried, r)
-                if verdict.status is Status.REJECTED:
-                    rejected.add((u, v))
+        rows.append([(rank * k + i, u + s) for rank, u in rows[-1]
+                     for i, s in enumerate(symbols) if not settled(u + s)])
+        for length, row in enumerate(rows):
+            # a row's pairs new in round r: all cycles of 1..r in its first
+            # round, else those of length r
+            first = 1 if r == max(length, 1) else r
+            new = sum(k ** n for n in range(first, r + 1))
+            last = -1
+            for rank, u in row:
+                tried += (rank - last - 1) * new
+                last = rank
+                first_step_settles = [settled(u + s) for s in symbols]
+                for n in range(1, r + 1):
+                    for s, settles in zip(symbols, first_step_settles):
+                        if settles:
+                            # REJECTED at the first cycle step: counted in its first round
+                            tried += k ** (n - 1) if n >= first else 0
+                            continue
+                        for tail in itertools.product(symbols, repeat=n - 1):
+                            v = s + "".join(tail)
+                            if (u, v) in rejected:
+                                continue
+                            w = LassoWord(u, v)
+                            tried += 1
+                            verdict = run_lasso(a, w, p, max_periods=max_periods,
+                                                _context=context)
+                            if verdict.status is Status.ACCEPTED:
+                                return SearchResult(SearchStatus.NONEMPTY, (w, verdict),
+                                                    tried, r)
+                            if verdict.status is Status.REJECTED:
+                                rejected.add((u, v))
+            tried += (k ** length - last - 1) * new
     return SearchResult(SearchStatus.INCONCLUSIVE, None, tried, budget.max_rounds)
 
 

@@ -42,9 +42,14 @@ non-halting space: for every fixture, every crafted automaton above, the
 Haar automata of dimension 3 to 8, 16 and 27, and a planted automaton
 from conftest at dimensions 9 and 27, the dimensions of S1 and S2, the
 closure's chain_dims, and the canonical bases of S1 and S2.
+The corpus closes with searches whose pairs the search counts without a
+run: at cutpoint 1.0, in both modes, on the Haar automata of dimension 3
+to 8 over 6 to 8 rounds, where the root is open and every cycle's first
+step settles its pair, and on marker_halts over 7 rounds at cutpoint 0.9,
+where no prefix and no first step ever settles.
 tests/test_oracle.py checks a slice of the corpus, with every job of the
-compiled path, against each verdict's own inequalities, and every
-decomposition against the properties of its split.
+compiled path and every closing search, against each verdict's own
+inequalities, and every decomposition against the properties of its split.
 """
 from __future__ import annotations
 
@@ -70,6 +75,8 @@ HAAR_SEARCHES = (*((dim, 5) for dim in range(3, 9)), (16, 6))
 # (dimension, budget) of the Haar automaton whose long runs halt on the compiled path
 LONG = (27, 1024)
 LONG_WORDS = (("a", "ab"), ("a", "abb"), ("b", "aab"))
+# (cutpoint, rounds) of the closing searches on marker_halts
+MARKER_HALTS_SEARCH = (0.9, 7)
 # the budgets, cutpoints and words of the runs that share one lasso context
 LADDER = (16, 32, 64)
 LADDER_CUTPOINTS = (0.4, 0.55, 0.6)
@@ -190,7 +197,7 @@ def jobs() -> list:
                ("marker_split", marker_split_automaton())]
     for name, a in crafted:
         out += _searches(name, a, 6) + _short_runs(name, a)
-    return out + compiled_path_jobs() + decomposition_jobs()
+    return out + compiled_path_jobs() + decomposition_jobs() + settled_search_jobs()
 
 
 def compiled_path_jobs() -> list:
@@ -242,6 +249,19 @@ def decomposition_jobs() -> list:
     automata += [(f"planted{dim}", conftest.planted_automaton(np.random.default_rng(dim), dim,
                                                               dim // 3)) for dim in (9, 27)]
     return [(f"decompose {name}", lambda a=a: _decompose(a)) for name, a in automata]
+
+
+def settled_search_jobs() -> list:
+    """The searches whose rows or first cycle steps settle their pairs
+    without a run, and one where nothing settles. They close the corpus."""
+    from conftest import marker_halts_automaton
+
+    out = []
+    for dim in range(3, 9):
+        out += _searches(f"haar{dim}", _haar(np.random.default_rng(dim), dim), 6 + dim % 3,
+                         (1.0,))
+    p, rounds = MARKER_HALTS_SEARCH
+    return out + _searches("marker_halts", marker_halts_automaton(), rounds, (p,))
 
 
 def main(argv=None) -> int:

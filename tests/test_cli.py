@@ -352,6 +352,22 @@ def test_qba_tol_overrides_validation(tmp_path):
     assert blocked.returncode == 65
 
 
+def test_a_unitarity_check_that_overflows_prints_no_warning(tmp_path):
+    # finite entries near 1e200 overflow U†U: the document is invalid, and
+    # numpy's overflow warnings stay off stderr
+    a = automata.load(str(fixture_path("no_entry")))
+    path = tmp_path / "huge.qba"
+    automata.save(dataclasses.replace(a, unitaries={"a": 1e200 * a.unitary_for("a")}),
+                  str(path))
+    checked = qbuchi("validate", path)
+    assert checked.returncode == 1
+    assert checked.stdout.decode().startswith("unitarity(V_a): max deviation inf")
+    blocked = qbuchi("run", path, "--cycle", "a", "--cutpoint", "0.8")
+    assert blocked.returncode == 65
+    for r in (checked, blocked):
+        assert b"Warning" not in r.stderr
+
+
 def test_check_cycle_negative_exits_1():
     r = qbuchi("check-cycle", fixture_path("lang_ab_cycle"), "--symbol", "a",
                "--subspace", "0,1")

@@ -186,6 +186,54 @@ def test_search_matches_plain_loop_on_haar_automata(seed, mode):
     _assert_search_matches_plain_loop(_haar_automaton(seed), p, mode, rounds=4)
 
 
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+@pytest.mark.parametrize("seed", range(9))
+def test_search_matches_plain_loop_on_haar_automata_at_cutpoint_one(seed, mode):
+    # at p = 1 the first rejecting amplitude refutes acceptance, so most
+    # rows and first-symbol blocks are settled before their first run
+    _assert_search_matches_plain_loop(_haar_automaton(seed), 1.0, mode, rounds=5)
+
+
+def _two_haar(seed):
+    """A Haar 'a' and 'b' on 3 to 5 states: q0 initial, q1 accepting and
+    the last state rejecting."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 6))
+    return make_automaton({"a": haar_unitary(rng, dim), "b": haar_unitary(rng, dim)},
+                          accepting=[1], rejecting=[dim - 1])
+
+
+SETTLED_BEFORE_WITNESS = [
+    # (seed, cutpoint, prefix, cycle, tried, round): the witness's row is
+    # new in its round, or (seed 12) one round old, so that only its
+    # cycles of length r are new
+    (9, 0.65, "b", "b", 6, 1),
+    (12, 0.7, "b", "bb", 20, 2),
+    (20, 0.7, "baa", "abb", 172, 3),
+]
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+@pytest.mark.parametrize("seed,p,prefix,cycle,tried,rounds", SETTLED_BEFORE_WITNESS,
+                         ids=[f"seed{c[0]}" for c in SETTLED_BEFORE_WITNESS])
+def test_witness_after_settled_rows_and_blocks_keeps_its_count(
+        seed, p, prefix, cycle, tried, rounds, mode):
+    a = _two_haar(seed)
+    res = _assert_search_matches_plain_loop(a, p, mode, rounds=5)
+    word, _ = res.witness
+    assert ((word.prefix, word.cycle), res.candidates_tried, res.rounds_completed) == (
+        (prefix, cycle), tried, rounds)
+    # a settled row of the witness's length comes before its row, and a
+    # settled first-symbol block new in its round before its block
+    context = _LassoContext(a, p, mode)
+    before = ["".join(t) for t in itertools.product("ab", repeat=len(prefix))]
+    assert any(isinstance(context.after(u), Verdict) for u in before if u < prefix)
+    first = 1 if rounds == max(len(prefix), 1) else rounds
+    blocks = [(n, s) for n in range(first, len(cycle) + 1) for s in "ab"]
+    assert any(isinstance(context.after(prefix + s), Verdict)
+               for n, s in blocks if (n, s) < (len(cycle), cycle[0]))
+
+
 def _no_accepting_state():
     rng = np.random.default_rng(7)
     unitaries = {"a": haar_unitary(rng, 3), "b": haar_unitary(rng, 3)}
@@ -442,11 +490,34 @@ def test_search_runs_only_the_pairs_of_open_prefixes(fixtures, monkeypatch):
     res = check_emptiness(fixtures["reject_all"], 0.9)
     assert (res.candidates_tried, pairs) == (16002, [])
     res = check_emptiness(_prefix_refutes(), 0.9, SearchBudget(max_rounds=4))
-    # every pair is rejected at first sight, so it is counted once, and
-    # only a prefix without an 'a' leaves its pairs open
+    # every pair is rejected at first sight, so it is counted once; a
+    # prefix with an 'a' settles its row, and a cycle that starts with 'a'
+    # settles its pair at the first cycle step, so only the others are run
     words = ["".join(t) for n in range(5) for t in itertools.product("ab", repeat=n)]
     assert res.candidates_tried == len(words) * (len(words) - 1)
-    assert sorted(pairs) == sorted((u, v) for u in words if "a" not in u for v in words if v)
+    assert sorted(pairs) == sorted((u, v) for u in words for v in words
+                                   if v and "a" not in u + v[0])
+
+
+@pytest.mark.parametrize("make,p", [(lambda f: f["reject_all"], 0.9),
+                                    (lambda f: _haar_automaton(1), 1.0)],
+                         ids=["reject_all@0.9", "haar1@1.0"])
+def test_search_work_grows_with_the_open_pairs(fixtures, monkeypatch, make, p):
+    # reject_all settles its root, so every row; at p = 1 the Haar
+    # automaton's root is open but both of its first steps settle, so each
+    # block of the empty row does. 40 rounds hold about 2^81 pairs, each
+    # counted once, so a search that walked them could not finish
+    pairs = _counted_runs(monkeypatch)
+    calls = []
+    after = _LassoContext.after
+    monkeypatch.setattr(_LassoContext, "after",
+                        lambda self, u: calls.append(u) or after(self, u))
+    rounds = 40
+    res = check_emptiness(make(fixtures), p, SearchBudget(max_rounds=rounds))
+    assert res.status is SearchStatus.INCONCLUSIVE
+    assert res.candidates_tried == (2 ** (rounds + 1) - 1) * (2 ** (rounds + 1) - 2)
+    assert pairs == []
+    assert len(calls) <= 4 * rounds * 2
 
 
 def test_search_checks_the_alphabet_before_round_one():

@@ -13,10 +13,11 @@ from qbuchi.semantics import DEFAULT_VISIT_EPS
 JOBS = oracle.jobs()
 N_COMPILED_PATH = len(oracle.compiled_path_jobs())
 DECOMPOSITIONS = oracle.decomposition_jobs()
-RUNS = JOBS[:-len(DECOMPOSITIONS)]
-# every other job of the runs and searches, and every job of the compiled
-# path, which closes them
-SLICE = RUNS[:-N_COMPILED_PATH:2] + RUNS[-N_COMPILED_PATH:]
+N_SETTLED = len(oracle.settled_search_jobs())
+RUNS = JOBS[:-len(DECOMPOSITIONS) - N_SETTLED]
+# every other job of the runs and searches, every job of the compiled
+# path, which closes them, and every search that closes the corpus
+SLICE = RUNS[:-N_COMPILED_PATH:2] + RUNS[-N_COMPILED_PATH:] + JOBS[-N_SETTLED:]
 
 
 def _check_verdict(v, p, budget):
@@ -89,7 +90,9 @@ def test_oracle_slice_keeps_each_verdicts_inequalities():
 
 
 def test_oracle_decompositions_split_the_non_halting_space():
-    assert [label for label, _ in JOBS[len(RUNS):]] == [label for label, _ in DECOMPOSITIONS]
+    labels = [label for label, _ in JOBS[len(RUNS):]]
+    assert labels[:len(DECOMPOSITIONS)] == [label for label, _ in DECOMPOSITIONS]
+    assert all(label.startswith("search ") for label in labels[len(DECOMPOSITIONS):])
     for label, job in DECOMPOSITIONS:
         out = job()
         dims = out["chain_dims"]
