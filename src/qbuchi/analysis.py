@@ -111,8 +111,6 @@ def _require_within_nonhalting(a: Mmqba, s: SubspaceBasis):
 def is_sigma_cycle_subspace(a: Mmqba, s: SubspaceBasis, symbol: str) -> bool:
     """True iff the symbol's unitary maps the subspace into itself."""
     _require_within_nonhalting(a, s)
-    if s.dim == 0:
-        return True
     images = a.unitary_for(symbol) @ s.vectors.T
     return not np.any(np.linalg.norm(_outside(s, images), axis=0) > RESIDUAL_TOL)
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import DEFAULT_UNITARY_TOL, as_matrix
+from .numerics import DEFAULT_UNITARY_TOL, _check_tolerance, _unitarity_defect, as_matrix
 
 END_MARKER = "#"
 TERMINAL = "$"
@@ -53,8 +53,8 @@ class CutpointWarning(UserWarning):
 
 
 def _check_cutpoint(value) -> float:
-    """The cutpoint rule; NaN fails the comparison."""
-    p = float(value)
+    """The cutpoint rule; NaN fails the comparison, and a bool or string is no number."""
+    p = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"cutpoint must lie in (0, 1], got {value!r}")
     return p
@@ -67,7 +67,7 @@ def _check_count(name: str, value, least: int = 1) -> int:
         n = operator.index(value)
     except TypeError:
         n = None
-    if n is None or n < least:
+    if n is None or n < least or isinstance(value, bool):  # True is no count
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return n
 
@@ -103,9 +103,7 @@ def default_tolerance() -> float:
         tol = float(raw)
     except ValueError:
         raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from None
-    if not 0 < tol < math.inf:  # inf would pass any finite matrix as unitary
-        raise ValueError(f"{TOL_ENV_VAR} must be finite and positive, got {raw!r}")
-    return tol
+    return _check_tolerance(tol, TOL_ENV_VAR, raw)
 
 
 @dataclass(eq=False)
@@ -193,19 +191,15 @@ def _check_matrix(name: str, m: np.ndarray, dim: int, tol: float) -> list[Violat
     if not np.all(np.isfinite(m)):
         out.append(Violation(f"finite(V_{name})", "matrix contains NaN or Inf entries"))
         return out
-    # finite entries near 1e200 overflow U†U to inf and NaN; the test below
-    # flags them, so numpy's warnings would only leak onto stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = float(np.abs(m.conj().T @ m - np.eye(dim)).max())
-    if not dev <= tol:  # an overflowing product can give NaN
+    dev = _unitarity_defect(m)
+    if not dev <= tol:  # finite entries near 1e200 overflow U†U to NaN
         out.append(Violation(f"unitarity(V_{name})", f"max deviation {dev:.3e} exceeds tol {tol:.1e}"))
     return out
 
 
 def validate(a: Mmqba, tol: float | None = None) -> list[Violation]:
     """Structural invariant check; returns an empty list for a valid automaton."""
-    if tol is None:
-        tol = default_tolerance()
+    tol = default_tolerance() if tol is None else _check_tolerance(tol)
     out: list[Violation] = []
     dim = a.dim
     if dim == 0:
@@ -218,7 +212,7 @@ def validate(a: Mmqba, tol: float | None = None) -> list[Violation]:
     if len(set(a.alphabet)) != len(a.alphabet):
         out.append(Violation("alphabet", "alphabet symbols must be distinct"))
     for sym in a.alphabet:
-        if len(sym) != 1:
+        if not isinstance(sym, str) or len(sym) != 1:
             out.append(Violation("alphabet", f"symbol {sym!r} is not a single character"))
         elif sym in RESERVED_SYMBOLS:
             out.append(Violation("alphabet", f"symbol {sym!r} is reserved"))
@@ -255,10 +249,9 @@ def _expect(cond: bool, message: str, path: str):
         raise AutomatonFormatError(message, path=path)
 
 
-def _walk_matrix(raw, dim: int, path: str) -> np.ndarray:
-    """Decode a matrix entry by entry, naming the first bad entry."""
+def _walk_matrix(raw, dim: int, path: str):
+    """Raise the error that names the first bad entry of a matrix _decode_matrix refused."""
     _expect(isinstance(raw, list) and len(raw) == dim, f"expected {dim} rows", path)
-    m = np.zeros((dim, dim), dtype=np.complex128)
     for s, row in enumerate(raw):
         _expect(isinstance(row, list) and len(row) == dim, f"expected {dim} entries", f"{path}[{s}]")
         for t, entry in enumerate(row):
@@ -268,22 +261,13 @@ def _walk_matrix(raw, dim: int, path: str) -> np.ndarray:
                 "matrix entry must be a [re, im] pair",
                 here,
             )
-            re_part, im_part = entry
-            _expect(
-                isinstance(re_part, (int, float)) and not isinstance(re_part, bool),
-                "real part must be a number",
-                here,
-            )
-            _expect(
-                isinstance(im_part, (int, float)) and not isinstance(im_part, bool),
-                "imaginary part must be a number",
-                here,
-            )
+            for part, name in zip(entry, ("real", "imaginary")):
+                _expect(isinstance(part, (int, float)) and not isinstance(part, bool),
+                        f"{name} part must be a number", here)
             try:
-                m[s, t] = complex(float(re_part), float(im_part))
+                float(entry[0]), float(entry[1])
             except OverflowError:
                 raise AutomatonFormatError("number is out of the float range", path=here) from None
-    return m
 
 
 def _leaves(raw):
@@ -291,8 +275,8 @@ def _leaves(raw):
 
 
 def _decode_matrix(raw, dim: int, path: str) -> np.ndarray:
-    """Decode a matrix with checks that run in C; only a document that fails
-    one is walked entry by entry, to name the bad entry."""
+    """Decode a matrix with checks that run in C; a document that fails one
+    is walked entry by entry, to name the bad entry."""
     if (
         type(raw) is list
         and len(raw) == dim
@@ -304,12 +288,11 @@ def _decode_matrix(raw, dim: int, path: str) -> np.ndarray:
         and set(map(type, _leaves(raw))) <= {float, int}
     ):
         try:
-            flat = np.fromiter(_leaves(raw), np.float64, 2 * dim * dim)
+            return np.fromiter(_leaves(raw), np.float64, 2 * dim * dim).view(
+                np.complex128).reshape(dim, dim)
         except OverflowError:
             pass
-        else:
-            return flat.view(np.complex128).reshape(dim, dim)
-    return _walk_matrix(raw, dim, path)
+    _walk_matrix(raw, dim, path)
 
 
 def _decode_state_list(raw, names: dict[str, int], path: str) -> frozenset[int]:

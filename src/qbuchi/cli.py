@@ -141,17 +141,13 @@ def cmd_run(args) -> int:
                 fh.write(text)
         except OSError as e:
             raise _CliError(EX_USAGE, f"cannot write {args.trace}: {e.strerror or e}")
+    out = verdict.to_dict()
     if args.json:
-        _print_json(verdict.to_dict())
+        _print_json(out)
     else:
-        print(f"status: {verdict.status.value}")
-        print(f"reason: {verdict.reason}")
-        print(f"acc_lower: {_h(verdict.acc_lower)}")
-        print(f"rej_lower: {_h(verdict.rej_lower)}")
-        print(f"rej_upper: {_h(verdict.rej_upper)}")
-        print(f"visit_count: {verdict.visit_count}")
-        print(f"periods_simulated: {verdict.periods_simulated}")
-        print(f"mode: {verdict.mode}")
+        for name, value in out.items():
+            if name not in ("beta", "epsilon"):  # fixed rules, not results of the run
+                print(f"{name}: {_h(value) if isinstance(value, float) else value}")
     return _STATUS_EXIT[verdict.status.name]
 
 
@@ -216,20 +212,13 @@ def cmd_union(args) -> int:
 def cmd_decompose(args) -> int:
     a = _load_valid(args.file)
     d = _cli.decompose_nonhalting(a)
+    sizes = {"s1_dim": d.s1.dim, "s2_dim": d.s2.dim, "chain_length": d.chain_length}
     if args.json:
-        _print_json(
-            {
-                "s1_dim": d.s1.dim,
-                "s2_dim": d.s2.dim,
-                "chain_length": d.chain_length,
-                "s1_basis": automata._encode_matrix(d.s1.vectors),
-                "s2_basis": automata._encode_matrix(d.s2.vectors),
-            }
-        )
+        _print_json(dict(sizes, s1_basis=automata._encode_matrix(d.s1.vectors),
+                         s2_basis=automata._encode_matrix(d.s2.vectors)))
     else:
-        print(f"s1_dim: {d.s1.dim}")
-        print(f"s2_dim: {d.s2.dim}")
-        print(f"chain_length: {d.chain_length}")
+        for name, value in sizes.items():
+            print(f"{name}: {value}")
     return EX_OK
 
 
@@ -238,9 +227,6 @@ def cmd_check_cycle(args) -> int:
     _check_symbols(a, [args.symbol])
     try:
         s = SubspaceBasis.from_indices(args.subspace, a.dim)
-    except ValueError as e:
-        raise _CliError(EX_DATAERR, str(e))
-    try:
         cycle = _cli.is_sigma_cycle_subspace(a, s, args.symbol)
     except ValueError as e:
         raise _CliError(EX_DATAERR, str(e))

@@ -10,15 +10,12 @@ arrives.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .automata import END_MARKER, Mmqba, Mmqfa, RESERVED_SYMBOLS, _check_word
 from .numerics import tensor
-
-if TYPE_CHECKING:  # _normalize_lasso imports semantics when it runs
-    from .semantics import LassoWord
 
 
 def _masks(m: Mmqba) -> tuple[np.ndarray, np.ndarray]:
@@ -113,9 +110,7 @@ def finite_language_mmqfa(words: Iterable[str], alphabet: Iterable[str]) -> Mmqf
     symbols = _symbols(alphabet)
     language = sorted(set(words))
     for w in language:
-        for ch in w:
-            if ch not in symbols:
-                raise ValueError(f"word {w!r} uses symbol {ch!r} outside the alphabet")
+        _check_word(symbols, w)
     depth = max((len(w) for w in language), default=0)
 
     nodes = [""]
@@ -151,19 +146,16 @@ def finite_language_mmqfa(words: Iterable[str], alphabet: Iterable[str]) -> Mmqf
     )
 
 
-def _normalize_lasso(w: LassoWord) -> LassoWord:
-    """Rotate the cycle into the prefix until the prefix no longer ends with
-    the cycle's last symbol; the denoted infinite word is unchanged."""
-    from .semantics import LassoWord
-
-    u, v = w.prefix, w.cycle
+def _normalize_lasso(u: str, v: str) -> tuple[str, str]:
+    """Rotate the cycle v into the prefix u until u no longer ends with v's
+    last symbol; the denoted infinite word is unchanged."""
     while u and u[-1] == v[-1]:
         v = v[-1] + v[:-1]
         u = u[:-1]
-    return LassoWord(u, v)
+    return u, v
 
 
-def restrict_to_lasso(m: Mmqba, w: LassoWord) -> Mmqba:
+def restrict_to_lasso(m: Mmqba, w) -> Mmqba:
     """Product with a deterministic matcher so only the given lasso survives.
 
     The matcher walks the positions of prefix+cycle; any mismatching
@@ -176,8 +168,7 @@ def restrict_to_lasso(m: Mmqba, w: LassoWord) -> Mmqba:
     first rotated so the advance map has no target collisions.
     """
     _check_word(m.alphabet, w.prefix + w.cycle)
-    norm = _normalize_lasso(w)
-    u, v = norm.prefix, norm.cycle
+    u, v = _normalize_lasso(w.prefix, w.cycle)
     live = len(u) + len(v)
     expected = u + v
 

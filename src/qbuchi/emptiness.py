@@ -165,12 +165,7 @@ class TimingReport:
     exponent: float
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "symbols_timed": list(self.symbols_timed),
-            "per_symbol_seconds": list(self.per_symbol_seconds),
-            "exponent": self.exponent,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 def _kernel_matrices(a: Mmqba) -> dict:

@@ -7,6 +7,7 @@ column t is the image of basis state t.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,15 +33,28 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def is_unitary(m, tol: float = DEFAULT_UNITARY_TOL) -> bool:
-    """True when max-abs entry of (M†M - I) does not exceed tol."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    # an overflowing product gives NaN, which fails the test without a warning
+def _check_tolerance(tol, name: str = "tol", given=None) -> float:
+    """The tolerance rule: inf passes any finite matrix as unitary, and NaN or
+    tol <= 0 flags every one. The message names given, by default tol."""
+    if not 0 < tol < math.inf:
+        shown = tol if given is None else given
+        raise ValueError(f"{name} must be finite and positive, got {shown!r}")
+    return tol
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    """max |M†M - I| of a matrix with columns. An overflowing product gives
+    NaN, which fails every <= test, so numpy's warnings are not shown."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    return bool(dev <= tol)
+        return float(np.abs(m.conj().T @ m - np.eye(m.shape[1])).max())
+
+
+def is_unitary(m, tol: float = DEFAULT_UNITARY_TOL) -> bool:
+    """True when max-abs entry of (M†M - I) does not exceed tol, which must
+    be finite and positive."""
+    m = as_matrix(m)
+    tol = _check_tolerance(tol)
+    return m.shape[0] == m.shape[1] and _unitarity_defect(m) <= tol
 
 
 def tensor(a, b) -> np.ndarray:
@@ -61,8 +75,7 @@ class SubspaceBasis:
         )
         if v.ndim != 2 or v.shape[1] != self.ambient_dim:
             raise ValueError("basis rows must match the ambient dimension")
-        gram = v @ v.conj().T
-        if v.shape[0] and np.abs(gram - np.eye(v.shape[0])).max() > 1e-9:
+        if v.shape[0] and _unitarity_defect(v.T) > 1e-9:  # the columns of v.T are its rows
             raise ValueError("basis rows are not orthonormal within 1e-9")
         object.__setattr__(self, "vectors", v)
 

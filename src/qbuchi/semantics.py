@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -88,31 +88,25 @@ class LassoWord:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The fields up to mode are in the order that ``qbuchi run`` prints."""
+
     status: Status
+    reason: str
     acc_lower: float
     rej_lower: float
     rej_upper: float
     visit_count: int
     periods_simulated: int
-    reason: str
+    mode: str
     beta: float
     epsilon: float
-    mode: str
     trace: tuple[StepRecord, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "acc_lower": self.acc_lower,
-            "rej_lower": self.rej_lower,
-            "rej_upper": self.rej_upper,
-            "visit_count": self.visit_count,
-            "periods_simulated": self.periods_simulated,
-            "reason": self.reason,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-        }
+        """Every field but the trace, with the status as its value."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
+        d["status"] = self.status.value
+        return d
 
 
 CSV_HEADER = "j,symbol,alpha,rho,acc,rej,nonhalt_norm_sq"

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -542,6 +543,20 @@ def test_default_tolerance_env(monkeypatch):
             default_tolerance()
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_validate_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a shear is 1 off unitary, which tol=inf would pass; NaN or tol <= 0
+    # would flag it, as it would flag every matrix
+    a = make_automaton({"a": [[1.0, 1.0], [0.0, 1.0]]}, accepting=[1], rejecting=[])
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        validate(a, tol=tol)
+
+
+def test_validate_reports_a_symbol_that_is_not_a_string():
+    a = make_automaton({1: np.eye(2)}, accepting=[1], rejecting=[])
+    assert [str(v) for v in validate(a)] == ["alphabet: symbol 1 is not a single character"]
+
+
 def test_cutpoint_range_and_warning():
     with pytest.raises(ValueError):
         Cutpoint(0.0)
@@ -549,6 +564,9 @@ def test_cutpoint_range_and_warning():
         Cutpoint(1.5)
     with pytest.raises(ValueError):
         Cutpoint(float("nan"))
+    for bad in (True, np.True_, "0.8", b"0.8"):  # float() would read each as a number
+        with pytest.raises(ValueError, match=r"cutpoint must lie in \(0, 1\]"):
+            Cutpoint(bad)
     with pytest.warns(CutpointWarning):
         assert Cutpoint(0.5) == 0.5
     with warnings.catch_warnings():

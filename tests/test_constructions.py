@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -245,8 +247,7 @@ def _loop_restrict(m, w):
     for ch in w.prefix + w.cycle:
         if ch not in set(m.alphabet):
             raise ValueError(f"symbol {ch!r} is not in the automaton alphabet")
-    norm = _normalize_lasso(w)
-    u, v = norm.prefix, norm.cycle
+    u, v = _normalize_lasso(w.prefix, w.cycle)
     live = len(u) + len(v)
     expected = u + v
     matchers = {}
@@ -403,3 +404,18 @@ def test_constructions_match_loop_reference_on_invalid_halting_sets():
         _same_bits(union(m2, m1), _loop_union(m2, m1))
         for w in _lassos():
             _same_bits(restrict_to_lasso(m1, w), _loop_restrict(m1, w))
+
+
+def test_restrict_to_lasso_does_not_load_the_lasso_engine():
+    # constructions needs no type of semantics: a lasso is its two strings
+    code = (
+        "import sys, types\n"
+        "from qbuchi.constructions import restrict_to_lasso\n"
+        "from qbuchi.fixtures import load_fixture\n"
+        "m = restrict_to_lasso(load_fixture('lang_a_prefix'),"
+        " types.SimpleNamespace(prefix='aa', cycle='a'))\n"
+        "assert m.dim == 2 * load_fixture('lang_a_prefix').dim, m.dim\n"
+        "assert 'qbuchi.semantics' not in sys.modules\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

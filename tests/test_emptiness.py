@@ -633,7 +633,8 @@ def test_search_transition_table_stays_within_its_budget(monkeypatch):
 
 
 def test_budget_validation():
-    for bad in (0, math.nan, 2.5):
+    # True is 1 to operator.index, but no count
+    for bad in (0, math.nan, 2.5, True):
         with pytest.raises(ValueError, match="max_rounds"):
             SearchBudget(max_rounds=bad)
     # kept as the int the count rule returns, so that rounds_completed is one

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,13 @@ def test_is_unitary_basics():
 def test_subspace_arguments_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_is_unitary_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    # inf would call any finite matrix unitary, and NaN or tol <= 0 none
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        is_unitary(np.eye(2), tol)
 
 
 def test_is_unitary_random():

@@ -282,11 +282,16 @@ def test_run_lasso_validation_errors(fixtures):
         run_lasso(a, w, 0.0)
     with pytest.raises(ValueError):
         run_lasso(a, w, 1.5)
+    # float() reads True as 1 and "0.8" as 0.8, yet neither is a number
+    for bad in (True, "0.8", b"0.8"):
+        with pytest.raises(ValueError, match=r"cutpoint must lie in \(0, 1\]"):
+            run_lasso(a, w, bad)
     with pytest.raises(ValueError):
         run_lasso(a, w, 0.8, mode="fast")
     # a count goes through operator.index, so no float passes, not even
-    # one that range() would refuse only later with a TypeError
-    for bad in (0, math.nan, math.inf, 2.5):
+    # one that range() would refuse only later with a TypeError; True is
+    # 1 to operator.index, but no count
+    for bad in (0, math.nan, math.inf, 2.5, True):
         with pytest.raises(ValueError, match="max_periods must be an integer of at least 1"):
             run_lasso(a, w, 0.8, max_periods=bad)
     # at or below the fixed slack, acc >= p - DEFAULT_EPSILON holds for every word
