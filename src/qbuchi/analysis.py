@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .automata import Mmqba, _check_count
+from .automata import Mmqba, _Kernel, _check_count
 from .numerics import SubspaceBasis, null_space
 
-if TYPE_CHECKING:  # verify_decomposition imports semantics when it runs
+if TYPE_CHECKING:  # for annotations only: semantics sits above analysis, which never loads it
     from .semantics import StepRecord
 
 RESIDUAL_TOL = 1e-9
@@ -185,8 +185,6 @@ def verify_decomposition(
     a product. Every trial's three vectors are columns of one block,
     stepped together, each column by its own trial's symbol.
     """
-    from .semantics import _Kernel
-
     word_len = _check_count("word_len", word_len, 0)
     trials = _check_count("trials", trials, 0)
     n_symbols = len(a.alphabet)

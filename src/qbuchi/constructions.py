@@ -3,10 +3,10 @@
 All constructions keep unitarity by design: products of unitaries are
 unitary and every classical component is realized as a permutation
 matrix. Partial permutations are completed by matching the unused
-domain indices to the unused target indices in index order; completion
-edges are never reachable with nonzero amplitude because they start in
-halting states, whose amplitude is measured away in the same step it
-arrives.
+domain indices to the unused target indices in index order. Completion
+edges start in halting states, so a single automaton never sends amplitude along them;
+a product can, where one component's halting state does not halt it,
+hence union's one-way inclusion (ROADMAP item 14).
 """
 from __future__ import annotations
 
@@ -45,10 +45,11 @@ def _product(m1: Mmqba, m2: Mmqba, accepting: np.ndarray, rejecting: np.ndarray)
 
 
 def union(m1: Mmqba, m2: Mmqba) -> Mmqba:
-    """Tensor-product automaton accepting when either component accepts.
+    """Tensor product that accepts every word a component accepts, and maybe more.
 
-    A product basis state is accepting when at least one component is
-    accepting, rejecting when both components are rejecting.
+    A product state accepts when either component's state accepts and rejects only when
+    both reject, so mass that one component rejects can go on to accept: ("", "b") at
+    p = 0.5 is rejected by lang_a_omega and reject_all but accepted by their union (item 14).
     """
     if set(m1.alphabet) != set(m2.alphabet):
         raise ValueError("union requires identical alphabets")

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import END_MARKER, Mmqba, _check_count, _check_word
-from .constructions import union
+from .numerics import tensor
 from .semantics import (
     CERTIFIED,
     LassoWord,
@@ -170,11 +170,9 @@ class TimingReport:
 
 def _kernel_matrices(a: Mmqba) -> dict:
     mats = {}
-    for sym in a.alphabet:
+    for sym in [*a.alphabet, END_MARKER]:
         m = a.unitary_for(sym)
         mats[sym] = (m.real.tolist(), m.imag.tolist())
-    marker = a.unitary_for(END_MARKER)
-    mats[END_MARKER] = (marker.real.tolist(), marker.imag.tolist())
     return mats
 
 
@@ -242,7 +240,8 @@ def benchmark_step_cost(a: Mmqba, lengths) -> TimingReport:
     dimension grows geometrically while the per-step arithmetic grows
     with its square. With two or more levels the report includes the
     fitted log-log growth exponent of the per-symbol time in the
-    dimension; with fewer it is NaN.
+    dimension; with fewer it is NaN. The timed steps read only the symbol
+    unitaries, so each later power is built from them alone, when it runs.
     """
     lengths = [_check_count("lengths", n) for n in lengths]
     if not lengths:
@@ -252,14 +251,15 @@ def benchmark_step_cost(a: Mmqba, lengths) -> TimingReport:
     per_symbol = []
     level = a
     for count in lengths:
+        if dims:
+            powers = {s: tensor(level.unitaries[s], a.unitaries[s]) for s in symbols}
+            level = Mmqba([""] * (level.dim * a.dim), symbols, powers, 0, (), ())
         word = list(itertools.islice(itertools.cycle(symbols), count))
         _, _, elapsed = reference_run(level, word)
         dims.append(level.dim)
         per_symbol.append(elapsed / count)
-        level = union(level, a)
     if len(lengths) >= 2:
-        slope = np.polyfit(np.log(dims), np.log(per_symbol), 1)[0]
-        exponent = float(slope)
+        exponent = float(np.polyfit(np.log(dims), np.log(per_symbol), 1)[0])
     else:
         exponent = float("nan")
     return TimingReport(

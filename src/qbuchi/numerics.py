@@ -34,9 +34,10 @@ def as_matrix(values) -> np.ndarray:
 
 
 def _check_tolerance(tol, name: str = "tol", given=None) -> float:
-    """The tolerance rule: inf passes any finite matrix as unitary, and NaN or
-    tol <= 0 flags every one. The message names given, by default tol."""
-    if not 0 < tol < math.inf:
+    """The tolerance rule: inf passes any finite matrix as unitary, NaN or tol <= 0
+    flags every one, and a bool, a string or None is no number. The message names given."""
+    number = hasattr(tol, "__float__") and not isinstance(tol, (bool, np.bool_))
+    if not number or not 0 < tol < math.inf:
         shown = tol if given is None else given
         raise ValueError(f"{name} must be finite and positive, got {shown!r}")
     return tol

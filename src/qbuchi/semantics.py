@@ -31,8 +31,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .automata import (END_MARKER, Mmqba, Mmqfa, TERMINAL, _check_count, _check_cutpoint,
-                       _check_word, _f17, _json_text)
+from .automata import (END_MARKER, Mmqba, Mmqfa, TERMINAL, _Kernel, _check_count,
+                       _check_cutpoint, _check_word, _f17, _json_text)
 
 DEFAULT_MAX_PERIODS = 1024
 DEFAULT_EPSILON = 1e-9
@@ -79,6 +79,8 @@ class LassoWord:
     cycle: str
 
     def __post_init__(self):
+        if not (isinstance(self.prefix, str) and isinstance(self.cycle, str)):
+            raise ValueError("lasso prefix and cycle must be strings")
         if not self.cycle:
             raise ValueError("lasso cycle must be nonempty")
 
@@ -139,58 +141,6 @@ def _start_vector(a: Mmqba) -> np.ndarray:
 
 def _norm_sq(psi: np.ndarray) -> float:
     return float(np.vdot(psi, psi).real)
-
-
-class _Kernel:
-    """The measured step of one automaton, built once and shared by runs.
-
-    The halting indices sit in one array, the accepting states first and
-    then the rejecting ones, each in sorted order, so a step measures with
-    one gather and one scatter, in halting. halting is the one method that
-    writes to the state it is given, which must be the caller's own, such
-    as a fresh product. amplitudes_each steps a block whose columns take
-    symbols of their own, and apply steps a vector and sums its accepting
-    and its rejecting probabilities; neither writes to its input, so run
-    states can be shared without copying.
-    """
-
-    __slots__ = ("a", "symbols", "halt_idx", "n_acc")
-
-    def __init__(self, a: Mmqba):
-        accepting = sorted(a.accepting)
-        self.a = a
-        self.symbols = set(a.alphabet)
-        self.halt_idx = np.array(accepting + sorted(a.rejecting), dtype=np.intp)
-        self.n_acc = len(accepting)
-
-    def halting(self, psi: np.ndarray):
-        """psi, a state the caller owns, with its halting amplitudes zeroed
-        in place, and those amplitudes in halt_idx order."""
-        amps = psi[self.halt_idx]
-        psi[self.halt_idx] = 0.0
-        return psi, amps
-
-    def amplitudes_each(self, psi: np.ndarray, which: np.ndarray):
-        """One measured step of a block (dim, B) whose column c takes the
-        symbol sorted(a.alphabet)[which[c]]: the new block and the halting
-        amplitudes in halt_idx order, one column per column of psi.
-
-        Each symbol's unitary multiplies the columns that take it, in one
-        product; a symbol that no column takes costs an empty product.
-        """
-        out = np.empty_like(psi)
-        for k, symbol in enumerate(sorted(self.symbols)):
-            cols = np.flatnonzero(which == k)
-            out[:, cols] = self.a.unitary_for(symbol) @ psi[:, cols]
-        return self.halting(out)
-
-    def apply(self, psi: np.ndarray, symbol: str):
-        """One measured step of a vector: the new state and the accepting
-        and rejecting probabilities of the step as Python floats."""
-        psi, amps = self.halting(self.a.unitary_for(symbol) @ psi)
-        probs = amps.real * amps.real + amps.imag * amps.imag
-        n = self.n_acc
-        return psi, float(np.add.reduce(probs[:n])), float(np.add.reduce(probs[n:]))
 
 
 def _records(kernel: _Kernel, word: str) -> tuple[StepRecord, ...]:

@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qbuchi.automata import Mmqba
-from qbuchi.semantics import _Kernel
+from qbuchi.automata import Mmqba, _Kernel
 from qbuchi.fixtures import list_fixtures, load_fixture
 
 FIXTURE_NAMES = (

@@ -16,9 +16,9 @@ from qbuchi.analysis import (
     _outside,
     _random_member,
 )
-from qbuchi.automata import _encode_matrix, _json_text
+from qbuchi.automata import _Kernel, _encode_matrix, _json_text
 from qbuchi.numerics import SubspaceBasis, null_space
-from qbuchi.semantics import LassoWord, StepRecord, _Kernel, _norm_sq, run_lasso, run_prefix
+from qbuchi.semantics import LassoWord, StepRecord, _norm_sq, run_lasso, run_prefix
 
 from conftest import haar_unitary, make_automaton, planted_automaton, two_block_automaton
 

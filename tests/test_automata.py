@@ -543,7 +543,7 @@ def test_default_tolerance_env(monkeypatch):
             default_tolerance()
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0, True, "1e-3"])
 def test_validate_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
     # a shear is 1 off unitary, which tol=inf would pass; NaN or tol <= 0
     # would flag it, as it would flag every matrix
@@ -564,7 +564,8 @@ def test_cutpoint_range_and_warning():
         Cutpoint(1.5)
     with pytest.raises(ValueError):
         Cutpoint(float("nan"))
-    for bad in (True, np.True_, "0.8", b"0.8"):  # float() would read each as a number
+    # float() would read the first four as numbers, and refuse None with a TypeError
+    for bad in (True, np.True_, "0.8", b"0.8", None):
         with pytest.raises(ValueError, match=r"cutpoint must lie in \(0, 1\]"):
             Cutpoint(bad)
     with pytest.warns(CutpointWarning):

@@ -92,6 +92,76 @@ def test_union_conserves_norm(fixtures):
         assert abs(1.0 - rec.acc - rec.rej - rec.nonhalt_norm_sq) <= 1e-9
 
 
+# ROADMAP item 14: in the product, mass that one component would measure
+# away at a rejecting state goes on evolving while the other component's
+# state does not halt, so the union accepts words that neither component
+# accepts. The pairs share one word, ("", "b") at cutpoint 0.5.
+UNION_COUNTEREXAMPLES = [
+    ("lang_a_omega", "reject_all", {"lang_a_omega": "rej-limit-refuted",
+                                    "reject_all": "buchi-refuted"}),
+    ("lang_a_prefix", "lang_a_prefix", {"lang_a_prefix": "rej-limit-refuted"}),
+]
+
+
+@pytest.mark.parametrize("left,right,reasons", UNION_COUNTEREXAMPLES,
+                         ids=[f"{a}-{b}" for a, b, _ in UNION_COUNTEREXAMPLES])
+def test_union_counterexample_components_reject(fixtures, left, right, reasons):
+    for name in (left, right):
+        v = run_lasso(fixtures[name], LassoWord("", "b"), 0.5)
+        assert (v.status, v.reason) == (Status.REJECTED, reasons[name])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the union accepts words that "
+                   "neither component accepts (acc 1.0 and 0.753)")
+@pytest.mark.parametrize("left,right,reasons", UNION_COUNTEREXAMPLES,
+                         ids=[f"{a}-{b}" for a, b, _ in UNION_COUNTEREXAMPLES])
+def test_union_rejects_a_word_that_both_components_reject(fixtures, left, right, reasons):
+    u = union(fixtures[left], fixtures[right])
+    assert run_lasso(u, LassoWord("", "b"), 0.5).status is Status.REJECTED
+
+
+def _short_lassos(symbols):
+    """Every lasso with |u| <= 1 and 1 <= |v| <= 2 over symbols."""
+    prefixes = ["", *symbols]
+    cycles = [*symbols, *("".join(v) for v in itertools.product(symbols, repeat=2))]
+    return [LassoWord(u, v) for u in prefixes for v in cycles]
+
+
+def _union_keeps_accepted_words(m1, m2, cutpoints):
+    """Assert that the union accepts every short lasso that m1 or m2
+    accepts, all at one budget, and return how many such words there were."""
+    u, count = union(m1, m2), 0
+    for w, p in itertools.product(_short_lassos(sorted(m1.alphabet)), cutpoints):
+        if any(run_lasso(m, w, p, max_periods=32).status is Status.ACCEPTED for m in (m1, m2)):
+            count += 1
+            assert run_lasso(u, w, p, max_periods=32).status is Status.ACCEPTED, (w, p)
+    return count
+
+
+def test_union_accepts_every_word_that_a_component_accepts(fixtures):
+    # the direction of item 14 that holds, sampled, not proved: fixture pairs
+    # with one alphabet, and pairs of Haar automata of dimension 3-5 with
+    # one accepting and one rejecting state each
+    accepted = 0
+    for n1, n2 in itertools.combinations_with_replacement(FIXTURE_NAMES, 2):
+        m1, m2 = fixtures[n1], fixtures[n2]
+        if set(m1.alphabet) == set(m2.alphabet):
+            accepted += _union_keeps_accepted_words(m1, m2, (0.5, 0.6, 0.8, 0.9))
+    rng = np.random.default_rng(14)
+
+    def haar_automaton():
+        dim = int(rng.integers(3, 6))
+        acc, rej = rng.choice(np.arange(1, dim), size=2, replace=False).tolist()
+        return Mmqba(tuple(f"s{i}" for i in range(dim)), ("a", "b"),
+                     {s: haar_unitary(rng, dim) for s in "ab"}, 0,
+                     frozenset([acc]), frozenset([rej]))
+
+    for _ in range(40):
+        accepted += _union_keeps_accepted_words(haar_automaton(), haar_automaton(),
+                                                (0.3, 0.5, 0.7))
+    assert accepted > 1000
+
+
 def test_empty_automaton_rejects_everything():
     m = empty_automaton({"a", "b"})
     assert m.dim == 2

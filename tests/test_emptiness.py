@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qbuchi import emptiness, semantics
+from qbuchi import automata, emptiness, semantics
 from qbuchi.emptiness import (
     SearchBudget,
     SearchResult,
@@ -593,14 +593,14 @@ def test_search_never_writes_a_shared_state(monkeypatch):
     # every state the kernel steps to, kept alive so that ids stay unique,
     # with a copy taken as it was stored
     stepped = {}
-    apply = semantics._Kernel.apply
+    apply = automata._Kernel.apply
 
     def copied(self, psi, sym):
         out = apply(self, psi, sym)
         stepped[id(out[0])] = out[0], out[0].copy()
         return out
 
-    monkeypatch.setattr(semantics._Kernel, "apply", copied)
+    monkeypatch.setattr(automata._Kernel, "apply", copied)
     res = check_emptiness(_open_run_automaton(), 0.5, SearchBudget(max_rounds=3))
     assert res.candidates_tried == 258
     (context,) = contexts
@@ -671,7 +671,9 @@ def test_benchmark_reports_growth(fixtures):
     assert d["dims"] == [3, 9]
 
 
-def test_benchmark_single_level_has_no_exponent(fixtures):
+def test_benchmark_single_level_has_no_exponent(fixtures, monkeypatch):
+    # nor a tensor power, which only a later level would time
+    monkeypatch.setattr(emptiness, "tensor", lambda *_: pytest.fail("an unused power"))
     rep = benchmark_step_cost(fixtures["no_entry"], [50])
     assert rep.dims == (3,)
     assert math.isnan(rep.exponent)

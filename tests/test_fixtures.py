@@ -111,6 +111,7 @@ def test_the_names_perfbench_traces_resolve(monkeypatch):
     for module, attr, _, _ in tracing.TARGETS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     assert isinstance(qbuchi.SubspaceBasis.__dict__.get("from_spanning"), classmethod)
+    assert callable(getattr(qbuchi.Mmqba, "unitary_for", None))  # counted, not spanned
 
 
 SOURCE_FILES = sorted(Path(qbuchi.__file__).parent.glob("*.py"))
@@ -129,6 +130,18 @@ def test_no_unused_imports(path):
         elif isinstance(node, ast.Name):
             used.add(node.id)
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", SOURCE_FILES, ids=[p.name for p in SOURCE_FILES])
+def test_no_import_inside_a_function(path):
+    # each module imports the modules below it once, at module level, so
+    # that a cycle between two modules cannot hide in a function body
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = [n.lineno for n in ast.walk(func)
+                     if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert inner == [], f"{path.name}:{func.name} imports at lines {inner}"
 
 
 def _module_names():

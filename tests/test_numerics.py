@@ -55,7 +55,7 @@ def test_subspace_arguments_are_checked(call, message):
         call()
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0, True, "1e-3", None])
 def test_is_unitary_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
     # inf would call any finite matrix unitary, and NaN or tol <= 0 none
     with pytest.raises(ValueError, match="tol must be finite and positive"):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbuchi import semantics
-from qbuchi.automata import END_MARKER, TERMINAL
+from qbuchi.automata import END_MARKER, TERMINAL, _Kernel
 from qbuchi.constructions import finite_language_mmqfa
 from qbuchi.emptiness import reference_run
 from qbuchi.semantics import (
@@ -36,7 +36,6 @@ from qbuchi.semantics import (
     run_mmqfa,
     run_prefix,
     trace_to_csv,
-    _Kernel,
     _json_text,
     _norm_sq,
     trace_to_json,
@@ -65,6 +64,10 @@ def test_lasso_word_validation():
     assert w.expand(3).startswith("abbab")
     with pytest.raises(ValueError):
         LassoWord("a", "")
+    # run_lasso would fail later on prefix + cycle with a TypeError
+    for prefix, cycle in ((None, "a"), ("a", None), (b"a", "a")):
+        with pytest.raises(ValueError, match="lasso prefix and cycle must be strings"):
+            LassoWord(prefix, cycle)
 
 
 def test_prefix_trace_closed_form(fixtures):
@@ -282,8 +285,9 @@ def test_run_lasso_validation_errors(fixtures):
         run_lasso(a, w, 0.0)
     with pytest.raises(ValueError):
         run_lasso(a, w, 1.5)
-    # float() reads True as 1 and "0.8" as 0.8, yet neither is a number
-    for bad in (True, "0.8", b"0.8"):
+    # float() reads True as 1 and "0.8" as 0.8, yet neither is a number, and
+    # it refuses None with a TypeError
+    for bad in (True, "0.8", b"0.8", None):
         with pytest.raises(ValueError, match=r"cutpoint must lie in \(0, 1\]"):
             run_lasso(a, w, bad)
     with pytest.raises(ValueError):
@@ -478,7 +482,7 @@ def test_check_acceptance_clauses_refutations(fixtures):
         check_acceptance_clauses((), 0.5)
 
 
-@pytest.mark.parametrize("p", [math.nan, -1.0, 0.0, 5.0])
+@pytest.mark.parametrize("p", [math.nan, -1.0, 0.0, 5.0, None])
 def test_check_acceptance_clauses_checks_the_cutpoint(fixtures, p):
     # unchecked, NaN reports every clause possible and p < 0 or p > 1
     # certifies one limit clause while refuting the other
