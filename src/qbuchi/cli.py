@@ -1,18 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 success (ACCEPTED / NONEMPTY / no violations), 1 REJECTED
-or validation failure, 2 INCONCLUSIVE, 64 usage, invalid option value or
-unreadable file, 65 malformed or inconsistent input data, which is
-checked before option values. Machine output
-(--json, CSV traces) prints floats with 17 significant digits and is
-byte-identical across identical invocations, except for bench, whose
-timings are inherently run-dependent. The QBA_TOL environment variable, a
-finite positive float, overrides the default validation tolerance.
+or validation failure, 2 INCONCLUSIVE, 64 usage, invalid option value
+(bench lengths with a level past its memory budget, too) or unreadable
+file, 65 malformed or inconsistent input data, which is checked before
+option values. stderr gets one line per warning, "qbuchi: warning: ...",
+and one for an error, "qbuchi: error: ...". Machine output (--json, CSV
+traces) prints floats with 17 significant digits and is byte-identical
+across identical invocations, except for bench, whose timings are
+inherently run-dependent. The QBA_TOL environment variable, a finite
+positive float, overrides the default validation tolerance.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import automata
 from .automata import AutomatonFormatError, Cutpoint, _json_text
@@ -93,15 +96,8 @@ def _check_symbols(a: automata.Mmqba, symbols) -> None:
 def cmd_validate(args) -> int:
     violations = _checked(args.file)[1]
     if args.json:
-        _print_json(
-            {
-                "file": args.file,
-                "valid": not violations,
-                "violations": [
-                    {"invariant": v.invariant, "detail": v.detail} for v in violations
-                ],
-            }
-        )
+        _print_json({"file": args.file, "valid": not violations,
+                     "violations": [vars(v) for v in violations]})
     else:
         for v in violations:
             print(v)
@@ -120,16 +116,13 @@ _STATUS_EXIT = {"ACCEPTED": EX_OK, "REJECTED": EX_FAIL, "INCONCLUSIVE": EX_INCON
 def cmd_run(args) -> int:
     a = _load_valid(args.file)
     _check_symbols(a, args.prefix + args.cycle)
-    try:
-        verdict = _cli.run_lasso(
-            a,
-            _cli.LassoWord(args.prefix, args.cycle),
-            Cutpoint(args.cutpoint),
-            record_trace=args.trace is not None,
-            **_given(max_periods=args.periods, mode=_cli.LITERAL if args.literal else None),
-        )
-    except ValueError as e:
-        raise _CliError(EX_USAGE, str(e))
+    verdict = _cli.run_lasso(
+        a,
+        _cli.LassoWord(args.prefix, args.cycle),
+        Cutpoint(args.cutpoint),
+        record_trace=args.trace is not None,
+        **_given(max_periods=args.periods, mode=_cli.LITERAL if args.literal else None),
+    )
     if args.trace is not None:
         text = (
             _cli.trace_to_csv(verdict.trace)
@@ -153,30 +146,12 @@ def cmd_run(args) -> int:
 
 def cmd_emptiness(args) -> int:
     a = _load_valid(args.file)
-    try:
-        p = Cutpoint(args.cutpoint)
-        budget = _cli.SearchBudget(**_given(max_rounds=args.rounds))
-        result = _cli.check_emptiness(
-            a, p, budget, **_given(mode=_cli.LITERAL if args.literal else None))
-    except ValueError as e:
-        raise _CliError(EX_USAGE, str(e))
+    p = Cutpoint(args.cutpoint)
+    budget = _cli.SearchBudget(**_given(max_rounds=args.rounds))
+    result = _cli.check_emptiness(
+        a, p, budget, **_given(mode=_cli.LITERAL if args.literal else None))
     if args.json:
-        witness = None
-        if result.witness is not None:
-            w, verdict = result.witness
-            witness = {
-                "prefix": w.prefix,
-                "cycle": w.cycle,
-                "verdict": verdict.to_dict(),
-            }
-        _print_json(
-            {
-                "status": result.status.value,
-                "witness": witness,
-                "candidates_tried": result.candidates_tried,
-                "rounds_completed": result.rounds_completed,
-            }
-        )
+        _print_json(result.to_dict())
     else:
         if result.status is _cli.SearchStatus.NONEMPTY:
             w, verdict = result.witness
@@ -197,10 +172,7 @@ def cmd_emptiness(args) -> int:
 def cmd_union(args) -> int:
     m1 = _load_valid(args.file1)
     m2 = _load_valid(args.file2)
-    try:
-        m = _cli.union(m1, m2)
-    except ValueError as e:
-        raise _CliError(EX_DATAERR, str(e))
+    m = _cli.union(m1, m2)
     try:
         automata.save(m, args.output)
     except OSError as e:
@@ -225,12 +197,8 @@ def cmd_decompose(args) -> int:
 def cmd_check_cycle(args) -> int:
     a = _load_valid(args.file)
     _check_symbols(a, [args.symbol])
-    try:
-        s = SubspaceBasis.from_indices(args.subspace, a.dim)
-        cycle = _cli.is_sigma_cycle_subspace(a, s, args.symbol)
-    except ValueError as e:
-        raise _CliError(EX_DATAERR, str(e))
-    if cycle:
+    s = SubspaceBasis.from_indices(args.subspace, a.dim)
+    if _cli.is_sigma_cycle_subspace(a, s, args.symbol):
         report = _cli.no_entry_check(a, s, args.symbol)
         if args.json:
             _print_json(
@@ -252,10 +220,7 @@ def cmd_check_cycle(args) -> int:
 
 def cmd_bench(args) -> int:
     a = _load_valid(args.file)
-    try:
-        report = _cli.benchmark_step_cost(a, args.lengths)
-    except ValueError as e:
-        raise _CliError(EX_USAGE, str(e))
+    report = _cli.benchmark_step_cost(a, args.lengths)
     if args.json:
         _print_json(report.to_dict())
     else:
@@ -288,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check an automaton file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, value_error=EX_DATAERR)
 
     p = sub.add_parser("run", help="simulate a lasso word and print the verdict")
     p.add_argument("file")
@@ -301,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace file format")
     _add_literal_flag(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, value_error=EX_USAGE)
 
     p = sub.add_parser("emptiness", help="search for an accepted lasso word")
     p.add_argument("file")
@@ -309,18 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int)
     _add_literal_flag(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_emptiness)
+    p.set_defaults(func=cmd_emptiness, value_error=EX_USAGE)
 
     p = sub.add_parser("union", help="write the product union of two automata")
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_union)
+    p.set_defaults(func=cmd_union, value_error=EX_DATAERR)
 
     p = sub.add_parser("decompose", help="split the non-halting space")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, value_error=EX_DATAERR)
 
     p = sub.add_parser("check-cycle", help="invariance and no-entry residuals "
                        "of a basis-spanned subspace")
@@ -329,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace", type=_int_list, required=True,
                    metavar="I,J,...", help="basis state indices")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_cycle)
+    p.set_defaults(func=cmd_check_cycle, value_error=EX_DATAERR)
 
     p = sub.add_parser("bench", help="time the per-symbol simulation cost")
     p.add_argument("file")
@@ -337,20 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N1,N2,...",
                    help="symbols to time at each tensor-power level")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, value_error=EX_USAGE)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _CliError as e:
-        print(f"qbuchi: error: {e}", file=sys.stderr)
-        return e.code
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    """Run one command; a ValueError from it exits with its parser's value_error."""
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"qbuchi: warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            return args.func(args)
+        except (_CliError, ValueError) as e:
+            print(f"qbuchi: error: {e}", file=sys.stderr)
+            return e.code if isinstance(e, _CliError) else args.value_error

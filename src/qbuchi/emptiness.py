@@ -94,6 +94,14 @@ class SearchResult:
     candidates_tried: int
     rounds_completed: int
 
+    def to_dict(self) -> dict:
+        """Every field, with the status as its value and the witness spelled out."""
+        d = dict(vars(self), status=self.status.value, witness=None)
+        if self.witness is not None:
+            w, verdict = self.witness
+            d["witness"] = {"prefix": w.prefix, "cycle": w.cycle, "verdict": verdict.to_dict()}
+        return d
+
 
 def check_emptiness(
     a: Mmqba,
@@ -232,6 +240,13 @@ def reference_run(a: Mmqba, word) -> tuple[float, float, float]:
     return acc_sum, rej_sum, elapsed
 
 
+# A level of dimension d over k symbols holds k + 1 d x d complex matrices (its
+# unitaries and the end marker's), each entry 16 B in numpy and 64 B more as
+# reference_run's two lists of Python floats: 80 (k + 1) d^2 bytes in all. This
+# admits d <= 1057 over two symbols, so finite_ab's third level, 3375, is refused.
+_BENCH_BYTES = 256 * 2 ** 20
+
+
 def benchmark_step_cost(a: Mmqba, lengths) -> TimingReport:
     """Time the reference kernel on tensor powers of the automaton.
 
@@ -242,21 +257,25 @@ def benchmark_step_cost(a: Mmqba, lengths) -> TimingReport:
     fitted log-log growth exponent of the per-symbol time in the
     dimension; with fewer it is NaN. The timed steps read only the symbol
     unitaries, so each later power is built from them alone, when it runs.
+    A call with a level beyond _BENCH_BYTES is refused before any work.
     """
     lengths = [_check_count("lengths", n) for n in lengths]
     if not lengths:
         raise ValueError("lengths must be nonempty")
     symbols = sorted(a.alphabet)
-    dims = []
+    dims = [a.dim ** n for n in range(1, len(lengths) + 1)]
+    for n, dim in enumerate(dims, start=1):
+        if 80 * (len(symbols) + 1) * dim * dim > _BENCH_BYTES:
+            raise ValueError(f"level {n} has dimension {dim}, beyond the "
+                             f"{_BENCH_BYTES >> 20} MiB that bench allows")
     per_symbol = []
     level = a
     for count in lengths:
-        if dims:
+        if per_symbol:
             powers = {s: tensor(level.unitaries[s], a.unitaries[s]) for s in symbols}
             level = Mmqba([""] * (level.dim * a.dim), symbols, powers, 0, (), ())
         word = list(itertools.islice(itertools.cycle(symbols), count))
         _, _, elapsed = reference_run(level, word)
-        dims.append(level.dim)
         per_symbol.append(elapsed / count)
     if len(lengths) >= 2:
         exponent = float(np.polyfit(np.log(dims), np.log(per_symbol), 1)[0])

@@ -484,6 +484,14 @@ def test_estimate_limit_rejects_non_geometric_series():
     assert est.acc_bounds[0] == pytest.approx(0.7)
 
 
+def test_estimate_limit_with_a_zero_increment_is_not_geometric():
+    # acc grows only every other period: no ratio of increments exists
+    est = estimate_limit(_geometric_records([0.2, 0.0, 0.1, 0.0, 0.05]), period_len=1)
+    assert not est.is_geometric
+    assert est.ratio == 0.0
+    assert est.acc_limit_estimate == pytest.approx(0.35)
+
+
 def test_estimate_limit_converged_series():
     est = estimate_limit(_geometric_records([0.5, 0.0, 0.0, 0.0, 0.0]), period_len=1)
     assert est.is_geometric

@@ -21,6 +21,7 @@ from qbuchi.automata import (
     save,
     saves,
     validate,
+    _json_text,
     _walk_matrix,
 )
 from qbuchi.fixtures import fixture_path, list_fixtures
@@ -274,6 +275,18 @@ def test_loads_rejects_terminal_for_mmqba():
     doc = _doc("finite_ab")
     doc["type"] = "mmqba"
     _expect_format_error(doc, "unexpected unitary key")
+
+
+def test_mmqfa_requires_a_terminal_unitary():
+    with pytest.raises(ValueError, match=r"^mmqfa requires a terminal '\$' unitary$"):
+        Mmqfa(("q0", "q1"), ("a",), {"a": np.eye(2)}, 0, frozenset({1}), frozenset())
+
+
+@pytest.mark.parametrize("obj,name", [(object(), "object"), (np.int64(1), "int64"),
+                                      ({"k": 1j}, "complex")])
+def test_json_text_refuses_what_it_cannot_write(obj, name):
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        _json_text(obj)
 
 
 def test_format_error_carries_path():

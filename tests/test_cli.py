@@ -103,7 +103,8 @@ def test_boundary_cutpoint_warns_on_stderr():
     r = qbuchi("run", fixture_path("lang_ab_cycle"), "--cycle", "ab",
                "--cutpoint", "0.5")
     assert r.returncode == 0
-    assert b"CutpointWarning" in r.stderr
+    assert r.stderr == (b"qbuchi: warning: cutpoint 0.5 is not above 1/2; "
+                        b"acceptance guarantees assume p > 1/2\n")
 
 
 RUN_ARGV = ["run", fixture_path("lang_a_omega"), "--cycle", "a",
@@ -211,7 +212,7 @@ def test_epsilon_above_cutpoint_has_one_message():
     run = qbuchi(*RUN_ARGV, "--cutpoint", "1e-10")
     emptiness = qbuchi(*EMPTINESS_ARGV, "--cutpoint", "1e-10")
     message = b"qbuchi: error: cutpoint must exceed epsilon 1e-09, got 1e-10\n"
-    # the lines before it are the CutpointWarning, which names the call site
+    # the line before it is the CutpointWarning's "qbuchi: warning:" line
     assert run.stderr.endswith(message) and emptiness.stderr.endswith(message)
 
 
@@ -397,6 +398,14 @@ def test_bench_json_smoke():
     assert isinstance(doc["exponent"], float)
 
 
+def test_bench_refuses_a_level_past_its_memory_budget():
+    r = qbuchi("bench", fixture_path("finite_ab"), "--lengths", "40,40,40")
+    assert r.returncode == 64
+    assert r.stdout == b""
+    assert r.stderr == (b"qbuchi: error: level 3 has dimension 3375, "
+                        b"beyond the 256 MiB that bench allows\n")
+
+
 def test_bench_single_level_reports_null_exponent():
     r = qbuchi("bench", fixture_path("no_entry"), "--lengths", "40", "--json")
     doc = json.loads(r.stdout)
@@ -472,6 +481,34 @@ def test_a_bad_qba_tol_is_a_usage_error_on_every_command(tmp_path, monkeypatch, 
         assert capsys.readouterr() == ("", f"qbuchi: error: {message}\n")
         assert cli.main(_argv([argv[0], bad, *argv[2:]], tmp_path)) == 65, argv[0]
         assert capsys.readouterr().err.startswith("qbuchi: error: parse error")
+
+
+VALUE_ERROR_EXIT = {"validate": 65, "run": 64, "emptiness": 64, "union": 65,
+                    "decompose": 65, "check-cycle": 65, "bench": 64}
+
+
+def test_each_command_declares_the_exit_of_a_value_error():
+    # an option value is a usage error (64), anything else input data (65)
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name: sub.get_default("value_error")
+            for name, sub in commands.items()} == VALUE_ERROR_EXIT
+
+
+LIBRARY_CALL = {
+    "validate": (automata, "validate"), "run": (cli, "run_lasso"),
+    "emptiness": (cli, "check_emptiness"), "union": (cli, "union"),
+    "decompose": (cli, "decompose_nonhalting"), "check-cycle": (cli, "is_sigma_cycle_subspace"),
+    "bench": (cli, "benchmark_step_cost"),
+}
+
+
+@pytest.mark.parametrize("command", LIBRARY_CALL)
+def test_main_turns_a_library_value_error_into_one_line(tmp_path, capsys, command):
+    argv = next(argv for argv, _ in COMMAND_MODULES if argv[0] == command)
+    with mock.patch.object(*LIBRARY_CALL[command], side_effect=ValueError("bad value")):
+        assert cli.main(_argv(argv, tmp_path)) == VALUE_ERROR_EXIT[command]
+    assert capsys.readouterr() == ("", "qbuchi: error: bad value\n")
 
 
 @pytest.mark.parametrize("name,command", [

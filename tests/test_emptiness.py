@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -677,6 +678,40 @@ def test_benchmark_single_level_has_no_exponent(fixtures, monkeypatch):
     rep = benchmark_step_cost(fixtures["no_entry"], [50])
     assert rep.dims == (3,)
     assert math.isnan(rep.exponent)
+
+
+def test_benchmark_refuses_a_level_past_its_memory_budget(fixtures, monkeypatch):
+    # the whole call is refused before any level is built or run
+    for name in ("reference_run", "tensor"):
+        monkeypatch.setattr(emptiness, name, lambda *_, name=name: pytest.fail(name))
+    with pytest.raises(ValueError, match="^level 3 has dimension 3375, beyond the 256 MiB "
+                                         "that bench allows$"):
+        benchmark_step_cost(fixtures["finite_ab"], [40, 40, 40])
+    # 80 B for each entry of k + 1 matrices of dimension d: at most d = 1057
+    # over two symbols and d = 1295 over one
+    monkeypatch.setattr(emptiness, "reference_run", lambda *_: (0.0, 0.0, 1.0))
+    for dim, alphabet, fits in ((1057, ("a", "b"), True), (1058, ("a", "b"), False),
+                                (1295, ("a",), True), (1296, ("a",), False)):
+        a = types.SimpleNamespace(dim=dim, alphabet=alphabet)
+        if fits:
+            assert benchmark_step_cost(a, [1]).dims == (dim,)
+        else:
+            with pytest.raises(ValueError, match=f"^level 1 has dimension {dim},"):
+                benchmark_step_cost(a, [1])
+
+
+def test_search_result_to_dict_holds_the_fields_and_nothing_else(fixtures):
+    # --json prints this dict, and nothing new goes there (ROADMAP item 4)
+    found = check_emptiness(fixtures["lang_ab_cycle"], 0.6, SearchBudget(max_rounds=2))
+    none = check_emptiness(fixtures["reject_all"], 0.9, SearchBudget(max_rounds=1))
+    for result in (found, none):
+        assert sorted(result.to_dict()) == [
+            "candidates_tried", "rounds_completed", "status", "witness"]
+    word, verdict = found.witness
+    assert found.to_dict()["witness"] == {"prefix": word.prefix, "cycle": word.cycle,
+                                          "verdict": verdict.to_dict()}
+    assert found.to_dict()["status"] == "NONEMPTY"
+    assert none.to_dict()["witness"] is None
 
 
 def test_benchmark_validates_lengths(fixtures):

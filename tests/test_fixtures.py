@@ -144,6 +144,13 @@ def test_no_import_inside_a_function(path):
             assert inner == [], f"{path.name}:{func.name} imports at lines {inner}"
 
 
+def test_the_package_stays_within_its_line_budget():
+    # counted as `wc -l src/qbuchi/*.py` counts: newline characters
+    lines = sum(path.read_bytes().count(b"\n") for path in SOURCE_FILES)
+    assert lines <= 2600, (f"src/qbuchi/*.py has {lines} lines, over the 2600 "
+                           "that ROADMAP \"Line count\" allows")
+
+
 def _module_names():
     """The names bound at module level by a def, a class or an assignment
     in the package's source files, and the names read anywhere in them."""
