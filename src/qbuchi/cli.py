@@ -4,16 +4,18 @@ Exit codes: 0 success (ACCEPTED / NONEMPTY / no violations), 1 REJECTED
 or validation failure, 2 INCONCLUSIVE, 64 usage, invalid option value
 (bench lengths with a level past its memory budget, too) or unreadable
 file, 65 malformed or inconsistent input data, which is checked before
-option values. stderr gets one line per warning, "qbuchi: warning: ...",
-and one for an error, "qbuchi: error: ...". Machine output (--json, CSV
-traces) prints floats with 17 significant digits and is byte-identical
-across identical invocations, except for bench, whose timings are
-inherently run-dependent. The QBA_TOL environment variable, a finite
-positive float, overrides the default validation tolerance.
+option values, 74 stdout closed before the output ended (no traceback).
+stderr gets one line per warning, "qbuchi: warning: ...", and one for an
+error, "qbuchi: error: ...". Machine output (--json, CSV traces) prints
+floats with 17 significant digits and is byte-identical across identical
+invocations, except for bench, whose timings are inherently run-dependent.
+The QBA_TOL environment variable, a finite positive float, overrides the
+default validation tolerance.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -40,6 +42,7 @@ EX_FAIL = 1
 EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,13 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a ValueError from it exits with its parser's value_error."""
+    """Run one command; a ValueError from it exits with its parser's
+    value_error, and a closed stdout with EX_IOERR and no traceback."""
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"qbuchi: warning: {message}",
                                                          file=sys.stderr)
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
         except (_CliError, ValueError) as e:
             print(f"qbuchi: error: {e}", file=sys.stderr)
             return e.code if isinstance(e, _CliError) else args.value_error
+        except BrokenPipeError:
+            # the reader closed stdout, which ends the output; what is left in
+            # its buffer goes to os.devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EX_IOERR

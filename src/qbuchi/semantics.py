@@ -227,23 +227,28 @@ _CHUNK = 8
 # entry cap is worked out per dimension. Without a cap a search whose runs
 # stay open keeps every state it steps to, and its memory grows with the
 # search: at dimension 8 a tracemalloc peak of 13 MB after 4 rounds, against
-# 7.5 MB with the cap and 0.8 MB without a table.
+# 7.5 MB with the cap and 0.8 MB without a table. The maps table is cleared
+# once it holds more than this many bytes: a search at dimension 27 over 6
+# rounds compiles 124 cycles, whose maps take 7.9 MB.
 _TRANSITION_BYTES = 8 << 20
 
 
 class _LassoContext:
-    """Kernel, acceptance test, prefix table, phase table and transition
-    table of run_lasso calls.
+    """Kernel, acceptance test, prefix table, phase table, maps table and
+    transition table of run_lasso calls.
 
     The constructor is the one place where the test (p, mode) is checked,
-    advance is where it is applied, and run_word runs a lasso word under
-    it. The prefix phase of a run depends only on the automaton, the
-    prefix and the test, so its outcome is kept per prefix: a settled
-    REJECTED verdict, or the _Run after '#u'. The cycle phase depends only
-    on that run's state, the cycle, the test and the budget, so the phase
-    table keeps its outcome per (start state, cycle), keyed on the state's
-    content: prefixes whose runs reach bitwise the same state share their
-    cycle phases, as run_word describes.
+    advance is the one loop that applies it, step by step, and run_word
+    runs a lasso word under it. The prefix phase of a run depends only on
+    the automaton, the prefix and the test, so its outcome is kept per
+    prefix: a settled REJECTED verdict, or the _Run after '#u'. The cycle
+    phase depends only on that run's state, the cycle, the test and the
+    budget, so the phase table keeps its outcome per (start state, cycle),
+    keyed on the state's content: prefixes whose runs reach bitwise the
+    same state share their cycle phases, as run_word describes. The
+    compiled maps G and G_K of a cycle depend only on the cycle, so the
+    maps table keeps them per cycle, and a context builds them once while
+    the table holds them; it is cleared as _TRANSITION_BYTES says.
     A measured step depends only on the bytes of its state and on its
     symbol, so the transition table keeps, per (psi.tobytes(), symbol),
     the new state, read-only, and the step's (alpha, rho, nh): runs that
@@ -275,6 +280,7 @@ class _LassoContext:
         if not a.accepting:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, alpha, rho, nh, 0, 0)
         self.phases = {}
+        self.maps = {}
         self.transitions = {}
         self.max_transitions = _TRANSITION_BYTES // (32 * a.dim + 512)
         self.prefixes = {"": root}
@@ -295,20 +301,24 @@ class _LassoContext:
             trace=tuple(records) if records is not None else None,
         )
 
-    def advance(self, run: _Run, word: str, periods: int):
-        """Step run through word and apply every certificate after each step.
+    def advance(self, run: _Run, word: str, k: int = 0, stop: int = 0):
+        """Step run through periods k+1 .. stop of the cycle word, or once
+        through a prefix word when stop is 0, with every certificate after
+        each step.
 
-        Returns the verdict that settles the run (REJECTED, or ACCEPTED in
-        literal mode), or the run after word. A cycle period stops early at
-        the step where the non-halting mass is gone; a prefix (periods 0)
-        is stepped to its end, since the cycle starts from the state after
-        the whole prefix. The accept test needs visits >= DEFAULT_BETA *
-        periods; a prefix never accepts. A verdict reports periods as its
-        periods_simulated, and a trace record its place in
-        records as its step number. Each step is taken from the transition
-        table, and stepped and stored there when it is not held; each run
-        keeps its own sums, visits and records, so every float is that of
-        a stepped run.
+        Returns (verdict, period) once the run settles: a step's certificate
+        gives REJECTED, or ACCEPTED in literal mode, and a period that leaves
+        both sums and the state bitwise as they were is an exact fixed point
+        of the cycle map, where no further accepting visit is possible:
+        REJECTED buchi-refuted, or ACCEPTED once accepted. Otherwise it
+        returns (run, period) at stop, or at the step of a period where the
+        non-halting mass is gone. A prefix is stepped to its end, since the
+        cycle starts from the state after it, and never accepts. Period k
+        accepts only with visits >= DEFAULT_BETA * k; a verdict reports its
+        period as periods_simulated, and a trace record its place in records
+        as its step number. Each step is taken from the transition table,
+        and stepped and stored there when it is not held; each run keeps its
+        own sums, visits and records, so every float is that of a stepped run.
         """
         apply = self.kernel.apply
         transitions = self.transitions
@@ -316,45 +326,54 @@ class _LassoContext:
         p, mode = self.p, self.mode
         low = p - DEFAULT_EPSILON
         visit_eps, halt_sq = DEFAULT_VISIT_EPS, _HALTED_SQ
-        need = DEFAULT_BETA * periods if periods else math.inf
         psi, acc, rej, visits, halted, accepted = run
-        for sym in word:
-            key = (psi.tobytes(), sym)
-            step = transitions.get(key)
-            if step is None:
-                psi, alpha, rho = apply(psi, sym)
-                psi.flags.writeable = False
-                step = psi, alpha, rho, _norm_sq(psi)
-                if len(transitions) >= self.max_transitions:
-                    transitions.clear()
-                transitions[key] = step
-            psi, alpha, rho, nh = step
-            acc += alpha
-            rej += rho
-            if records is not None:
-                records.append(StepRecord(len(records) + 1, sym, alpha, rho, acc, rej, nh))
-            if alpha > visit_eps:
-                visits += 1
-            if rej >= p:
-                return self.verdict(Status.REJECTED, REASON_REJ_REFUTED,
-                                    acc, rej, nh, visits, periods)
-            halted_now = nh <= halt_sq
-            if acc + nh < low:
-                reason = REASON_HALTED_BELOW if halted_now else REASON_ACC_REFUTED
-                return self.verdict(Status.REJECTED, reason,
-                                    acc, rej, nh, visits, periods)
-            if not accepted and acc >= low and visits >= need:
-                rej_ok = (rej + nh < p) if mode == CERTIFIED else (rej < p)
-                if rej_ok:
-                    accepted = True
-                    if mode == LITERAL:
-                        return self.verdict(Status.ACCEPTED, REASON_CERTIFIED,
-                                            acc, rej, nh, visits, periods)
-            if halted_now:
-                halted = True
-                if periods:
-                    break
-        return _Run(psi, acc, rej, visits, halted, accepted)
+        while True:
+            psi0, acc0, rej0 = psi, acc, rej
+            if stop:
+                k += 1
+            need = DEFAULT_BETA * k if k else math.inf
+            for sym in word:
+                key = (psi.tobytes(), sym)
+                step = transitions.get(key)
+                if step is None:
+                    psi, alpha, rho = apply(psi, sym)
+                    psi.flags.writeable = False
+                    step = psi, alpha, rho, _norm_sq(psi)
+                    if len(transitions) >= self.max_transitions:
+                        transitions.clear()
+                    transitions[key] = step
+                psi, alpha, rho, nh = step
+                acc += alpha
+                rej += rho
+                if records is not None:
+                    records.append(StepRecord(len(records) + 1, sym, alpha, rho, acc, rej, nh))
+                if alpha > visit_eps:
+                    visits += 1
+                if rej >= p:
+                    return self.verdict(Status.REJECTED, REASON_REJ_REFUTED,
+                                        acc, rej, nh, visits, k), k
+                halted_now = nh <= halt_sq
+                if acc + nh < low:
+                    reason = REASON_HALTED_BELOW if halted_now else REASON_ACC_REFUTED
+                    return self.verdict(Status.REJECTED, reason,
+                                        acc, rej, nh, visits, k), k
+                if not accepted and acc >= low and visits >= need:
+                    rej_ok = (rej + nh < p) if mode == CERTIFIED else (rej < p)
+                    if rej_ok:
+                        accepted = True
+                        if mode == LITERAL:
+                            return self.verdict(Status.ACCEPTED, REASON_CERTIFIED,
+                                                acc, rej, nh, visits, k), k
+                if halted_now:
+                    halted = True
+                    if k:
+                        break
+            if stop and not halted and acc == acc0 and rej == rej0 and (psi == psi0).all():
+                status, reason = ((Status.ACCEPTED, REASON_CERTIFIED) if accepted
+                                  else (Status.REJECTED, REASON_BUCHI_REFUTED))
+                return self.verdict(status, reason, acc, rej, nh, visits, k), k
+            if halted or k == stop:
+                return _Run(psi, acc, rej, visits, halted, accepted), k
 
     def compiled(self, cycle: str) -> np.ndarray:
         """The compiled map G of one period of cycle.
@@ -491,14 +510,15 @@ class _LassoContext:
             base = u[:-1] if u[:-1] in self.prefixes else ""
             entry = self.prefixes[base]
             if isinstance(entry, _Run):
-                entry = self.advance(entry, u[len(base):], 0)
+                entry = self.advance(entry, u[len(base):])[0]
             self.prefixes[u] = entry
         return entry
 
-    def run_word(self, w: LassoWord, max_periods: int) -> Verdict:
-        """The verdict of w, whose symbols the caller has checked, within
-        max_periods >= 1 cycle periods: the prefix phase from the table,
-        then the cycle phase from the phase table or from cycle_phase.
+    def run_word(self, prefix: str, cycle: str, max_periods: int) -> Verdict:
+        """The verdict of prefix cycle^omega, whose symbols the caller has
+        checked, within max_periods >= 1 cycle periods: the prefix phase
+        from the table, then the cycle phase from the phase table or from
+        cycle_phase. run_lasso and check_emptiness check its arguments.
 
         The phase table keeps per (start state, cycle) the verdict of the
         last run, the budgets low..high it answers, and the (run, k) to
@@ -514,10 +534,9 @@ class _LassoContext:
         answers its own budget only and a larger budget runs afresh. Every
         answer is bit-identical to a fresh run's.
         """
-        start = self.after(w.prefix)
+        start = self.after(prefix)
         if isinstance(start, Verdict):
             return start
-        cycle = w.cycle
         key = (start.psi.tobytes(), *start[1:], cycle)
         entry = self.phases.get(key)
         run, k = start, 0
@@ -547,27 +566,36 @@ class _LassoContext:
         (run, k) to resume it from under a larger budget when the verdict
         is INCONCLUSIVE and the run has not halted, else None.
 
-        When compiles and at least dim periods are left after the first,
-        G and G_K are built after the first period. The later periods are
-        then tried by compiled_run in blocks of _BLOCK while that many are
-        left outside a discarded block, else one at a time up to the end of
-        that block or of the budget, up to _CHUNK blocks or periods a call.
-        A discarded block is taken again one period at a time, and a
-        discarded period is stepped; only stepped periods need the checks.
+        A stepped run takes all its periods in one advance call. When
+        compiles and at least dim periods are left after the first, that
+        call takes the first period only, and G and G_K come from the maps
+        table after it. The later periods are then tried by compiled_run in
+        blocks of _BLOCK while that many are left outside a discarded block,
+        else one at a time up to the end of that block or of the budget, up
+        to _CHUNK blocks or periods a call. A discarded block is taken again
+        one period at a time, and a discarded period is stepped by one
+        advance call; only stepped periods need the checks.
         """
         g = gk = None
         # periods up to this one are tried one at a time after a discarded block
         singles_until = 0
         # the most applications the next compiled_run call takes (see _CHUNK)
         chunk = _CHUNK
+        # compiling costs about (|v| - 1) * dim matrix-vector products and
+        # log2 _BLOCK products of dim x dim matrices; it saves |v| - 1
+        # products a period, and a block saves _BLOCK - 1 more
+        compiles = compiles and max_periods - 1 >= self.kernel.a.dim
         while k < max_periods:
-            # compiling costs about (|v| - 1) * dim matrix-vector products and
-            # log2 _BLOCK products of dim x dim matrices; it saves |v| - 1
-            # products a period, and a block saves _BLOCK - 1 more
-            if k == 1 and g is None and compiles and max_periods - 1 >= self.kernel.a.dim:
-                g = self.compiled(cycle)
-                gk = self.blocked(g)
-            if g is not None:
+            if k == 1 and g is None and compiles:
+                if cycle not in self.maps:
+                    if sum(m.nbytes for gs in self.maps.values() for m in gs) > _TRANSITION_BYTES:
+                        self.maps.clear()
+                    g = self.compiled(cycle)
+                    self.maps[cycle] = g, self.blocked(g)
+                g, gk = self.maps[cycle]
+            if g is None:
+                stop = 1 if compiles and k == 0 else max_periods
+            else:
                 if k >= singles_until and max_periods - k >= _BLOCK:
                     n, count = _BLOCK, min(chunk, (max_periods - k) // _BLOCK)
                 else:
@@ -582,19 +610,11 @@ class _LassoContext:
                 if n > 1:
                     singles_until = k + _BLOCK
                     continue
-            k += 1
-            prev, run = run, self.advance(run, cycle, k)
+                stop = k + 1
+            run, k = self.advance(run, cycle, k, stop)
             if isinstance(run, Verdict):
                 return run, None
             if run.halted:
-                break
-            if (run.acc == prev.acc and run.rej == prev.rej
-                    and np.array_equal(run.psi, prev.psi)):
-                # exact fixed point of the cycle map: no future step can
-                # differ, so no further accepting visit is possible
-                if not run.accepted:
-                    return self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, run.acc,
-                                        run.rej, _norm_sq(run.psi), run.visits, k), None
                 break
         psi, acc, rej, visits, halted, accepted = run
         nh = _norm_sq(psi)
@@ -638,8 +658,8 @@ def run_lasso(
     for limits within DEFAULT_EPSILON of the cutpoint. A long run at
     dimension 16 and up may apply its cycle periods compiled, as
     _LassoContext.compiled_run describes. _context is private:
-    check_emptiness passes one context, built for a and p, to all its
-    candidates, and that context supplies the test, so mode is not
+    check_emptiness passes its context, built for a and p, with its
+    witness, and that context supplies the test, so mode is not
     read. A context for another automaton or cutpoint, or a traced
     run, is refused.
     """
@@ -652,7 +672,7 @@ def run_lasso(
         raise ValueError("a shared lasso context needs the same automaton and cutpoint, "
                          "and no trace")
     _check_word(context.kernel.symbols, w.prefix + w.cycle)
-    return context.run_word(w, max_periods)
+    return context.run_word(w.prefix, w.cycle, max_periods)
 
 
 CLAUSE_CERTIFIED = "certified"

@@ -511,6 +511,23 @@ def test_main_turns_a_library_value_error_into_one_line(tmp_path, capsys, comman
     assert capsys.readouterr() == ("", "qbuchi: error: bad value\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", fixture_path("finite_ab"), "--json"],
+    ["emptiness", fixture_path("lang_a_prefix"), "--cutpoint", "0.8"],
+], ids=["decompose-json", "emptiness-text"])
+def test_a_closed_stdout_ends_the_output_with_exit_74(argv):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails, whenever it comes
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        r = subprocess.run([sys.executable, "-m", "qbuchi", *map(str, argv)],
+                           stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (r.returncode, r.stderr) == (74, b"")
+
+
 @pytest.mark.parametrize("name,command", [
     ("union", "union"), ("decompose_nonhalting", "decompose"), ("check_emptiness", "emptiness"),
     ("run_lasso", "run"),

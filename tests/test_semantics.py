@@ -607,6 +607,121 @@ def test_finite_word_runs_match_a_plain_step_loop(fixtures):
             assert run_mmqfa(a, word) == _apply_loop(a, word + TERMINAL)[1:]
 
 
+def _per_period_run(a, u, v, p, mode, n):
+    """The verdict dict and trace of u v^omega within n periods, from a
+    plain loop over _Kernel.apply with no transition table: the prefix in
+    one pass, then one cycle period at a time, each step's certificates
+    after it, a break where the run halts, and the exact-fixed-point test
+    at each period's end."""
+    s = semantics
+    kernel = _Kernel(a)
+    psi = np.zeros(a.dim, dtype=np.complex128)
+    psi[a.initial] = 1.0
+    psi, acc, rej = kernel.apply(psi, END_MARKER)
+    nh = _norm_sq(psi)
+    halted, accepted, visits, records = nh <= s._HALTED_SQ, False, 0, []
+    low = p - DEFAULT_EPSILON
+
+    def verdict(status, reason, k):
+        return {"status": status.value, "reason": reason, "acc_lower": acc,
+                "rej_lower": rej, "rej_upper": rej + nh, "visit_count": visits,
+                "periods_simulated": k, "mode": mode, "beta": s.DEFAULT_BETA,
+                "epsilon": DEFAULT_EPSILON}, tuple(records)
+
+    if not a.accepting:
+        return verdict(Status.REJECTED, s.REASON_BUCHI_REFUTED, 0)
+    for k in range(n + 1):
+        start = psi, acc, rej
+        need = s.DEFAULT_BETA * k if k else math.inf
+        for sym in v if k else u:
+            psi, alpha, rho = kernel.apply(psi, sym)
+            nh = _norm_sq(psi)
+            acc += alpha
+            rej += rho
+            records.append(StepRecord(len(records) + 1, sym, alpha, rho, acc, rej, nh))
+            visits += int(alpha > DEFAULT_VISIT_EPS)
+            if rej >= p:
+                return verdict(Status.REJECTED, REASON_REJ_REFUTED, k)
+            if acc + nh < low:
+                return verdict(Status.REJECTED, s.REASON_HALTED_BELOW if nh <= s._HALTED_SQ
+                               else s.REASON_ACC_REFUTED, k)
+            if (not accepted and acc >= low and visits >= need
+                    and (rej + nh < p if mode == CERTIFIED else rej < p)):
+                accepted = True
+                if mode == LITERAL:
+                    return verdict(Status.ACCEPTED, s.REASON_CERTIFIED, k)
+            if nh <= s._HALTED_SQ:
+                halted = True
+                if k:
+                    break
+        if k and halted:
+            break
+        if k and (acc, rej) == start[1:] and np.array_equal(psi, start[0]):
+            if accepted:
+                return verdict(Status.ACCEPTED, s.REASON_CERTIFIED, k)
+            return verdict(Status.REJECTED, s.REASON_BUCHI_REFUTED, k)
+    if accepted:
+        return verdict(Status.ACCEPTED, s.REASON_CERTIFIED, k)
+    return verdict(Status.INCONCLUSIVE, s.REASON_BUDGET, k)
+
+
+def _stepped_cases(fixtures):
+    """(name, automaton, budgets): every fixture and six automata of
+    conftest, at budgets that stay stepped even when doubled, then Haar
+    automata at dimensions 3-8 and 16-27, where a budget of at most dim / 2,
+    doubled, stays below dim + 1 and so never compiles."""
+    cases = [(name, a, (1, 3, 8)) for name, a in sorted(fixtures.items())]
+    cases += [(make.__name__, make(), (1, 3, 8)) for make in (
+        rotation_leak_automaton, acc_then_rej_automaton, accepted_fixed_point_automaton,
+        fixed_point_automaton, chain_halt_automaton, draining_half_automaton)]
+    rng = np.random.default_rng(28)
+    for dim in (3, 4, 5, 6, 7, 8, 16, 21, 27):
+        halting = rng.permutation(range(1, dim))[:int(rng.integers(2, 4))]
+        a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"},
+                           accepting=halting[1:].tolist(), rejecting=halting[:1].tolist())
+        cases.append((f"haar{dim}", a, (1, 2, dim // 2)))
+    return cases
+
+
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+def test_the_step_loop_matches_a_per_period_loop(fixtures, monkeypatch, mode):
+    # advance takes every stepped period of a phase in one call; each verdict
+    # and step record must be bit for bit that of a loop of one period at a
+    # time, run fresh and resumed in one context under a doubled budget
+    monkeypatch.setattr(semantics._LassoContext, "compiled",
+                        lambda *_: pytest.fail("a stepped case compiled"))
+    seen = set()
+    for name, a, budgets in _stepped_cases(fixtures):
+        symbols = sorted(a.alphabet)[:2]
+        words = [(u, v) for u in _words(symbols, 1) for v in _words(symbols, 2) if v]
+        for p, (u, v), n in itertools.product((0.6, 0.9), words, budgets):
+            want, trace = _per_period_run(a, u, v, p, mode, n)
+            got = run_lasso(a, LassoWord(u, v), p, max_periods=n, mode=mode, record_trace=True)
+            assert (repr(got.to_dict()), repr(got.trace)) == (repr(want), repr(trace)), (
+                name, u, v, p, n)
+            seen.add((got.status, got.reason, got.periods_simulated > 0))
+            context = semantics._LassoContext(a, p, mode, [])
+            first = context.run_word(u, v, n)
+            before = len(context.records)
+            again = context.run_word(u, v, 2 * n)
+            want, trace = _per_period_run(a, u, v, p, mode, 2 * n)
+            assert repr(again.to_dict()) == repr(want), (name, u, v, p, n)
+            if first.status is Status.ACCEPTED or len(v) > 1 and a.dim >= 16:
+                # run afresh from the prefix, with records numbered on from
+                # the first run's
+                def steps(records):
+                    return repr([vars(r) | {"j": 0} for r in records])
+                assert steps(context.records[before:]) == steps(trace[len(u):])
+            else:
+                # resumed, or answered from the phase table
+                assert repr(again.trace) == repr(trace), (name, u, v, p, n)
+    assert {reason for _, reason, _ in seen} == {
+        semantics.REASON_CERTIFIED, REASON_REJ_REFUTED, semantics.REASON_ACC_REFUTED,
+        semantics.REASON_HALTED_BELOW, REASON_BUCHI_REFUTED, semantics.REASON_BUDGET}
+    # buchi-refuted after the prefix is an exact fixed point of the cycle map
+    assert (Status.REJECTED, REASON_BUCHI_REFUTED, True) in seen
+
+
 def _stepped_only(monkeypatch):
     monkeypatch.setattr(semantics, "_COMPILED_MIN_DIM", math.inf)
 
@@ -678,11 +793,11 @@ def test_a_period_that_decides_is_the_stepped_period():
         g = context.compiled(cycle)
         run = context.after("")
         for k in range(1, DEFAULT_MAX_PERIODS + 1):
-            stepped = context.advance(run, cycle, k)
+            stepped = context.advance(run, cycle, k - 1, k)[0]
             # one compiled period, stepped again when it is discarded
             new, kept = context.compiled_run(run, cycle, k, g, 1, 1)
             compiled = new if kept else None
-            got = compiled if compiled is not None else context.advance(run, cycle, k)
+            got = compiled if compiled is not None else context.advance(run, cycle, k - 1, k)[0]
             if isinstance(stepped, Verdict):
                 events.add(stepped.status)
                 assert compiled is None
@@ -791,17 +906,16 @@ def test_compiled_blocks_match_periods_and_steps(monkeypatch, dim):
 
 def _stepped_event(a, w, p, mode):
     """The first stepped period that settles or halts the run, sets
-    accepted or reaches an exact fixed point, and which of these it does."""
+    accepted or reaches an exact fixed point, and which of these it does;
+    advance settles an exact fixed point as REJECTED buchi-refuted."""
     context = semantics._LassoContext(a, p, mode)
     run = context.after(w.prefix)
     for k in range(1, DEFAULT_MAX_PERIODS + 1):
-        prev, run = run, context.advance(run, w.cycle, k)
+        run = context.advance(run, w.cycle, k - 1, k)[0]
         if isinstance(run, Verdict):
             return k, run.reason
         if run.halted or run.accepted:
             return k, "halted" if run.halted else "accepted"
-        if (run.acc, run.rej) == (prev.acc, prev.rej) and np.array_equal(run.psi, prev.psi):
-            return k, "fixed point"
 
 
 def test_a_block_that_decides_is_taken_period_by_period(monkeypatch):
@@ -839,7 +953,7 @@ def test_a_block_that_decides_is_taken_period_by_period(monkeypatch):
                 assert got == want
             else:
                 _assert_same_run(got, want)
-    assert {"accepted", "halted", REASON_REJ_REFUTED, "fixed point"} <= events
+    assert {"accepted", "halted", REASON_REJ_REFUTED, REASON_BUCHI_REFUTED} <= events
 
 
 def test_a_block_takes_the_visit_test_of_its_first_period(monkeypatch):
@@ -960,7 +1074,7 @@ def test_compiled_run_adds_each_step_as_a_loop_would(dim):
                        accepting=[1, 2, 3], rejecting=[4])
     for cycle in ("ab", "abb", "bbaab"):
         context = semantics._LassoContext(a, 0.6, CERTIFIED, [])
-        run = context.advance(context.after("a"), cycle, 1)
+        run = context.advance(context.after("a"), cycle, 0, 1)[0]
         context.p = math.nan
         g = context.compiled(cycle)
         for gk, periods in ((context.blocked(g), K), (g, 1)):
