@@ -37,9 +37,7 @@ again under a doubled budget resumes its run where the last budget
 stopped instead of being re-simulated, and a pair whose state and cycle
 were already run is answered from that run. The verdicts are those of
 fresh runs, bit for bit; _LassoContext.run_word says when a run is
-resumed and when it is run afresh. The search checks its alphabet once
-and its budgets are counts, so each pair goes to run_word directly, with
-no LassoWord; only the witness is built as one and read through run_lasso.
+resumed and when it is run afresh.
 """
 from __future__ import annotations
 
@@ -79,8 +77,7 @@ class SearchStatus(enum.Enum):
 class SearchResult:
     """Outcome of the dovetailing search.
 
-    candidates_tried counts pair evaluations, each by the search's lasso
-    context as run_lasso would evaluate it there, including pairs evaluated
+    candidates_tried counts pair evaluations, including pairs evaluated
     again under a doubled budget in later rounds, although such a pair
     resumes its run rather than simulating it again. A pair that its
     prefix settles, or the first step of its cycle, counts in the round
@@ -120,8 +117,7 @@ def check_emptiness(
     symbols = sorted(a.alphabet)
     k = len(symbols)
     context = _LassoContext(a, p, mode)
-    # the one word check of the search: its pairs go to context.run_word,
-    # which checks nothing, and its budgets 2 ** r are counts
+    # a settled row or block makes no run_lasso call, so its word check is made here
     _check_word(context.kernel.symbols, "".join(symbols))
 
     def settled(u: str) -> bool:
@@ -156,14 +152,11 @@ def check_emptiness(
                             v = s + "".join(tail)
                             if (u, v) in rejected:
                                 continue
+                            w = LassoWord(u, v)
                             tried += 1
-                            verdict = context.run_word(u, v, max_periods)
+                            verdict = run_lasso(a, w, p, max_periods=max_periods,
+                                                _context=context)
                             if verdict.status is Status.ACCEPTED:
-                                # run_lasso, the checked entry that perfbench traces,
-                                # answers the witness from the phase table
-                                w = LassoWord(u, v)
-                                verdict = run_lasso(a, w, p, max_periods=max_periods,
-                                                    _context=context)
                                 return SearchResult(SearchStatus.NONEMPTY, (w, verdict),
                                                     tried, r)
                             if verdict.status is Status.REJECTED:

@@ -227,15 +227,13 @@ _CHUNK = 8
 # entry cap is worked out per dimension. Without a cap a search whose runs
 # stay open keeps every state it steps to, and its memory grows with the
 # search: at dimension 8 a tracemalloc peak of 13 MB after 4 rounds, against
-# 7.5 MB with the cap and 0.8 MB without a table. The maps table is cleared
-# once it holds more than this many bytes: a search at dimension 27 over 6
-# rounds compiles 124 cycles, whose maps take 7.9 MB.
+# 7.5 MB with the cap and 0.8 MB without a table.
 _TRANSITION_BYTES = 8 << 20
 
 
 class _LassoContext:
-    """Kernel, acceptance test, prefix table, phase table, maps table and
-    transition table of run_lasso calls.
+    """Kernel, acceptance test, prefix table, phase table and transition
+    table of run_lasso calls.
 
     The constructor is the one place where the test (p, mode) is checked,
     advance is the one loop that applies it, step by step, and run_word
@@ -245,10 +243,7 @@ class _LassoContext:
     phase depends only on that run's state, the cycle, the test and the
     budget, so the phase table keeps its outcome per (start state, cycle),
     keyed on the state's content: prefixes whose runs reach bitwise the
-    same state share their cycle phases, as run_word describes. The
-    compiled maps G and G_K of a cycle depend only on the cycle, so the
-    maps table keeps them per cycle, and a context builds them once while
-    the table holds them; it is cleared as _TRANSITION_BYTES says.
+    same state share their cycle phases, as run_word describes.
     A measured step depends only on the bytes of its state and on its
     symbol, so the transition table keeps, per (psi.tobytes(), symbol),
     the new state, read-only, and the step's (alpha, rho, nh): runs that
@@ -280,7 +275,6 @@ class _LassoContext:
         if not a.accepting:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, alpha, rho, nh, 0, 0)
         self.phases = {}
-        self.maps = {}
         self.transitions = {}
         self.max_transitions = _TRANSITION_BYTES // (32 * a.dim + 512)
         self.prefixes = {"": root}
@@ -514,11 +508,10 @@ class _LassoContext:
             self.prefixes[u] = entry
         return entry
 
-    def run_word(self, prefix: str, cycle: str, max_periods: int) -> Verdict:
-        """The verdict of prefix cycle^omega, whose symbols the caller has
-        checked, within max_periods >= 1 cycle periods: the prefix phase
-        from the table, then the cycle phase from the phase table or from
-        cycle_phase. run_lasso and check_emptiness check its arguments.
+    def run_word(self, w: LassoWord, max_periods: int) -> Verdict:
+        """The verdict of w, whose symbols the caller has checked, within
+        max_periods >= 1 cycle periods: the prefix phase from the table,
+        then the cycle phase from the phase table or from cycle_phase.
 
         The phase table keeps per (start state, cycle) the verdict of the
         last run, the budgets low..high it answers, and the (run, k) to
@@ -534,9 +527,10 @@ class _LassoContext:
         answers its own budget only and a larger budget runs afresh. Every
         answer is bit-identical to a fresh run's.
         """
-        start = self.after(prefix)
+        start = self.after(w.prefix)
         if isinstance(start, Verdict):
             return start
+        cycle = w.cycle
         key = (start.psi.tobytes(), *start[1:], cycle)
         entry = self.phases.get(key)
         run, k = start, 0
@@ -568,13 +562,13 @@ class _LassoContext:
 
         A stepped run takes all its periods in one advance call. When
         compiles and at least dim periods are left after the first, that
-        call takes the first period only, and G and G_K come from the maps
-        table after it. The later periods are then tried by compiled_run in
-        blocks of _BLOCK while that many are left outside a discarded block,
-        else one at a time up to the end of that block or of the budget, up
-        to _CHUNK blocks or periods a call. A discarded block is taken again
-        one period at a time, and a discarded period is stepped by one
-        advance call; only stepped periods need the checks.
+        call takes the first period only, and G and G_K are built after it.
+        The later periods are then tried by compiled_run in blocks of _BLOCK
+        while that many are left outside a discarded block, else one at a
+        time up to the end of that block or of the budget, up to _CHUNK
+        blocks or periods a call. A discarded block is taken again one
+        period at a time, and a discarded period is stepped by one advance
+        call; only stepped periods need the checks.
         """
         g = gk = None
         # periods up to this one are tried one at a time after a discarded block
@@ -587,12 +581,8 @@ class _LassoContext:
         compiles = compiles and max_periods - 1 >= self.kernel.a.dim
         while k < max_periods:
             if k == 1 and g is None and compiles:
-                if cycle not in self.maps:
-                    if sum(m.nbytes for gs in self.maps.values() for m in gs) > _TRANSITION_BYTES:
-                        self.maps.clear()
-                    g = self.compiled(cycle)
-                    self.maps[cycle] = g, self.blocked(g)
-                g, gk = self.maps[cycle]
+                g = self.compiled(cycle)
+                gk = self.blocked(g)
             if g is None:
                 stop = 1 if compiles and k == 0 else max_periods
             else:
@@ -658,8 +648,8 @@ def run_lasso(
     for limits within DEFAULT_EPSILON of the cutpoint. A long run at
     dimension 16 and up may apply its cycle periods compiled, as
     _LassoContext.compiled_run describes. _context is private:
-    check_emptiness passes its context, built for a and p, with its
-    witness, and that context supplies the test, so mode is not
+    check_emptiness passes one context, built for a and p, to all its
+    candidates, and that context supplies the test, so mode is not
     read. A context for another automaton or cutpoint, or a traced
     run, is refused.
     """
@@ -672,7 +662,7 @@ def run_lasso(
         raise ValueError("a shared lasso context needs the same automaton and cutpoint, "
                          "and no trace")
     _check_word(context.kernel.symbols, w.prefix + w.cycle)
-    return context.run_word(w.prefix, w.cycle, max_periods)
+    return context.run_word(w, max_periods)
 
 
 CLAUSE_CERTIFIED = "certified"

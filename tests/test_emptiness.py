@@ -477,12 +477,12 @@ def test_search_matches_plain_loop_on_colliding_states(
 
 
 def _counted_runs(monkeypatch) -> list:
-    """The (prefix, cycle) of every run_word call that check_emptiness
+    """The (prefix, cycle) of every run_lasso call that check_emptiness
     makes from here on."""
     pairs = []
-    run_word = _LassoContext.run_word
-    monkeypatch.setattr(_LassoContext, "run_word", lambda self, u, v, n: (
-        pairs.append((u, v)) or run_word(self, u, v, n)))
+    run = emptiness.run_lasso
+    monkeypatch.setattr(emptiness, "run_lasso", lambda a, w, p, **kw: (
+        pairs.append((w.prefix, w.cycle)) or run(a, w, p, **kw)))
     return pairs
 
 
@@ -601,32 +601,6 @@ def test_search_enters_the_step_loop_once_per_phase(fixtures, monkeypatch):
     res = check_emptiness(fixtures["lang_inf_a"], 1.0)
     assert res.candidates_tried == 1153
     assert (stops.count(0), len(stops)) == (62, 297)
-
-
-def test_a_context_builds_each_cycles_compiled_maps_once(monkeypatch):
-    # G and G_K depend only on the cycle, so a context builds them once per
-    # cycle while its maps table holds them: 60 builds for the 60 cycles
-    # that compile in round 5 of this search, and 2912 with one per run
-    built = []
-    compiled = _LassoContext.compiled
-    monkeypatch.setattr(_LassoContext, "compiled",
-                        lambda self, cycle: built.append(cycle) or compiled(self, cycle))
-    a = _draining_automaton(3, 16, "drain")
-    res = check_emptiness(a, 0.9, SearchBudget(max_rounds=5))
-    assert (res.status, res.candidates_tried) == (SearchStatus.INCONCLUSIVE, 4059)
-    assert len(built) == len(set(built)) == 60
-    # the table is cleared once it holds more than its byte cap, so at a cap
-    # of 0 it keeps the last cycle's maps only; a compiled run answers its
-    # own budget only, so the last call runs afresh
-    calls = [(LassoWord("", v), n) for v, n in (("ab", 17), ("ba", 17), ("ab", 18))]
-    want = [run_lasso(a, w, 0.9, max_periods=n) for w, n in calls]
-    for cap, builds in ((8 << 20, ["ab", "ba"]), (0, ["ab", "ba", "ab"])):
-        monkeypatch.setattr(semantics, "_TRANSITION_BYTES", cap)
-        built.clear()
-        context = _LassoContext(a, 0.9, CERTIFIED)
-        assert [run_lasso(a, w, 0.9, max_periods=n, _context=context)
-                for w, n in calls] == want
-        assert built == builds
 
 
 def test_search_never_writes_a_shared_state(monkeypatch):

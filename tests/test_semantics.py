@@ -701,9 +701,9 @@ def test_the_step_loop_matches_a_per_period_loop(fixtures, monkeypatch, mode):
                 name, u, v, p, n)
             seen.add((got.status, got.reason, got.periods_simulated > 0))
             context = semantics._LassoContext(a, p, mode, [])
-            first = context.run_word(u, v, n)
+            first = context.run_word(LassoWord(u, v), n)
             before = len(context.records)
-            again = context.run_word(u, v, 2 * n)
+            again = context.run_word(LassoWord(u, v), 2 * n)
             want, trace = _per_period_run(a, u, v, p, mode, 2 * n)
             assert repr(again.to_dict()) == repr(want), (name, u, v, p, n)
             if first.status is Status.ACCEPTED or len(v) > 1 and a.dim >= 16:
@@ -906,13 +906,18 @@ def test_compiled_blocks_match_periods_and_steps(monkeypatch, dim):
 
 def _stepped_event(a, w, p, mode):
     """The first stepped period that settles or halts the run, sets
-    accepted or reaches an exact fixed point, and which of these it does;
-    advance settles an exact fixed point as REJECTED buchi-refuted."""
+    accepted or reaches an exact fixed point, and which of these it does."""
     context = semantics._LassoContext(a, p, mode)
     run = context.after(w.prefix)
     for k in range(1, DEFAULT_MAX_PERIODS + 1):
         run = context.advance(run, w.cycle, k - 1, k)[0]
         if isinstance(run, Verdict):
+            # advance settles an exact fixed point itself: buchi-refuted, or
+            # ACCEPTED once accepted, the only ACCEPTED of certified mode
+            if run.reason == REASON_BUCHI_REFUTED:
+                return k, "fixed point"
+            if run.status is Status.ACCEPTED and mode == CERTIFIED:
+                return k, "accepted"
             return k, run.reason
         if run.halted or run.accepted:
             return k, "halted" if run.halted else "accepted"
@@ -953,7 +958,7 @@ def test_a_block_that_decides_is_taken_period_by_period(monkeypatch):
                 assert got == want
             else:
                 _assert_same_run(got, want)
-    assert {"accepted", "halted", REASON_REJ_REFUTED, REASON_BUCHI_REFUTED} <= events
+    assert {"accepted", "halted", REASON_REJ_REFUTED, "fixed point"} <= events
 
 
 def test_a_block_takes_the_visit_test_of_its_first_period(monkeypatch):
