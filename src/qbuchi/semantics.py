@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,8 +60,9 @@ class Status(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One step of a trace; the fields are CSV_HEADER's columns."""
+
     j: int
     symbol: str
     alpha: float
@@ -71,25 +72,35 @@ class StepRecord:
     nonhalt_norm_sq: float
 
 
-@dataclass(frozen=True)
-class LassoWord:
-    """Ultimately periodic word: a finite prefix followed by a repeated cycle."""
-
+class _LassoFields(NamedTuple):
     prefix: str
     cycle: str
 
-    def __post_init__(self):
-        if not (isinstance(self.prefix, str) and isinstance(self.cycle, str)):
+
+class LassoWord(_LassoFields):
+    """Ultimately periodic word: a finite prefix followed by a repeated cycle.
+
+    A named tuple whose every construction, _make, _replace and unpickling
+    included, checks both parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefix: str, cycle: str):
+        if not (isinstance(prefix, str) and isinstance(cycle, str)):
             raise ValueError("lasso prefix and cycle must be strings")
-        if not self.cycle:
+        if not cycle:
             raise ValueError("lasso cycle must be nonempty")
+        return tuple.__new__(cls, (prefix, cycle))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def expand(self, periods: int) -> str:
         return self.prefix + self.cycle * periods
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """The fields up to mode are in the order that ``qbuchi run`` prints."""
 
     status: Status
@@ -106,7 +117,8 @@ class Verdict:
 
     def to_dict(self) -> dict:
         """Every field but the trace, with the status as its value."""
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
+        d = self._asdict()
+        del d["trace"]
         d["status"] = self.status.value
         return d
 
@@ -130,7 +142,7 @@ def trace_to_csv(records: Sequence[StepRecord]) -> str:
 def trace_to_json(records: Sequence[StepRecord]) -> str:
     if not records:
         return "[]\n"
-    return "[\n" + ",\n".join("  " + _json_text(vars(r)) for r in records) + "\n]\n"
+    return "[\n" + ",\n".join("  " + _json_text(r._asdict()) for r in records) + "\n]\n"
 
 
 def _start_vector(a: Mmqba) -> np.ndarray:
@@ -183,9 +195,13 @@ def _row_sums(columns: np.ndarray) -> np.ndarray:
 
 
 class _Run(NamedTuple):
-    """Run state of a lasso word after some symbols past the end marker."""
+    """Run state of a lasso word after some symbols past the end marker.
+
+    key is psi.tobytes(), made once where psi is made: the lasso context's
+    tables are keyed on it."""
 
     psi: np.ndarray
+    key: bytes
     acc: float
     rej: float
     visits: int
@@ -222,12 +238,15 @@ _BLOCK = 8
 _CHUNK = 8
 
 # The transition table of a lasso context is cleared once it holds about
-# this many bytes. An entry keeps the key's bytes and the new state, 16 *
-# dim bytes each, and at most some 500 bytes of Python objects, so the
-# entry cap is worked out per dimension. Without a cap a search whose runs
-# stay open keeps every state it steps to, and its memory grows with the
-# search: at dimension 8 a tracemalloc peak of 13 MB after 4 rounds, against
-# 7.5 MB with the cap and 0.8 MB without a table.
+# this many bytes. An entry keeps the new state and its run key, 16 * dim
+# bytes each, and at most some 500 bytes of Python objects; its own key
+# holds the run key of the state it steps from, which the entry that made
+# that state holds already. So the entry cap is worked out per dimension;
+# tracemalloc read 32 * dim + 310 to 400 bytes an entry at dimensions 8 to
+# 243. Without a cap a search whose runs stay open keeps every state it
+# steps to, and its memory grows with the search: at dimension 8 a
+# tracemalloc peak of 13 MB after 4 rounds, against 7.5 MB with the cap
+# and 0.8 MB without a table.
 _TRANSITION_BYTES = 8 << 20
 
 
@@ -242,15 +261,16 @@ class _LassoContext:
     prefix: a settled REJECTED verdict, or the _Run after '#u'. The cycle
     phase depends only on that run's state, the cycle, the test and the
     budget, so the phase table keeps its outcome per (start state, cycle),
-    keyed on the state's content: prefixes whose runs reach bitwise the
-    same state share their cycle phases, as run_word describes.
-    A measured step depends only on the bytes of its state and on its
-    symbol, so the transition table keeps, per (psi.tobytes(), symbol),
-    the new state, read-only, and the step's (alpha, rho, nh): runs that
-    pass through one state, such as rotations and powers of one cycle,
-    step each distinct transition once while the table holds it. The
-    table is cleared whenever it holds max_transitions entries, which
-    take about _TRANSITION_BYTES.
+    keyed on the start run's fields, its run key (the state's content)
+    among them: prefixes whose runs reach bitwise the same state share
+    their cycle phases, as run_word describes. A measured step depends
+    only on the bytes of its state and on its symbol, so the transition
+    table keeps, per (run key, symbol), the new state, read-only, with its
+    run key, and the step's (alpha, rho, nh). A step the table holds
+    copies and hashes no bytes, and runs that pass through one state, such
+    as rotations and powers of one cycle, step each distinct transition
+    once while the table holds it. The table is cleared whenever it holds
+    max_transitions entries, which take about _TRANSITION_BYTES.
     check_emptiness shares one context between the candidates of a
     search; a single run builds its own, whose records collect the trace.
     The root, the run after the end marker, has halted when the marker
@@ -271,7 +291,7 @@ class _LassoContext:
         psi, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
         psi.flags.writeable = False
         nh = _norm_sq(psi)
-        root = _Run(psi, alpha, rho, 0, nh <= _HALTED_SQ)
+        root = _Run(psi, psi.tobytes(), alpha, rho, 0, nh <= _HALTED_SQ)
         if not a.accepting:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, alpha, rho, nh, 0, 0)
         self.phases = {}
@@ -281,19 +301,9 @@ class _LassoContext:
 
     def verdict(self, status, reason, acc, rej, nh, visits, periods) -> Verdict:
         records = self.records
-        return Verdict(
-            status=status,
-            acc_lower=acc,
-            rej_lower=rej,
-            rej_upper=rej + nh,
-            visit_count=visits,
-            periods_simulated=periods,
-            reason=reason,
-            beta=DEFAULT_BETA,
-            epsilon=DEFAULT_EPSILON,
-            mode=self.mode,
-            trace=tuple(records) if records is not None else None,
-        )
+        return Verdict(status, reason, acc, rej, rej + nh, visits, periods, self.mode,
+                       DEFAULT_BETA, DEFAULT_EPSILON,
+                       tuple(records) if records is not None else None)
 
     def advance(self, run: _Run, word: str, k: int = 0, stop: int = 0):
         """Step run through periods k+1 .. stop of the cycle word, or once
@@ -320,23 +330,22 @@ class _LassoContext:
         p, mode = self.p, self.mode
         low = p - DEFAULT_EPSILON
         visit_eps, halt_sq = DEFAULT_VISIT_EPS, _HALTED_SQ
-        psi, acc, rej, visits, halted, accepted = run
+        psi, key, acc, rej, visits, halted, accepted = run
         while True:
             psi0, acc0, rej0 = psi, acc, rej
             if stop:
                 k += 1
             need = DEFAULT_BETA * k if k else math.inf
             for sym in word:
-                key = (psi.tobytes(), sym)
-                step = transitions.get(key)
+                step = transitions.get((key, sym))
                 if step is None:
-                    psi, alpha, rho = apply(psi, sym)
-                    psi.flags.writeable = False
-                    step = psi, alpha, rho, _norm_sq(psi)
+                    new, alpha, rho = apply(psi, sym)
+                    new.flags.writeable = False
+                    step = new, new.tobytes(), alpha, rho, _norm_sq(new)
                     if len(transitions) >= self.max_transitions:
                         transitions.clear()
-                    transitions[key] = step
-                psi, alpha, rho, nh = step
+                    transitions[key, sym] = step
+                psi, key, alpha, rho, nh = step
                 acc += alpha
                 rej += rho
                 if records is not None:
@@ -367,7 +376,7 @@ class _LassoContext:
                                   else (Status.REJECTED, REASON_BUCHI_REFUTED))
                 return self.verdict(status, reason, acc, rej, nh, visits, k), k
             if halted or k == stop:
-                return _Run(psi, acc, rej, visits, halted, accepted), k
+                return _Run(psi, key, acc, rej, visits, halted, accepted), k
 
     def compiled(self, cycle: str) -> np.ndarray:
         """The compiled map G of one period of cycle.
@@ -489,7 +498,8 @@ class _LassoContext:
             records.extend(map(StepRecord, range(j, j + n), cycle * (kept * periods),
                                alpha[:n].tolist(), rho[:n].tolist(), acc[1:n + 1].tolist(),
                                rej[1:n + 1].tolist(), nh[:n].tolist()))
-        return _Run(states[kept], float(acc[n]), float(rej[n]), int(visits[n - 1]),
+        psi = states[kept]
+        return _Run(psi, psi.tobytes(), float(acc[n]), float(rej[n]), int(visits[n - 1]),
                     False, run.accepted), kept
 
     def after(self, u: str):
@@ -531,7 +541,7 @@ class _LassoContext:
         if isinstance(start, Verdict):
             return start
         cycle = w.cycle
-        key = (start.psi.tobytes(), *start[1:], cycle)
+        key = (*start[1:], cycle)  # the run key stands for psi
         entry = self.phases.get(key)
         run, k = start, 0
         if entry is not None:
@@ -606,7 +616,7 @@ class _LassoContext:
                 return run, None
             if run.halted:
                 break
-        psi, acc, rej, visits, halted, accepted = run
+        psi, _, acc, rej, visits, halted, accepted = run
         nh = _norm_sq(psi)
         if accepted:
             return self.verdict(Status.ACCEPTED, REASON_CERTIFIED,

@@ -101,8 +101,11 @@ def _run(a, w, p, mode, budget) -> dict:
     plain = qbuchi.run_lasso(a, w, p, max_periods=budget, mode=mode)
     traced = qbuchi.run_lasso(a, w, p, max_periods=budget, mode=mode, record_trace=True)
     clauses = qbuchi.check_acceptance_clauses(traced.trace, p) if traced.trace else None
+    # rows by the CSV header's column names, which every tree's step records carry
+    names = qbuchi.semantics.CSV_HEADER.split(",")
     return {"p": p, "max_periods": budget, "verdict": plain.to_dict(),
-            "traced": traced.to_dict(), "trace": [vars(r) for r in traced.trace],
+            "traced": traced.to_dict(),
+            "trace": [{name: getattr(r, name) for name in names} for r in traced.trace],
             "clauses": None if clauses is None else vars(clauses)}
 
 

@@ -650,6 +650,80 @@ def test_search_transition_table_stays_within_its_budget(monkeypatch):
     assert peak < budget + 250_000
 
 
+def _keyed_runs(monkeypatch) -> tuple[list, list]:
+    """The lasso contexts that check_emptiness builds from here on, and the
+    size of a context's transition table after every advance; each advance
+    checks that the run it starts from and the run it returns carry their
+    vector's bytes as their key."""
+    contexts, sizes = [], []
+    context = emptiness._LassoContext
+    monkeypatch.setattr(emptiness, "_LassoContext",
+                        lambda *args: contexts.append(context(*args)) or contexts[-1])
+    advance = _LassoContext.advance
+
+    def checked(self, run, *args):
+        assert run.key == run.psi.tobytes()
+        out, k = advance(self, run, *args)
+        assert isinstance(out, Verdict) or out.key == out.psi.tobytes()
+        sizes.append(len(self.transitions))
+        return out, k
+
+    monkeypatch.setattr(_LassoContext, "advance", checked)
+    return contexts, sizes
+
+
+def _assert_run_keys_are_bytes(context):
+    runs = [e for e in context.prefixes.values() if not isinstance(e, Verdict)]
+    resumed = [entry[3][0] for entry in context.phases.values() if entry[3] is not None]
+    for run in runs + resumed:
+        assert run.key == run.psi.tobytes()
+    # a phase is keyed on its start run's fields but psi, and its cycle
+    assert {key[:-1] for key in context.phases} <= {tuple(run[1:]) for run in runs}
+    for psi, key, *_ in context.transitions.values():
+        assert key == psi.tobytes()
+
+
+@pytest.mark.parametrize("entries", [None, 3], ids=["default-cap", "cap3"])
+@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
+def test_every_run_state_is_keyed_by_its_bytes(fixtures, monkeypatch, mode, entries):
+    contexts, sizes = _keyed_runs(monkeypatch)
+    jobs = [(a, p, 6) for _, a in sorted(fixtures.items()) for p in (0.6, 0.9, 1.0)]
+    jobs += [(_haar_of_dim(dim), p, 5) for dim in range(3, 9) for p in (0.6, 0.75)]
+    for a, p, rounds in jobs:
+        if entries is not None:
+            # the table is cleared every three entries, mid-search
+            monkeypatch.setattr(semantics, "_TRANSITION_BYTES", entries * (32 * a.dim + 512))
+        del sizes[:]
+        check_emptiness(a, p, SearchBudget(max_rounds=rounds), mode=mode)
+        _assert_run_keys_are_bytes(contexts[-1])
+        if entries is not None and a.dim > 3 and len(a.alphabet) > 1:
+            assert any(later < size for size, later in zip(sizes, sizes[1:]))
+    assert len(contexts) == len(jobs)
+
+
+def test_runs_through_a_budget_ladder_are_keyed_by_their_bytes(monkeypatch):
+    # at dimension 16 the runs of 32 and 64 periods compile their cycles
+    a = _haar_of_dim(16)
+    _keyed_runs(monkeypatch)
+    compiled = []
+    compiled_run = _LassoContext.compiled_run
+
+    def counted(self, *args):
+        run, kept = compiled_run(self, *args)
+        assert run.key == run.psi.tobytes()
+        compiled.append(kept)
+        return run, kept
+
+    monkeypatch.setattr(_LassoContext, "compiled_run", counted)
+    context = _LassoContext(a, 0.55, CERTIFIED)
+    for budget in (16, 32, 64):
+        for u in ("", "a", "b"):
+            for v in ("ab", "aab", "abb"):
+                run_lasso(a, LassoWord(u, v), 0.55, max_periods=budget, _context=context)
+    assert sum(compiled) > 0
+    _assert_run_keys_are_bytes(context)
+
+
 def test_budget_validation():
     # True is 1 to operator.index, but no count
     for bad in (0, math.nan, 2.5, True):

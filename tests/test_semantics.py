@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbuchi import semantics
-from qbuchi.automata import END_MARKER, TERMINAL, _Kernel
+from qbuchi.automata import END_MARKER, TERMINAL, Mmqba, _Kernel, validate
 from qbuchi.constructions import finite_language_mmqfa
 from qbuchi.emptiness import reference_run
 from qbuchi.semantics import (
@@ -710,7 +711,7 @@ def test_the_step_loop_matches_a_per_period_loop(fixtures, monkeypatch, mode):
                 # run afresh from the prefix, with records numbered on from
                 # the first run's
                 def steps(records):
-                    return repr([vars(r) | {"j": 0} for r in records])
+                    return repr([r._asdict() | {"j": 0} for r in records])
                 assert steps(context.records[before:]) == steps(trace[len(u):])
             else:
                 # resumed, or answered from the phase table
@@ -1133,7 +1134,7 @@ def test_traced_and_untraced_runs_give_the_same_verdict():
             plain = run_lasso(a, w, 0.6, max_periods=budget, mode=mode)
             traced = run_lasso(a, w, 0.6, max_periods=budget, mode=mode, record_trace=True)
             assert len(traced.trace) > 0
-            assert dataclasses.replace(traced, trace=None) == plain
+            assert traced._replace(trace=None) == plain
 
 
 def test_compiled_run_memory_stays_near_its_matrices():
@@ -1155,3 +1156,92 @@ def test_compiled_run_memory_stays_near_its_matrices():
         tracemalloc.stop()
     assert v.periods_simulated == 256
     assert peak <= 1.1 * matrices
+
+
+VERDICT_FIELDS = ("status", "reason", "acc_lower", "rej_lower", "rej_upper", "visit_count",
+                  "periods_simulated", "mode", "beta", "epsilon", "trace")
+
+
+def test_records_verdicts_and_lasso_words_are_named_tuples(fixtures, monkeypatch):
+    assert StepRecord._fields == tuple(CSV_HEADER.split(","))
+    assert Verdict._fields == VERDICT_FIELDS
+    assert LassoWord._fields == ("prefix", "cycle")
+    stepped = run_lasso(fixtures["lang_a_omega"], LassoWord("b", "a"), 0.6, max_periods=8,
+                        record_trace=True)
+    rng = np.random.default_rng(16)
+    a = make_automaton({s: haar_unitary(rng, 16) for s in "ab"}, accepting=[1], rejecting=[2])
+    kept = []
+    compiled_run = semantics._LassoContext.compiled_run
+
+    def counted(*args):
+        run, n = compiled_run(*args)
+        kept.append(n)
+        return run, n
+
+    monkeypatch.setattr(semantics._LassoContext, "compiled_run", counted)
+    compiled = run_lasso(a, LassoWord("a", "ab"), 0.6, max_periods=64, record_trace=True)
+    assert sum(kept) > 0
+    for verdict in (stepped, compiled):
+        assert verdict.trace and all(type(r) is StepRecord for r in verdict.trace)
+        # a named tuple equals the plain tuple of its fields
+        assert verdict == tuple(verdict) and verdict.trace[0] == tuple(verdict.trace[0])
+        assert list(verdict.to_dict()) == list(VERDICT_FIELDS[:-1])
+        assert verdict.to_dict()["status"] == verdict.status.value
+    w = LassoWord("b", "a")
+    for obj, field in ((stepped.trace[0], "acc"), (stepped, "status"), (w, "cycle")):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+    for obj in (stepped.trace[0], stepped, w):
+        again = pickle.loads(pickle.dumps(obj))
+        assert type(again) is type(obj) and again == obj and hash(again) == hash(obj)
+
+
+def test_every_construction_of_a_lasso_word_checks_it():
+    with pytest.raises(ValueError, match="lasso prefix and cycle must be strings"):
+        LassoWord(None, "a")
+    with pytest.raises(ValueError, match="lasso cycle must be nonempty"):
+        LassoWord("a", "")
+    with pytest.raises(ValueError, match="lasso cycle must be nonempty"):
+        LassoWord("a", "b")._replace(cycle="")
+    with pytest.raises(ValueError, match="lasso cycle must be nonempty"):
+        LassoWord._make(("a", ""))
+    # a pickle of a word built past the checks is refused when it is loaded
+    with pytest.raises(ValueError, match="lasso cycle must be nonempty"):
+        pickle.loads(pickle.dumps(tuple.__new__(LassoWord, ("a", ""))))
+    assert LassoWord._make(("a", "b")) == LassoWord(prefix="a", cycle="b") == ("a", "b")
+
+
+def _expanding_witness(drift: float) -> Mmqba:
+    """States q (initial), A (accepting) and R (rejecting). The end marker
+    sends 0.35 of the mass to R; each 'a' moves s^2 = 1e-9 of q's mass to A
+    and scales q's mass by c^2 = 1 - s^2 + drift, a unitarity defect that
+    validate accepts. The accepting limit is 0.65 s^2 / (s^2 - drift)."""
+    s2 = 1e-9
+    c, s = math.sqrt(1 - s2 + drift), math.sqrt(s2)
+    marker = np.array([[math.sqrt(0.65), 0, -math.sqrt(0.35)], [0, 1, 0],
+                       [math.sqrt(0.35), 0, math.sqrt(0.65)]], dtype=complex)
+    u = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=complex)
+    return Mmqba(state_names=("q", "A", "R"), alphabet=("a",), unitaries={"a": u},
+                 initial=0, accepting=frozenset({1}), rejecting=frozenset({2}),
+                 end_marker_unitary=marker)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: a validated matrix that creates mass breaks the "
+                          "certificates, so a word whose exact accepting limit is 0.684 "
+                          "at p = 0.66 is REJECTED acc-limit-refuted")
+def test_a_validated_expanding_unitary_is_not_refuted():
+    a = _expanding_witness(5e-11)
+    assert validate(a) == []
+    # the exact limits are acc ~ 0.684 >= p and rej = 0.35 < p
+    assert run_lasso(a, LassoWord("", "a"), 0.66).status is not Status.REJECTED
+
+
+def test_a_contracting_unitary_keeps_its_refutation():
+    # the accepting limit is 0.65e-9 / 1.05e-9 ~ 0.619, below p = 0.66
+    a = _expanding_witness(-5e-11)
+    assert validate(a) == []
+    v = run_lasso(a, LassoWord("", "a"), 0.66)
+    assert (v.status, v.reason, v.periods_simulated) == (
+        Status.REJECTED, semantics.REASON_ACC_REFUTED, 1)
