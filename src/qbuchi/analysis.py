@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .automata import Mmqba, _Kernel, _check_count
+from .automata import Mmqba, _Kernel, _check_count, _check_word
 from .numerics import SubspaceBasis, null_space
 
 if TYPE_CHECKING:  # for annotations only: semantics sits above analysis, which never loads it
@@ -110,6 +110,7 @@ def _require_within_nonhalting(a: Mmqba, s: SubspaceBasis):
 
 def is_sigma_cycle_subspace(a: Mmqba, s: SubspaceBasis, symbol: str) -> bool:
     """True iff the symbol's unitary maps the subspace into itself."""
+    _check_word(a.alphabet, [symbol])
     _require_within_nonhalting(a, s)
     images = a.unitary_for(symbol) @ s.vectors.T
     return not np.any(np.linalg.norm(_outside(s, images), axis=0) > RESIDUAL_TOL)
@@ -187,6 +188,8 @@ def verify_decomposition(
     """
     word_len = _check_count("word_len", word_len, 0)
     trials = _check_count("trials", trials, 0)
+    for part in (d.s1, d.s2):
+        _require_within_nonhalting(a, part)
     n_symbols = len(a.alphabet)
     kernel = _Kernel(a)
     s1, s2 = d.s1, d.s2

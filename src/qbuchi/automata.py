@@ -182,8 +182,8 @@ class _Kernel:
     writes to the state it is given, which must be the caller's own, such
     as a fresh product. amplitudes_each steps a block whose columns take
     symbols of their own, and apply steps a vector and sums its accepting
-    and its rejecting probabilities; neither writes to its input, so run
-    states can be shared without copying.
+    and its rejecting probabilities; neither writes to its input, which may
+    be a read-only np.frombuffer view of a lasso run state's bytes.
     """
 
     __slots__ = ("a", "symbols", "halt_idx", "n_acc")

@@ -199,7 +199,6 @@ def cmd_decompose(args) -> int:
 
 def cmd_check_cycle(args) -> int:
     a = _load_valid(args.file)
-    _check_symbols(a, [args.symbol])
     s = SubspaceBasis.from_indices(args.subspace, a.dim)
     if _cli.is_sigma_cycle_subspace(a, s, args.symbol):
         report = _cli.no_entry_check(a, s, args.symbol)

@@ -195,13 +195,10 @@ def _row_sums(columns: np.ndarray) -> np.ndarray:
 
 
 class _Run(NamedTuple):
-    """Run state of a lasso word after some symbols past the end marker.
+    """Run state of a lasso word after some symbols past the end marker; state
+    is its amplitude vector's bytes, made once, read through read-only views."""
 
-    key is psi.tobytes(), made once where psi is made: the lasso context's
-    tables are keyed on it."""
-
-    psi: np.ndarray
-    key: bytes
+    state: bytes
     acc: float
     rej: float
     visits: int
@@ -238,15 +235,13 @@ _BLOCK = 8
 _CHUNK = 8
 
 # The transition table of a lasso context is cleared once it holds about
-# this many bytes. An entry keeps the new state and its run key, 16 * dim
-# bytes each, and at most some 500 bytes of Python objects; its own key
-# holds the run key of the state it steps from, which the entry that made
-# that state holds already. So the entry cap is worked out per dimension;
-# tracemalloc read 32 * dim + 310 to 400 bytes an entry at dimensions 8 to
-# 243. Without a cap a search whose runs stay open keeps every state it
-# steps to, and its memory grows with the search: at dimension 8 a
-# tracemalloc peak of 13 MB after 4 rounds, against 7.5 MB with the cap
-# and 0.8 MB without a table.
+# this many bytes, at 16 * dim + 512 bytes an entry: the new state's bytes
+# and at most some 500 bytes of Python objects (tracemalloc read 146 at
+# dimensions 8 to 243). The key's state is held by the entry that made it.
+# Without a cap a search whose runs stay open keeps every state it steps
+# to, and its memory grows with the search: at dimension 8 a tracemalloc
+# peak of 8.4 MB after 4 rounds, against 5.7 MB with the cap and 0.55 MB
+# with a table of one entry.
 _TRANSITION_BYTES = 8 << 20
 
 
@@ -261,20 +256,20 @@ class _LassoContext:
     prefix: a settled REJECTED verdict, or the _Run after '#u'. The cycle
     phase depends only on that run's state, the cycle, the test and the
     budget, so the phase table keeps its outcome per (start state, cycle),
-    keyed on the start run's fields, its run key (the state's content)
-    among them: prefixes whose runs reach bitwise the same state share
-    their cycle phases, as run_word describes. A measured step depends
-    only on the bytes of its state and on its symbol, so the transition
-    table keeps, per (run key, symbol), the new state, read-only, with its
-    run key, and the step's (alpha, rho, nh). A step the table holds
-    copies and hashes no bytes, and runs that pass through one state, such
-    as rotations and powers of one cycle, step each distinct transition
-    once while the table holds it. The table is cleared whenever it holds
-    max_transitions entries, which take about _TRANSITION_BYTES.
-    check_emptiness shares one context between the candidates of a
-    search; a single run builds its own, whose records collect the trace.
-    The root, the run after the end marker, has halted when the marker
-    leaves no non-halting mass, by the same rule as every later state.
+    keyed on the start run, whose state is its vector's bytes: prefixes
+    whose runs reach bitwise the same state share their cycle phases, as
+    run_word describes. A measured step depends only on its state and its
+    symbol, so the transition table keeps, per (state, symbol), the new
+    state and the step's (alpha, rho, nh); bytes cannot be written, so
+    runs and tables share them. A step the table holds copies and hashes
+    no bytes, and runs that pass through one state, such as rotations and
+    powers of one cycle, step each distinct transition once while the
+    table holds it. The table is cleared whenever it holds max_transitions
+    entries, which take about _TRANSITION_BYTES. check_emptiness shares
+    one context between the candidates of a search; a single run builds
+    its own, whose records collect the trace. The root, the run after the
+    end marker, has halted when the marker leaves no non-halting mass, by
+    the same rule as every later state.
     """
 
     def __init__(self, a: Mmqba, p: float, mode: str, records: list | None = None):
@@ -289,14 +284,13 @@ class _LassoContext:
         self.p, self.mode = p, mode
         self.records = records
         psi, alpha, rho = self.kernel.apply(_start_vector(a), END_MARKER)
-        psi.flags.writeable = False
         nh = _norm_sq(psi)
-        root = _Run(psi, psi.tobytes(), alpha, rho, 0, nh <= _HALTED_SQ)
+        root = _Run(psi.tobytes(), alpha, rho, 0, nh <= _HALTED_SQ)
         if not a.accepting:
             root = self.verdict(Status.REJECTED, REASON_BUCHI_REFUTED, alpha, rho, nh, 0, 0)
         self.phases = {}
         self.transitions = {}
-        self.max_transitions = _TRANSITION_BYTES // (32 * a.dim + 512)
+        self.max_transitions = _TRANSITION_BYTES // (16 * a.dim + 512)
         self.prefixes = {"": root}
 
     def verdict(self, status, reason, acc, rej, nh, visits, periods) -> Verdict:
@@ -330,22 +324,25 @@ class _LassoContext:
         p, mode = self.p, self.mode
         low = p - DEFAULT_EPSILON
         visit_eps, halt_sq = DEFAULT_VISIT_EPS, _HALTED_SQ
-        psi, key, acc, rej, visits, halted, accepted = run
+        state, acc, rej, visits, halted, accepted = run
+        psi = made = None  # psi is the vector of made, the state the last miss made
         while True:
-            psi0, acc0, rej0 = psi, acc, rej
+            state0, acc0, rej0 = state, acc, rej
             if stop:
                 k += 1
             need = DEFAULT_BETA * k if k else math.inf
             for sym in word:
-                step = transitions.get((key, sym))
+                step = transitions.get((state, sym))
                 if step is None:
-                    new, alpha, rho = apply(psi, sym)
-                    new.flags.writeable = False
-                    step = new, new.tobytes(), alpha, rho, _norm_sq(new)
+                    if made is not state:
+                        psi = np.frombuffer(state, np.complex128)
+                    psi, alpha, rho = apply(psi, sym)
+                    made = psi.tobytes()
+                    step = made, alpha, rho, _norm_sq(psi)
                     if len(transitions) >= self.max_transitions:
                         transitions.clear()
-                    transitions[key, sym] = step
-                psi, key, alpha, rho, nh = step
+                    transitions[state, sym] = step
+                state, alpha, rho, nh = step
                 acc += alpha
                 rej += rho
                 if records is not None:
@@ -371,12 +368,14 @@ class _LassoContext:
                     halted = True
                     if k:
                         break
-            if stop and not halted and acc == acc0 and rej == rej0 and (psi == psi0).all():
+            if stop and not halted and acc == acc0 and rej == rej0 and (
+                    np.frombuffer(state, np.complex128)
+                    == np.frombuffer(state0, np.complex128)).all():
                 status, reason = ((Status.ACCEPTED, REASON_CERTIFIED) if accepted
                                   else (Status.REJECTED, REASON_BUCHI_REFUTED))
                 return self.verdict(status, reason, acc, rej, nh, visits, k), k
             if halted or k == stop:
-                return _Run(psi, key, acc, rej, visits, halted, accepted), k
+                return _Run(state, acc, rej, visits, halted, accepted), k
 
     def compiled(self, cycle: str) -> np.ndarray:
         """The compiled map G of one period of cycle.
@@ -453,7 +452,7 @@ class _LassoContext:
         n_rows = len(g) - kernel.a.dim
         width = len(cycle)
         steps = periods * width
-        states = [run.psi]
+        states = [np.frombuffer(run.state, np.complex128)]
         halting = np.empty((count, n_rows), dtype=np.complex128)
         for i in range(count):
             out = g @ states[-1]
@@ -498,8 +497,7 @@ class _LassoContext:
             records.extend(map(StepRecord, range(j, j + n), cycle * (kept * periods),
                                alpha[:n].tolist(), rho[:n].tolist(), acc[1:n + 1].tolist(),
                                rej[1:n + 1].tolist(), nh[:n].tolist()))
-        psi = states[kept]
-        return _Run(psi, psi.tobytes(), float(acc[n]), float(rej[n]), int(visits[n - 1]),
+        return _Run(states[kept].tobytes(), float(acc[n]), float(rej[n]), int(visits[n - 1]),
                     False, run.accepted), kept
 
     def after(self, u: str):
@@ -541,7 +539,7 @@ class _LassoContext:
         if isinstance(start, Verdict):
             return start
         cycle = w.cycle
-        key = (*start[1:], cycle)  # the run key stands for psi
+        key = (*start, cycle)
         entry = self.phases.get(key)
         run, k = start, 0
         if entry is not None:
@@ -616,8 +614,8 @@ class _LassoContext:
                 return run, None
             if run.halted:
                 break
-        psi, _, acc, rej, visits, halted, accepted = run
-        nh = _norm_sq(psi)
+        state, acc, rej, visits, halted, accepted = run
+        nh = _norm_sq(np.frombuffer(state, np.complex128))
         if accepted:
             return self.verdict(Status.ACCEPTED, REASON_CERTIFIED,
                                 acc, rej, nh, visits, k), None

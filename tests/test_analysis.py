@@ -256,6 +256,21 @@ def test_verify_decomposition_validates_counts(fixtures, name, bad):
         verify_decomposition(a, decompose_nonhalting(a), **{"word_len": 5, "trials": 2, name: bad})
 
 
+def test_verify_decomposition_refuses_another_automatons_parts(fixtures):
+    d = decompose_nonhalting(fixtures["lang_a_prefix"])
+    with pytest.raises(ValueError, match="subspace ambient dimension does not match"):
+        verify_decomposition(fixtures["finite_ab"], d, word_len=3, trials=2)
+
+
+@pytest.mark.parametrize("part", ["s1", "s2"])
+def test_verify_decomposition_refuses_a_part_with_a_halting_state(fixtures, part):
+    # the right dimension, but a part that holds the accepting q1
+    a = fixtures["lang_a_prefix"]
+    d = dataclasses.replace(decompose_nonhalting(a), **{part: SubspaceBasis.from_indices([1], 3)})
+    with pytest.raises(ValueError, match="subspace is not contained in the non-halting span"):
+        verify_decomposition(a, d, word_len=3, trials=2)
+
+
 def test_block_step_matches_vector_steps():
     rng = np.random.default_rng(41)
     for dim in range(3, 9):
@@ -435,6 +450,14 @@ def test_subspace_arguments_are_checked(check, subspace, message):
     a = make_automaton({"a": np.eye(3)}, accepting=[], rejecting=[1])
     with pytest.raises(ValueError, match=message):
         check(a, subspace, "a")
+
+
+@pytest.mark.parametrize("check", [is_sigma_cycle_subspace, no_entry_check])
+@pytest.mark.parametrize("symbol", ["#", "z", "ab"], ids=["end-marker", "unknown", "word"])
+def test_symbol_arguments_are_checked(fixtures, check, symbol):
+    # the end marker has a unitary, but it is no input symbol
+    with pytest.raises(ValueError, match=f"symbol '{symbol}' is not in the automaton alphabet"):
+        check(fixtures["lang_a_prefix"], SubspaceBasis.from_indices([0], 3), symbol)
 
 
 def test_no_entry_on_random_block_unitaries():

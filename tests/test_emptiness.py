@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from qbuchi import automata, emptiness, semantics
+from qbuchi import emptiness, semantics
 from qbuchi.emptiness import (
     SearchBudget,
     SearchResult,
@@ -407,8 +407,7 @@ def test_shared_context_answers_every_budget_order_as_fresh_runs(
         fresh = run_lasso(a, w, p, max_periods=n, mode=mode)
         assert repr(shared.to_dict()) == repr(fresh.to_dict()), (w, n)
     open_prefixes = [e for e in context.prefixes.values() if not isinstance(e, Verdict)]
-    states = {(run.psi.tobytes(), *run[1:]) for run in open_prefixes}
-    assert (len(states) < len(open_prefixes)) == collide
+    assert (len(set(open_prefixes)) < len(open_prefixes)) == collide
 
 
 PLAIN_LOOP_CASES = [
@@ -465,7 +464,7 @@ def test_search_matches_plain_loop_on_colliding_states(
         fixtures, monkeypatch, make, p, rounds, entries, mode):
     a = fixtures[make] if isinstance(make, str) else make()
     if entries is not None:
-        monkeypatch.setattr(semantics, "_TRANSITION_BYTES", entries * (32 * a.dim + 512))
+        monkeypatch.setattr(semantics, "_TRANSITION_BYTES", entries * (16 * a.dim + 512))
     sizes = _table_sizes(monkeypatch)
     _assert_search_matches_plain_loop(a, p, mode, rounds)
     assert all(size <= cap for size, cap in sizes)
@@ -603,42 +602,15 @@ def test_search_enters_the_step_loop_once_per_phase(fixtures, monkeypatch):
     assert (stops.count(0), len(stops)) == (62, 297)
 
 
-def test_search_never_writes_a_shared_state(monkeypatch):
-    contexts = []
-    context = emptiness._LassoContext
-    monkeypatch.setattr(emptiness, "_LassoContext",
-                        lambda *args: contexts.append(context(*args)) or contexts[-1])
-    # every state the kernel steps to, kept alive so that ids stay unique,
-    # with a copy taken as it was stored
-    stepped = {}
-    apply = automata._Kernel.apply
-
-    def copied(self, psi, sym):
-        out = apply(self, psi, sym)
-        stepped[id(out[0])] = out[0], out[0].copy()
-        return out
-
-    monkeypatch.setattr(automata._Kernel, "apply", copied)
-    res = check_emptiness(_open_run_automaton(), 0.5, SearchBudget(max_rounds=3))
-    assert res.candidates_tried == 258
-    (context,) = contexts
-    table = [psi for psi, *_ in context.transitions.values()]
-    assert len(table) > 1000
-    runs = [run.psi for run in context.prefixes.values() if not isinstance(run, Verdict)]
-    for psi in table + runs:
-        kept, copy = stepped[id(psi)]
-        assert kept is psi and not psi.flags.writeable
-        assert psi.tobytes() == copy.tobytes()
-
-
 def test_search_transition_table_stays_within_its_budget(monkeypatch):
     # every run stays open and the states of different words differ, so
     # the search steps to 1679 distinct states, and an unbounded table
-    # keeps them all: a peak of ~1.22 MB, against ~0.19 MB before the
-    # search had a transition table. A budget of 1000 entries at dimension
-    # 8 clears the table once, and its peak (~0.80 MB) must stay below the
-    # budget plus that earlier peak, rounded up.
-    budget = 1000 * (32 * 8 + 512)
+    # keeps them all: a peak of ~0.76 MB, against ~0.19 MB before the
+    # search had a transition table. A budget of 500 entries at dimension
+    # 8 clears the table three times, and its peak (~0.27 MB) must stay
+    # below the budget plus that earlier peak, rounded up, which an
+    # unbounded table's peak exceeds.
+    budget = 500 * (16 * 8 + 512)
     monkeypatch.setattr(semantics, "_TRANSITION_BYTES", budget)
     tracemalloc.start()
     try:
@@ -650,78 +622,24 @@ def test_search_transition_table_stays_within_its_budget(monkeypatch):
     assert peak < budget + 250_000
 
 
-def _keyed_runs(monkeypatch) -> tuple[list, list]:
-    """The lasso contexts that check_emptiness builds from here on, and the
-    size of a context's transition table after every advance; each advance
-    checks that the run it starts from and the run it returns carry their
-    vector's bytes as their key."""
-    contexts, sizes = [], []
-    context = emptiness._LassoContext
-    monkeypatch.setattr(emptiness, "_LassoContext",
-                        lambda *args: contexts.append(context(*args)) or contexts[-1])
-    advance = _LassoContext.advance
-
-    def checked(self, run, *args):
-        assert run.key == run.psi.tobytes()
-        out, k = advance(self, run, *args)
-        assert isinstance(out, Verdict) or out.key == out.psi.tobytes()
-        sizes.append(len(self.transitions))
-        return out, k
-
-    monkeypatch.setattr(_LassoContext, "advance", checked)
-    return contexts, sizes
-
-
-def _assert_run_keys_are_bytes(context):
-    runs = [e for e in context.prefixes.values() if not isinstance(e, Verdict)]
-    resumed = [entry[3][0] for entry in context.phases.values() if entry[3] is not None]
-    for run in runs + resumed:
-        assert run.key == run.psi.tobytes()
-    # a phase is keyed on its start run's fields but psi, and its cycle
-    assert {key[:-1] for key in context.phases} <= {tuple(run[1:]) for run in runs}
-    for psi, key, *_ in context.transitions.values():
-        assert key == psi.tobytes()
-
-
-@pytest.mark.parametrize("entries", [None, 3], ids=["default-cap", "cap3"])
-@pytest.mark.parametrize("mode", [CERTIFIED, LITERAL])
-def test_every_run_state_is_keyed_by_its_bytes(fixtures, monkeypatch, mode, entries):
-    contexts, sizes = _keyed_runs(monkeypatch)
-    jobs = [(a, p, 6) for _, a in sorted(fixtures.items()) for p in (0.6, 0.9, 1.0)]
-    jobs += [(_haar_of_dim(dim), p, 5) for dim in range(3, 9) for p in (0.6, 0.75)]
-    for a, p, rounds in jobs:
-        if entries is not None:
-            # the table is cleared every three entries, mid-search
-            monkeypatch.setattr(semantics, "_TRANSITION_BYTES", entries * (32 * a.dim + 512))
-        del sizes[:]
-        check_emptiness(a, p, SearchBudget(max_rounds=rounds), mode=mode)
-        _assert_run_keys_are_bytes(contexts[-1])
-        if entries is not None and a.dim > 3 and len(a.alphabet) > 1:
-            assert any(later < size for size, later in zip(sizes, sizes[1:]))
-    assert len(contexts) == len(jobs)
-
-
-def test_runs_through_a_budget_ladder_are_keyed_by_their_bytes(monkeypatch):
-    # at dimension 16 the runs of 32 and 64 periods compile their cycles
-    a = _haar_of_dim(16)
-    _keyed_runs(monkeypatch)
-    compiled = []
-    compiled_run = _LassoContext.compiled_run
-
-    def counted(self, *args):
-        run, kept = compiled_run(self, *args)
-        assert run.key == run.psi.tobytes()
-        compiled.append(kept)
-        return run, kept
-
-    monkeypatch.setattr(_LassoContext, "compiled_run", counted)
-    context = _LassoContext(a, 0.55, CERTIFIED)
-    for budget in (16, 32, 64):
-        for u in ("", "a", "b"):
-            for v in ("ab", "aab", "abb"):
-                run_lasso(a, LassoWord(u, v), 0.55, max_periods=budget, _context=context)
-    assert sum(compiled) > 0
-    _assert_run_keys_are_bytes(context)
+@pytest.mark.parametrize("dim", [8, 243])
+def test_a_transition_entry_takes_at_most_the_bytes_the_cap_counts(dim):
+    # one accepting state and no rejecting one, at p = 1: no prefix step
+    # can settle the run, and no state of a Haar run repeats, so each of
+    # the 400 steps adds an entry
+    rng = np.random.default_rng(dim)
+    a = make_automaton({s: haar_unitary(rng, dim) for s in "ab"}, accepting=[1], rejecting=[])
+    u = "".join(rng.choice(["a", "b"], 400))
+    context = _LassoContext(a, 1.0, CERTIFIED)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert isinstance(context.after(u), semantics._Run)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(context.transitions) == len(u)
+    assert used / len(u) <= 16 * dim + 512
 
 
 def test_budget_validation():

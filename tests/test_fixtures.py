@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -112,6 +113,22 @@ def test_the_names_perfbench_traces_resolve(monkeypatch):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
     assert isinstance(qbuchi.SubspaceBasis.__dict__.get("from_spanning"), classmethod)
     assert callable(getattr(qbuchi.Mmqba, "unitary_for", None))  # counted, not spanned
+
+
+def test_the_perfbench_tracer_puts_back_every_name_it_wraps():
+    # a traced pass wraps every TARGETS name, SubspaceBasis.from_spanning and
+    # Mmqba.unitary_for, and must leave each original object in its place
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, attr) for module, attr, _, _ in tracing.TARGETS]
+    names += [(qbuchi.SubspaceBasis, "from_spanning"), (qbuchi.Mmqba, "unitary_for")]
+    originals = [vars(owner)[attr] for owner, attr in names]
+    with tracing.Tracer().installed():
+        wrapped = [vars(owner)[attr] for owner, attr in names]
+    assert not any(w is o for w, o in zip(wrapped, originals))
+    assert all(vars(owner)[attr] is o for (owner, attr), o in zip(names, originals))
 
 
 SOURCE_FILES = sorted(Path(qbuchi.__file__).parent.glob("*.py"))

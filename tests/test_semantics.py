@@ -808,7 +808,8 @@ def test_a_period_that_decides_is_the_stepped_period():
                 events.add("halted" if stepped.halted else "accepted")
                 assert compiled is None
                 assert got[1:] == stepped[1:]
-                assert np.array_equal(got.psi, stepped.psi)
+                assert np.array_equal(np.frombuffer(got.state, np.complex128),
+                                      np.frombuffer(stepped.state, np.complex128))
             if stepped.halted:
                 break
             run = got
@@ -1052,7 +1053,7 @@ def _looped_steps(context, run, cycle, g, periods, count):
     g from run, each step added in Python as a stepped run adds it."""
     n_rows = len(g) - context.kernel.a.dim
     m = 2 * context.kernel.n_acc
-    psi, acc, rej = run.psi, run.acc, run.rej
+    psi, acc, rej = np.frombuffer(run.state, np.complex128), run.acc, run.rej
     steps = []
     for _ in range(count):
         out = g @ psi
